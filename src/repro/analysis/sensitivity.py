@@ -22,10 +22,11 @@ from typing import Dict, List, Optional
 from repro.dse.session import DseSession
 from repro.exceptions import ModelError
 from repro.kperiodic.kiter import throughput_kiter
+from repro.mcrp.registry import DEFAULT_ENGINE
 from repro.model.graph import CsdfGraph
 
 
-def critical_tasks(graph: CsdfGraph, *, engine: str = "ratio-iteration"):
+def critical_tasks(graph: CsdfGraph, *, engine: str = DEFAULT_ENGINE):
     """Tasks on the certified critical circuit at the optimum."""
     return throughput_kiter(graph, engine=engine).critical_tasks
 
@@ -58,7 +59,7 @@ def duration_sensitivity(
     graph: CsdfGraph,
     *,
     tasks: Optional[List[str]] = None,
-    engine: str = "ratio-iteration",
+    engine: str = DEFAULT_ENGINE,
 ) -> Dict[str, TaskSensitivity]:
     """Exact per-task sensitivity of the period (halve / double).
 

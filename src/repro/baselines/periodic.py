@@ -23,6 +23,7 @@ from typing import Dict, Optional
 from repro.exceptions import DeadlockError
 from repro.kperiodic.schedule import KPeriodicSchedule
 from repro.kperiodic.solver import min_period_for_k
+from repro.mcrp.registry import DEFAULT_ENGINE
 
 
 @dataclass
@@ -48,7 +49,7 @@ class PeriodicResult:
 def throughput_periodic(
     graph,
     *,
-    engine: str = "ratio-iteration",
+    engine: str = DEFAULT_ENGINE,
     build_schedule: bool = False,
 ) -> PeriodicResult:
     """Best throughput reachable by a strictly periodic schedule.

@@ -24,6 +24,7 @@ from repro.baselines import (
 )
 from repro.exceptions import BudgetExceededError, DeadlockError
 from repro.kperiodic import throughput_kiter
+from repro.mcrp.registry import DEFAULT_ENGINE
 
 
 @dataclass
@@ -105,7 +106,7 @@ def run_method(
                 f"engine={engine!r}"
             )
         engine = spelled
-    mcrp_engine = engine if engine is not None else "ratio-iteration"
+    mcrp_engine = engine if engine is not None else DEFAULT_ENGINE
     get_engine(mcrp_engine)  # fail fast on unknown engine names
     if engine is not None and method not in ("kiter", "kiter-fullq",
                                              "service"):
@@ -172,7 +173,7 @@ def run_schedule_policy(
     graph,
     budget: float,
     *,
-    engine: str = "ratio-iteration",
+    engine: str = DEFAULT_ENGINE,
     binding=None,
     **options,
 ) -> MethodOutcome:

@@ -17,6 +17,7 @@ from repro.buffers.capacity import bound_all_buffers, minimal_buffer_capacity
 from repro.dse.session import DseSession
 from repro.exceptions import DeadlockError, ModelError
 from repro.kperiodic.kiter import throughput_kiter
+from repro.mcrp.registry import DEFAULT_ENGINE
 from repro.model.graph import CsdfGraph
 
 
@@ -33,7 +34,7 @@ def throughput_storage_curve(
     graph: CsdfGraph,
     scales: List[int],
     *,
-    engine: str = "ratio-iteration",
+    engine: str = DEFAULT_ENGINE,
 ) -> List[Tuple[int, Optional[Fraction]]]:
     """Exact throughput at each uniform capacity scale.
 
@@ -66,7 +67,7 @@ def minimize_total_storage(
     graph: CsdfGraph,
     *,
     target_throughput: Optional[Fraction] = None,
-    engine: str = "ratio-iteration",
+    engine: str = DEFAULT_ENGINE,
     max_scale: int = 64,
 ) -> Dict[str, int]:
     """Per-buffer capacities meeting a throughput target, locally minimal.
@@ -154,7 +155,7 @@ def minimal_feasible_scale(
     *,
     max_scale: int = 4096,
     predicate: Optional[Callable[[Optional[Fraction]], bool]] = None,
-    engine: str = "ratio-iteration",
+    engine: str = DEFAULT_ENGINE,
 ) -> int:
     """Smallest uniform capacity scale meeting ``predicate``.
 

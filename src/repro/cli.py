@@ -41,6 +41,7 @@ from repro.io import (
     save_graph,
     write_sdf3_xml,
 )
+from repro.mcrp.registry import DEFAULT_ENGINE
 from repro.model.graph import CsdfGraph
 
 
@@ -174,7 +175,7 @@ def cmd_batch(args) -> int:
         if args.cache_dir else ResultCache()
     )
     fallbacks = (
-        tuple(args.fallback) if args.fallback else ("ratio-iteration",)
+        tuple(args.fallback) if args.fallback else (DEFAULT_ENGINE,)
     )
     if args.coordinator and args.queue:
         raise ReproError("pick one of --coordinator or --queue")
@@ -189,7 +190,6 @@ def cmd_batch(args) -> int:
             engine=args.engine,
             fallback_engines=fallbacks,
             time_budget=args.budget,
-            batched=not args.no_batched,
             cache=cache,
             queue=queue,
             queue_poll=args.poll,
@@ -204,7 +204,6 @@ def cmd_batch(args) -> int:
             chunk_size=args.chunk_size,
             job_timeout=args.job_timeout,
             time_budget=args.budget,
-            batched=not args.no_batched,
             cache=cache,
         )
     failures = 0
@@ -872,7 +871,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--fallback", action="append", metavar="ENGINE",
                    default=None,
                    help="fallback engine(s) tried on certification "
-                        "failure (repeatable; default ratio-iteration)")
+                        f"failure (repeatable; default {DEFAULT_ENGINE})")
     p.add_argument("--cache-dir", default=None, metavar="DIR",
                    help="persistent result cache directory "
                         "(e.g. results/cache)")
@@ -886,10 +885,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mp-context", default=None,
                    choices=["fork", "spawn", "forkserver"],
                    help="multiprocessing start method")
-    p.add_argument("--no-batched", action="store_true",
-                   help="disable the batched fleet kernel (per-graph "
-                        "solves only; identical results — escape hatch "
-                        "and ablation baseline)")
     p.add_argument("--check", action="store_true",
                    help="verify exact periods against the manifest's "
                         "`period` entries (nonzero exit on mismatch)")
@@ -926,7 +921,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--graph", default=None, metavar="FILE",
                    help="base graph (overrides the manifest's "
                         "'graph' path)")
-    p.add_argument("--engine", default="ratio-iteration", metavar="ENGINE",
+    p.add_argument("--engine", default=DEFAULT_ENGINE, metavar="ENGINE",
                    help="MCRP engine (see `repro engines`)")
     p.add_argument("--workers", type=int, default=0,
                    help="0 runs the session inline; N>=1 ships the "
@@ -1092,7 +1087,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--policy", default=None,
                    help="render a registered scheduling policy's "
                         "K-periodic schedule (see `repro policies`)")
-    p.add_argument("--engine", default="ratio-iteration",
+    p.add_argument("--engine", default=DEFAULT_ENGINE,
                    help="MCRP engine for the certification solve")
     p.add_argument("--resources", type=int, default=None,
                    help="balanced N-processor unit-capacity binding "
@@ -1115,7 +1110,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-o", "--output", required=True)
     p.add_argument("--policy", default="asap",
                    help="scheduling policy (see `repro policies`)")
-    p.add_argument("--engine", default="ratio-iteration",
+    p.add_argument("--engine", default=DEFAULT_ENGINE,
                    help="MCRP engine for the certification solve")
     p.add_argument("--resources", type=int, default=None,
                    help="balanced N-processor unit-capacity binding "

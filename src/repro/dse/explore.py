@@ -24,6 +24,7 @@ from typing import Any, Dict, Iterable, Iterator, List, Mapping, Optional
 
 from repro.dse.session import DseSession
 from repro.exceptions import ModelError
+from repro.mcrp.registry import DEFAULT_ENGINE
 from repro.model.graph import CsdfGraph
 from repro.obs.trace import span as _span
 
@@ -32,7 +33,7 @@ def run_explore(
     graph: CsdfGraph,
     points: Iterable[Mapping[str, Any]],
     *,
-    engine: str = "ratio-iteration",
+    engine: str = DEFAULT_ENGINE,
     warm_start: bool = True,
     check: bool = False,
 ) -> Iterator[Dict[str, Any]]:
@@ -92,7 +93,7 @@ def explore_payload_for(
     graph: CsdfGraph,
     points: Iterable[Mapping[str, Any]],
     *,
-    engine: str = "ratio-iteration",
+    engine: str = DEFAULT_ENGINE,
     warm_start: bool = True,
     check: bool = False,
 ) -> Dict[str, Any]:
@@ -137,7 +138,7 @@ def solve_explore_payload(
         try:
             results = list(run_explore(
                 graph, points,
-                engine=payload.get("engine", "ratio-iteration"),
+                engine=payload.get("engine", DEFAULT_ENGINE),
                 warm_start=payload.get("warm_start", True),
                 check=payload.get("check", False),
             ))

@@ -50,6 +50,7 @@ from repro.analysis.consistency import repetition_vector
 from repro.exceptions import DeadlockError, ModelError, ReproError
 from repro.kperiodic.expansion import ExpansionBlockCache
 from repro.kperiodic.kiter import KIterResult, throughput_kiter
+from repro.mcrp.registry import DEFAULT_ENGINE
 from repro.model.graph import CsdfGraph
 from repro.obs.metrics import REGISTRY as _REGISTRY
 from repro.obs.trace import span as _span
@@ -110,7 +111,7 @@ class DseSession:
         self,
         graph: CsdfGraph,
         *,
-        engine: str = "ratio-iteration",
+        engine: str = DEFAULT_ENGINE,
         warm_start: bool = True,
         max_cells: int = 16_000_000,
     ) -> None:

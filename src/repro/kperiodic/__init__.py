@@ -8,8 +8,8 @@
 * :mod:`repro.kperiodic.optimality` — the critical-circuit optimality test
   (Theorem 4).
 * :mod:`repro.kperiodic.kiter` — Algorithm 1: iterate K until optimal.
-* :mod:`repro.kperiodic.fleet` — lockstep K-Iter over payload chunks via
-  the batched MCRP kernels.
+* :mod:`repro.kperiodic.fleet` — the payload driver: lockstep K-Iter over
+  payload chunks via the batched MCRP kernels.
 * :mod:`repro.kperiodic.schedule` — concrete K-periodic schedules.
 """
 
@@ -20,7 +20,7 @@ from repro.kperiodic.expansion import (
     expanded_repetition_vector,
     expansion_cache_for,
 )
-from repro.kperiodic.fleet import fleet_eligible, solve_fleet_payloads
+from repro.kperiodic.fleet import solve_fleet_payloads
 from repro.kperiodic.kiter import (
     KIterMachine,
     KIterResult,
@@ -39,7 +39,6 @@ __all__ = [
     "expansion_cache_for",
     "KIterMachine",
     "KIterResult",
-    "fleet_eligible",
     "solve_fleet_payloads",
     "solve_kiter_payload",
     "throughput_kiter",

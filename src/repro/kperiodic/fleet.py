@@ -1,30 +1,27 @@
-"""Lockstep K-Iter over a fleet of payloads via the batched MCRP kernels.
+"""The payload driver: lockstep K-Iter over a chunk of payloads.
 
-:func:`solve_fleet_payloads` is the chunk-level sibling of
-:func:`repro.kperiodic.kiter.solve_kiter_payload`: plain dicts in, plain
-dicts out, same outcome schema — but instead of solving one payload at a
-time it drives one :class:`~repro.kperiodic.kiter.KIterMachine` per
-payload in lockstep. Each lockstep round calls ``prepare()`` on every
-unfinished machine, stacks the prepared constraint graphs and answers
-them all with **one** :func:`repro.mcrp.batched.batched_solve_mcrp`
-pass, then feeds every per-graph result back through ``absorb()``.
-Machines certify (Theorem 4) at different rounds; finished ones simply
-drop out of the next stack.
+:func:`solve_fleet_payloads` is the one function that turns K-Iter job
+payloads (plain dicts) into outcome dicts; the pool workers, the
+distributed workers, the service's inline mode and
+:func:`repro.kperiodic.kiter.solve_kiter_payload` (a fleet of one) all
+run it. It drives one :class:`~repro.kperiodic.kiter.KIterMachine` per
+payload in lockstep: each round groups the unfinished machines by their
+current engine, calls ``prepare()`` on each, answers every group with
+**one** :func:`repro.mcrp.batched.batched_solve_mcrp` call, and feeds
+each per-graph result back through ``absorb()``. That call is total: an
+engine without a batched oracle, or a process without numpy, hands each
+graph to the per-graph :func:`~repro.mcrp.registry.solve_mcrp` inside
+it, with the same exact λ*. Machines certify (Theorem 4) at different
+rounds; finished ones drop out of the next round.
 
-Exactness and parity are inherited, not re-proven: every per-graph λ*
-coming out of the batched kernel is bit-identical to the per-graph
-engine's (see :mod:`repro.mcrp.batched`), and the K-Iter control flow —
-warm starts, deadlock escalation, optimality tests, round/budget caps,
-engine fallback — is the *same* :class:`KIterMachine` code path the
-sequential driver runs. A payload the fleet cannot take (``"batched":
-False``, an engine without a batched oracle, no numpy) and any payload
-hitting a :class:`~repro.exceptions.SolverError` mid-fleet (certification
-failure → the per-graph fallback-engine chain must run) is answered by
-``solve_kiter_payload`` itself, so the two entry points agree on every
-input by construction.
+Engine fallback lives here too. A :class:`~repro.exceptions.SolverError`
+(an unknown engine name, a failed ``prepare`` such as the round cap, a
+certification failure) moves that job alone to the next engine of its
+``fallback_engines`` chain with a fresh machine; the other jobs of the
+chunk are not disturbed and nothing is solved twice.
 
-Every outcome dict gains a ``"batched"`` key: ``True`` when at least one
-round of that payload's solve went through the batched kernel.
+Every outcome dict carries a ``"batched"`` key: ``True`` when at least
+one round of that payload's solve went through the batched kernel.
 """
 
 from __future__ import annotations
@@ -39,90 +36,43 @@ from repro.exceptions import (
     ReproError,
     SolverError,
 )
-from repro.kperiodic.kiter import KIterMachine, solve_kiter_payload
+from repro.kperiodic.kiter import KIterMachine, KIterResult
 from repro.kperiodic.solver import annotate_deadlock, finish_min_period
-from repro.mcrp.batched import (
-    BATCHED_ORACLES,
-    batched_solve_mcrp,
-    batching_available,
-)
-from repro.mcrp.registry import get_engine
+from repro.mcrp.batched import batched_solve_mcrp
+from repro.mcrp.registry import DEFAULT_ENGINE, get_engine
 from repro.obs.metrics import REGISTRY as _REGISTRY
 from repro.obs.slowlog import observe_solve as _observe_solve
+from repro.obs.trace import current_trace as _current_trace
 from repro.obs.trace import emit_event as _emit_event
+from repro.obs.trace import new_trace_id as _new_trace_id
 from repro.obs.trace import span as _span
+from repro.obs.trace import tracing_enabled as _tracing_enabled
 
 _FLEET_JOBS = _REGISTRY.counter("repro_fleet_jobs_total")
-_FLEET_BATCHED = _FLEET_JOBS.labels(mode="batched")
-_FLEET_DELEGATED = _FLEET_JOBS.labels(mode="delegated")
-_FLEET_FAILED = _FLEET_JOBS.labels(mode="failed")
-# Jobs the fleet finishes itself count as solver jobs too — delegated
-# payloads are counted inside solve_kiter_payload instead, so the
-# repro_solver_* families cover every route exactly once.
 _SOLVER_JOBS = _REGISTRY.counter("repro_solver_jobs_total")
 _SOLVER_SECONDS = _REGISTRY.histogram("repro_solver_seconds")
-
-
-def _emit_job_event(payload: Mapping[str, Any],
-                    outcome: Dict[str, Any]) -> None:
-    """Per-job trace event for fleet-completed payloads.
-
-    Fleet jobs interleave inside the lockstep loop, so their lifetimes
-    cannot nest as context managers; each completion is recorded as one
-    event adopting the payload's propagated trace context (the same
-    place :func:`~repro.kperiodic.kiter.solve_kiter_payload` parents
-    its ``job.solve`` span).
-    """
-    trace_ctx = payload.get("trace") or {}
-    if not trace_ctx.get("trace_id"):
-        return
-    _emit_event(
-        "job.solve",
-        trace_id=str(trace_ctx["trace_id"]),
-        parent_id=trace_ctx.get("parent_id"),
-        dur=float(outcome.get("wall_time", 0.0)),
-        digest=str(payload.get("digest", ""))[:12],
-        engine=outcome.get("engine_used", ""),
-        status=outcome.get("status", ""),
-        batched=outcome.get("batched", False),
-    )
+_ENGINE_ITERATIONS = _REGISTRY.counter("repro_engine_iterations_total")
 
 
 class _FleetJob:
-    """One payload's machine plus its bookkeeping inside the fleet."""
+    """One payload's engine chain, current machine and outcome."""
 
-    __slots__ = ("index", "payload", "graph", "engine", "machine",
-                 "batched_any")
+    __slots__ = ("payload", "graph", "engines", "position", "machine",
+                 "batched", "outcome")
 
-    def __init__(self, index: int, payload: Mapping[str, Any], graph,
-                 engine: str) -> None:
-        self.index = index
+    def __init__(self, payload: Mapping[str, Any], graph) -> None:
         self.payload = payload
         self.graph = graph
-        self.engine = engine
+        self.engines = [payload.get("engine", DEFAULT_ENGINE),
+                        *payload.get("fallback_engines", ())]
+        self.position = 0
         self.machine: Optional[KIterMachine] = None
-        self.batched_any = False
+        self.batched = False
+        self.outcome: Optional[Dict[str, Any]] = None
 
-
-def fleet_eligible(payload: Mapping[str, Any]) -> bool:
-    """Can this payload ride the batched lockstep path?
-
-    Requires the payload to opt in (``"batched"`` defaults to True), a
-    primary engine with a batched oracle, and numpy. Everything else —
-    including unknown engines, which must run the per-graph fallback
-    chain — goes through :func:`solve_kiter_payload` unchanged.
-    """
-    if not payload.get("batched", True):
-        return False
-    if not batching_available():
-        return False
-    engine = payload.get("engine", "ratio-iteration")
-    if engine not in BATCHED_ORACLES:
-        return False
-    try:
-        return get_engine(engine).batched
-    except SolverError:
-        return False
+    @property
+    def engine(self) -> str:
+        return self.engines[self.position]
 
 
 def solve_fleet_payloads(
@@ -131,183 +81,212 @@ def solve_fleet_payloads(
 ) -> List[Dict[str, Any]]:
     """Solve a chunk of K-Iter payloads, batching rounds across graphs.
 
-    ``graphs`` optionally injects already-deserialized
-    :class:`~repro.model.graph.CsdfGraph` objects aligned with
-    ``payloads`` (entries may be ``None``); otherwise each payload's
-    ``"graph"`` dict is decoded once here. Returns one outcome dict per
-    payload, in order, with the :func:`solve_kiter_payload` schema plus
-    a ``"batched"`` flag.
+    Payload keys (all optional except ``graph``): ``engine``,
+    ``fallback_engines``, ``update_policy`` (``"lcm"``/``"full-q"``),
+    ``initial_k``, ``max_rounds``, ``time_budget``, ``warm_start``,
+    ``pipeline`` (``"direct"``/``"legacy"``), plus the pass-through
+    ``digest`` and ``trace`` context. ``graphs`` optionally injects
+    already-deserialized :class:`~repro.model.graph.CsdfGraph` objects
+    aligned with ``payloads`` (entries may be ``None``); a worker's
+    reused graph object carries its expansion block cache across jobs
+    (see :func:`repro.kperiodic.expansion.expansion_cache_for`).
+
+    Returns one outcome dict per payload, in order. Each carries
+    ``status`` (``"OK"``, ``"DEADLOCK"``, ``"TIMEOUT"`` or ``"ERROR"``),
+    ``engine_used``, ``fallback``, ``wall_time``, ``worker_pid`` and
+    ``batched``; an ``"OK"`` outcome adds the exact ``period`` as a
+    ``[numerator, denominator]`` pair, the certified ``K`` vector,
+    ``rounds``, ``engine_iterations`` and the final ``critical_tasks``,
+    any other status an ``error`` message.
     """
     from repro.model.graph import CsdfGraph
 
-    payloads = list(payloads)
-    outcomes: List[Optional[Dict[str, Any]]] = [None] * len(payloads)
-    if not payloads:
-        return []
-    # Hoisted per-chunk accounting: one clock origin and one getpid()
-    # for the whole chunk instead of per payload.
     started = time.perf_counter()
-    pid = os.getpid()
-
-    def per_graph(job: _FleetJob) -> None:
-        _FLEET_DELEGATED.inc()
-        outcome = solve_kiter_payload(job.payload, graph=job.graph)
-        outcome["batched"] = False
-        outcomes[job.index] = outcome
-
-    def failed(job: _FleetJob, status: str, exc: BaseException) -> None:
-        _FLEET_FAILED.inc()
-        outcomes[job.index] = {
-            "status": status, "error": str(exc),
-            "engine_used": job.engine, "fallback": False,
-            "wall_time": time.perf_counter() - started,
-            "worker_pid": pid, "batched": job.batched_any,
-        }
-        _SOLVER_JOBS.labels(status=status).inc()
-        _SOLVER_SECONDS.observe(outcomes[job.index]["wall_time"])
-        _observe_solve(outcomes[job.index]["wall_time"], job.payload,
-                       outcomes[job.index])
-        _emit_job_event(job.payload, outcomes[job.index])
-
-    # Route, validate and group by primary engine (one batched kernel
-    # call serves one engine's stack).
-    groups: Dict[str, List[_FleetJob]] = {}
+    jobs: List[_FleetJob] = []
+    live: List[_FleetJob] = []
     for index, payload in enumerate(payloads):
         graph = graphs[index] if graphs is not None else None
-        engine = payload.get("engine", "ratio-iteration")
-        job = _FleetJob(index, payload, graph, engine)
-        if not fleet_eligible(payload):
-            per_graph(job)
-            continue
-        update_policy = payload.get("update_policy", "lcm")
-        pipeline = payload.get("pipeline", "direct")
-        config_error = None
-        if update_policy not in ("lcm", "full-q"):
-            config_error = (f"unknown update_policy {update_policy!r} "
-                            "(choose 'lcm' or 'full-q')")
-        elif pipeline not in ("direct", "legacy"):
-            config_error = (f"unknown pipeline {pipeline!r} "
-                            "(choose 'direct' or 'legacy')")
+        if graph is None:
+            graph = CsdfGraph.from_dict(payload["graph"])
+        job = _FleetJob(payload, graph)
+        jobs.append(job)
+        config_error = _config_error(payload)
         if config_error is not None:
-            # Same engine-independent fast failure as the per-graph
-            # entry point (wall_time 0.0 included).
-            outcomes[index] = {
-                "status": "ERROR", "error": config_error,
-                "engine_used": "", "fallback": False,
-                "wall_time": 0.0, "worker_pid": pid, "batched": False,
-            }
+            # Engine-independent: fail once, attributed to the caller,
+            # instead of running the doomed solve per fallback engine.
+            _finish(job, started, "ERROR", error=config_error,
+                    engine_used="")
             continue
-        if job.graph is None:
-            job.graph = CsdfGraph.from_dict(payload["graph"])
         try:
-            job.machine = KIterMachine(
-                job.graph,
-                max_rounds=payload.get("max_rounds", 100_000),
-                time_budget=payload.get("time_budget"),
-                initial_k=payload.get("initial_k"),
-                update_policy=update_policy,
-                warm_start=payload.get("warm_start", True),
-                pipeline=pipeline,
-            )
-        except SolverError:
-            per_graph(job)
-            continue
+            job.machine = _machine(job)
         except ReproError as exc:
-            failed(job, "ERROR", exc)
-            continue
-        groups.setdefault(engine, []).append(job)
-
-    for engine, jobs in groups.items():
-        _run_group(engine, jobs, per_graph, failed, outcomes,
-                   started, pid)
-
-    return outcomes  # type: ignore[return-value]
-
-
-def _run_group(
-    engine: str,
-    jobs: List[_FleetJob],
-    per_graph,
-    failed,
-    outcomes: List[Optional[Dict[str, Any]]],
-    started: float,
-    pid: int,
-) -> None:
-    """Advance one engine's machines in lockstep until all terminate."""
-    pending = jobs
-    fleet_round = 0
-    while pending:
-        batch = []
-        for job in pending:
-            try:
-                prepared = job.machine.prepare()
-            except SolverError:
-                # Round cap / certification-shaped failure: the payload
-                # semantics are the per-graph fallback-engine chain.
-                per_graph(job)
-            except BudgetExceededError as exc:
-                failed(job, "TIMEOUT", exc)
-            except ReproError as exc:
-                failed(job, "ERROR", exc)
-            else:
-                batch.append((job, prepared))
-        if not batch:
-            break
-        with _span("fleet.round", profile=True, engine=engine,
-                   fleet=len(batch), round=fleet_round):
-            results = batched_solve_mcrp(
-                [prepared.bi_graph for _, prepared in batch],
-                engine=engine,
-                lower_bounds=[prepared.lower for _, prepared in batch],
-            )
-        fleet_round += 1
-        pending = []
-        for (job, prepared), out in zip(batch, results):
-            if out is None:  # skipped/aborted member — defensive
-                per_graph(job)
+            if not _recover(job, started, exc):
                 continue
-            job.batched_any = job.batched_any or out.batched
-            try:
-                if out.error is not None:
-                    if isinstance(out.error, DeadlockError):
-                        # Escalate K along the infeasible circuit and
-                        # keep the machine in the fleet (may re-raise
-                        # when the circuit is a genuine deadlock).
-                        job.machine.absorb_deadlock(
-                            annotate_deadlock(prepared, out.error)
-                        )
-                        pending.append(job)
-                        continue
-                    raise out.error
-                result = finish_min_period(prepared, out.result)
-                if job.machine.absorb(result):
-                    final = job.machine.finalize(engine=job.engine)
-                    _FLEET_BATCHED.inc()
-                    outcomes[job.index] = {
-                        "status": "OK",
-                        "period": [final.period.numerator,
-                                   final.period.denominator],
-                        "K": dict(final.K),
-                        "rounds": final.iteration_count,
-                        "engine_iterations": final.engine_iteration_count,
-                        "critical_tasks": sorted(final.critical_tasks),
-                        "engine_used": job.engine, "fallback": False,
-                        "wall_time": time.perf_counter() - started,
-                        "worker_pid": pid, "batched": job.batched_any,
-                    }
-                    _SOLVER_JOBS.labels(status="OK").inc()
-                    _SOLVER_SECONDS.observe(
-                        outcomes[job.index]["wall_time"])
-                    _observe_solve(outcomes[job.index]["wall_time"],
-                                   job.payload, outcomes[job.index])
-                    _emit_job_event(job.payload, outcomes[job.index])
-                else:
-                    pending.append(job)
-            except SolverError:
-                per_graph(job)
-            except DeadlockError as exc:
-                failed(job, "DEADLOCK", exc)
-            except BudgetExceededError as exc:
-                failed(job, "TIMEOUT", exc)
-            except ReproError as exc:
-                failed(job, "ERROR", exc)
+        live.append(job)
+
+    fleet_round = 0
+    while live:
+        groups: Dict[str, List[_FleetJob]] = {}
+        for job in live:
+            groups.setdefault(job.engine, []).append(job)
+        live = []
+        for engine, group in groups.items():
+            live.extend(_advance(engine, group, fleet_round, started))
+        fleet_round += 1
+    return [job.outcome for job in jobs]  # type: ignore[misc]
+
+
+def _config_error(payload: Mapping[str, Any]) -> Optional[str]:
+    update_policy = payload.get("update_policy", "lcm")
+    pipeline = payload.get("pipeline", "direct")
+    if update_policy not in ("lcm", "full-q"):
+        return (f"unknown update_policy {update_policy!r} "
+                "(choose 'lcm' or 'full-q')")
+    if pipeline not in ("direct", "legacy"):
+        return (f"unknown pipeline {pipeline!r} "
+                "(choose 'direct' or 'legacy')")
+    return None
+
+
+def _machine(job: _FleetJob) -> KIterMachine:
+    """A fresh machine for the job's current engine."""
+    get_engine(job.engine)  # an unknown name is a SolverError: fall back
+    payload = job.payload
+    return KIterMachine(
+        job.graph,
+        max_rounds=payload.get("max_rounds", 100_000),
+        time_budget=payload.get("time_budget"),
+        initial_k=payload.get("initial_k"),
+        update_policy=payload.get("update_policy", "lcm"),
+        warm_start=payload.get("warm_start", True),
+        pipeline=payload.get("pipeline", "direct"),
+    )
+
+
+def _advance(
+    engine: str, jobs: List[_FleetJob], fleet_round: int, started: float,
+) -> List[_FleetJob]:
+    """One lockstep round of one engine's machines; returns the live ones."""
+    live: List[_FleetJob] = []
+    batch = []
+    for job in jobs:
+        try:
+            batch.append((job, job.machine.prepare()))
+        except ReproError as exc:
+            if _recover(job, started, exc):
+                live.append(job)
+    if not batch:
+        return live
+    with _span("fleet.round", profile=True, engine=engine,
+               fleet=len(batch), round=fleet_round):
+        results = batched_solve_mcrp(
+            [prepared.bi_graph for _, prepared in batch],
+            engine=engine,
+            lower_bounds=[prepared.lower for _, prepared in batch],
+        )
+    iterations = 0
+    for (job, prepared), out in zip(batch, results):
+        job.batched = job.batched or out.batched
+        machine = job.machine
+        try:
+            if isinstance(out.error, DeadlockError):
+                # Escalate K along the infeasible circuit (re-raises
+                # when the circuit is a genuine deadlock).
+                machine.absorb_deadlock(annotate_deadlock(prepared, out.error))
+            elif out.error is not None:
+                raise out.error
+            else:
+                iterations += out.result.iterations
+                if machine.absorb(finish_min_period(prepared, out.result)):
+                    _finish(job, started, "OK", final=machine.finalize())
+                    continue
+        except ReproError as exc:
+            if not _recover(job, started, exc):
+                continue
+        live.append(job)
+    _ENGINE_ITERATIONS.labels(engine=engine).inc(iterations)
+    return live
+
+
+def _recover(job: _FleetJob, started: float, exc: ReproError) -> bool:
+    """Restart ``job`` on its next engine, or finish it on ``exc``.
+
+    A :class:`SolverError` moves the job down its engine chain with a
+    fresh machine (``True``: the job is live again); any other error,
+    or a SolverError on the last engine, is terminal (``False``).
+    """
+    while isinstance(exc, SolverError):
+        error = f"{job.engine}: {exc}"
+        if job.position + 1 == len(job.engines):
+            _finish(job, started, "ERROR", error=error)
+            return False
+        job.position += 1
+        try:
+            job.machine = _machine(job)
+            return True
+        except ReproError as retry_exc:
+            exc = retry_exc
+    if isinstance(exc, DeadlockError):
+        status = "DEADLOCK"
+    elif isinstance(exc, BudgetExceededError):
+        status = "TIMEOUT"
+    else:
+        status = "ERROR"
+    _finish(job, started, status, error=str(exc))
+    return False
+
+
+def _finish(
+    job: _FleetJob,
+    started: float,
+    status: str,
+    *,
+    final: Optional[KIterResult] = None,
+    error: str = "",
+    engine_used: Optional[str] = None,
+) -> None:
+    """Build a job's outcome dict and record it: the one recording site."""
+    outcome: Dict[str, Any] = {"status": status}
+    if final is not None:
+        outcome.update(
+            period=[final.period.numerator, final.period.denominator],
+            K=dict(final.K),
+            rounds=final.iteration_count,
+            engine_iterations=final.engine_iteration_count,
+            critical_tasks=sorted(final.critical_tasks),
+        )
+    else:
+        outcome["error"] = error
+    wall_time = time.perf_counter() - started
+    outcome.update(
+        engine_used=job.engine if engine_used is None else engine_used,
+        fallback=job.position > 0,
+        wall_time=wall_time,
+        worker_pid=os.getpid(),
+        batched=job.batched,
+    )
+    job.outcome = outcome
+
+    if status != "OK":
+        mode = "failed"
+    else:
+        mode = "batched" if job.batched else "delegated"
+    _FLEET_JOBS.labels(mode=mode).inc()
+    _SOLVER_JOBS.labels(status=status).inc()
+    _SOLVER_SECONDS.observe(wall_time)
+    _observe_solve(wall_time, job.payload, outcome)
+    if _tracing_enabled():
+        # Fleet jobs interleave inside the lockstep loop, so their
+        # lifetimes cannot nest as context managers: each is one event,
+        # adopting the payload's propagated trace context when it has
+        # one and the enclosing span (or a fresh trace) otherwise.
+        ctx = job.payload.get("trace") or _current_trace() or {}
+        _emit_event(
+            "job.solve",
+            trace_id=str(ctx.get("trace_id") or _new_trace_id()),
+            parent_id=ctx.get("parent_id"),
+            t0=started, dur=wall_time,
+            digest=str(job.payload.get("digest", ""))[:12],
+            engine=outcome["engine_used"], status=status,
+            batched=job.batched,
+        )

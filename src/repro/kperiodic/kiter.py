@@ -14,8 +14,6 @@ rounds is finite (empirically a handful — the whole point of the paper).
 
 from __future__ import annotations
 
-import os
-import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Any, Dict, List, Mapping, Optional, Set
@@ -24,7 +22,7 @@ from repro.analysis.consistency import (
     cached_repetition_vector,
     repetition_vector,
 )
-from repro.exceptions import BudgetExceededError, DeadlockError, ReproError, SolverError
+from repro.exceptions import DeadlockError, SolverError
 from repro.kperiodic.expansion import expansion_cache_for
 from repro.kperiodic.optimality import (
     critical_qbar,
@@ -39,20 +37,18 @@ from repro.kperiodic.solver import (
     prepare_min_period,
     solve_prepared_min_period,
 )
+from repro.mcrp.registry import DEFAULT_ENGINE
 from repro.obs.metrics import REGISTRY as _REGISTRY
-from repro.obs.slowlog import observe_solve as _observe_solve
 from repro.obs.trace import span as _span
 from repro.utils.rational import lcm_list
 from repro.utils.timing import TimeBudget
 
-# Pre-bound cells: one integer add per round / escalation / job.
+# Pre-bound cells: one integer add per round / escalation.
 _ROUNDS_TOTAL = _REGISTRY.counter("repro_kiter_rounds_total")
 _ESCALATIONS = _REGISTRY.counter("repro_kiter_escalations_total")
 _ESC_OPTIMALITY = _ESCALATIONS.labels(kind="optimality")
 _ESC_INFEASIBLE = _ESCALATIONS.labels(kind="infeasible")
 _ESC_FULL_Q = _ESCALATIONS.labels(kind="full-q-jump")
-_SOLVER_JOBS = _REGISTRY.counter("repro_solver_jobs_total")
-_SOLVER_SECONDS = _REGISTRY.histogram("repro_solver_seconds")
 
 
 @dataclass
@@ -300,7 +296,7 @@ class KIterMachine:
         self,
         *,
         build_schedule: bool = False,
-        engine: str = "ratio-iteration",
+        engine: str = DEFAULT_ENGINE,
     ) -> KIterResult:
         """Package the certified result (requires a prior ``absorb`` → True)."""
         if self.final is None:
@@ -314,7 +310,7 @@ class KIterMachine:
 def throughput_kiter(
     graph,
     *,
-    engine: str = "ratio-iteration",
+    engine: str = DEFAULT_ENGINE,
     build_schedule: bool = False,
     max_rounds: int = 100_000,
     time_budget: Optional[float] = None,
@@ -495,120 +491,17 @@ def solve_kiter_payload(
 ) -> Dict[str, Any]:
     """Pure, picklable K-Iter entry point: plain dict in, plain dict out.
 
-    This is the function the :mod:`repro.service` process-pool workers
-    execute — a module-level callable whose input and output are both
-    JSON-able, so it crosses ``spawn``-context process boundaries and
-    result caches unchanged. ``graph`` lets a worker inject an already
-    deserialized :class:`~repro.model.graph.CsdfGraph` (per-worker graph
-    reuse); otherwise the payload's ``"graph"`` dict is decoded.
-
-    Payload keys (all optional except ``graph``): ``engine``,
-    ``fallback_engines`` (tried in order on a
-    :class:`~repro.exceptions.SolverError`, i.e. a certification
-    failure of the primary engine), ``update_policy``, ``initial_k``,
-    ``max_rounds``, ``time_budget``, ``warm_start``, ``pipeline``
-    (``"direct"``/``"legacy"`` constraint-graph pipeline). With the
-    default direct pipeline, a worker's injected ``graph`` carries its
-    expansion block cache across jobs (see
-    :func:`repro.kperiodic.expansion.expansion_cache_for`), so repeated
-    jobs on one graph skip the useful-pair sweeps entirely.
-
-    The outcome dict always carries ``status`` (``"OK"``,
-    ``"DEADLOCK"``, ``"TIMEOUT"`` or ``"ERROR"``), ``engine_used``,
-    ``fallback``, ``wall_time`` and ``worker_pid``; an ``"OK"`` outcome
-    adds the exact ``period`` as a ``[numerator, denominator]`` pair,
-    the certified ``K`` vector, ``rounds``, ``engine_iterations`` and
-    the final ``critical_tasks``.
+    A fleet of one: see :func:`repro.kperiodic.fleet.solve_fleet_payloads`
+    for the payload keys and the outcome schema. ``graph`` optionally
+    injects an already deserialized
+    :class:`~repro.model.graph.CsdfGraph` (per-worker graph reuse).
     """
-    from repro.model.graph import CsdfGraph
+    from repro.kperiodic.fleet import solve_fleet_payloads
 
-    if graph is None:
-        graph = CsdfGraph.from_dict(payload["graph"])
-    engines: List[str] = [payload.get("engine", "ratio-iteration")]
-    engines.extend(payload.get("fallback_engines", ()))
-    started = time.perf_counter()
-    update_policy = payload.get("update_policy", "lcm")
-    pipeline = payload.get("pipeline", "direct")
-    config_error = None
-    if update_policy not in ("lcm", "full-q"):
-        config_error = (f"unknown update_policy {update_policy!r} "
-                        "(choose 'lcm' or 'full-q')")
-    elif pipeline not in ("direct", "legacy"):
-        config_error = (f"unknown pipeline {pipeline!r} "
-                        "(choose 'direct' or 'legacy')")
-    if config_error is not None:
-        # Engine-independent config error: fail once, attributed to the
-        # caller, instead of re-running the doomed solve per fallback.
-        return {
-            "status": "ERROR",
-            "error": config_error,
-            "engine_used": "", "fallback": False,
-            "wall_time": 0.0, "worker_pid": os.getpid(),
-        }
-
-    def base(engine: str, position: int) -> Dict[str, Any]:
-        return {
-            "engine_used": engine,
-            "fallback": position > 0,
-            "wall_time": time.perf_counter() - started,
-            "worker_pid": os.getpid(),
-        }
-
-    def attempt() -> Dict[str, Any]:
-        last_error = "no engine produced a result"
-        for position, engine in enumerate(engines):
-            try:
-                result = throughput_kiter(
-                    graph,
-                    engine=engine,
-                    max_rounds=payload.get("max_rounds", 100_000),
-                    time_budget=payload.get("time_budget"),
-                    initial_k=payload.get("initial_k"),
-                    update_policy=update_policy,
-                    warm_start=payload.get("warm_start", True),
-                    pipeline=pipeline,
-                )
-            except SolverError as exc:
-                # Certification failure: fall through to the next engine.
-                last_error = f"{engine}: {exc}"
-                continue
-            except DeadlockError as exc:
-                return {"status": "DEADLOCK", "error": str(exc),
-                        **base(engine, position)}
-            except BudgetExceededError as exc:
-                return {"status": "TIMEOUT", "error": str(exc),
-                        **base(engine, position)}
-            except ReproError as exc:
-                return {"status": "ERROR", "error": str(exc),
-                        **base(engine, position)}
-            return {
-                "status": "OK",
-                "period": [result.period.numerator,
-                           result.period.denominator],
-                "K": dict(result.K),
-                "rounds": result.iteration_count,
-                "engine_iterations": result.engine_iteration_count,
-                "critical_tasks": sorted(result.critical_tasks),
-                **base(engine, position),
-            }
-        return {"status": "ERROR", "error": last_error,
-                **base(engines[-1], len(engines) - 1)}
-
-    # Adopt the trace context the facade put in the payload (if any) so
-    # this span — and every kiter.round under it — lands in the job's
-    # trace even across process/host boundaries.
-    with _span("job.solve", trace=payload.get("trace"), profile=True,
-               digest=str(payload.get("digest", ""))[:12],
-               engine=engines[0]) as job_span:
-        outcome = attempt()
-        job_span.attrs["status"] = outcome["status"]
-    _SOLVER_JOBS.labels(status=outcome["status"]).inc()
-    _SOLVER_SECONDS.observe(outcome["wall_time"])
-    _observe_solve(outcome["wall_time"], payload, outcome)
-    return outcome
+    return solve_fleet_payloads([payload], [graph])[0]
 
 
-def throughput_via_full_expansion(graph, *, engine: str = "ratio-iteration"):
+def throughput_via_full_expansion(graph, *, engine: str = DEFAULT_ENGINE):
     """Exact throughput with ``K = q`` in one shot (test oracle).
 
     This is the classical "repetition-vector expansion" bound the paper

@@ -26,7 +26,7 @@ from repro.kperiodic.expansion import (
 )
 from repro.kperiodic.schedule import KPeriodicSchedule
 from repro.mcrp.graph import BiValuedGraph, CycleResult
-from repro.mcrp.registry import get_engine, solve_mcrp
+from repro.mcrp.registry import DEFAULT_ENGINE, get_engine, solve_mcrp
 from repro.obs.metrics import REGISTRY as _REGISTRY
 from repro.utils.rational import lcm_list
 
@@ -218,25 +218,36 @@ def finish_min_period(
 
 
 def solve_prepared_min_period(
-    prepared: PreparedMinPeriod, engine: str = "ratio-iteration"
+    prepared: PreparedMinPeriod,
+    engine: str = DEFAULT_ENGINE,
+    *,
+    build_schedule: bool = False,
 ) -> KPeriodicResult:
     """Run one per-graph engine solve over an already prepared instance."""
     info = get_engine(engine)
     try:
+        # The registry pipeline solves per strongly connected component
+        # with champion pruning when the engine supports it (acyclic
+        # regions cost nothing, components that cannot beat the best
+        # ratio are rejected by one oracle probe); the utilization bound
+        # seeds the champion, and warm-starts engines that take bounds.
         result = solve_mcrp(
             prepared.bi_graph, info, lower_bound=prepared.lower
         )
     except DeadlockError as exc:
+        # Annotate the infeasible circuit with task names so K-Iter can
+        # escalate K along it (a small-K infeasibility is not necessarily
+        # a graph deadlock — see exceptions.DeadlockError).
         raise annotate_deadlock(prepared, exc)
     _ENGINE_ITERATIONS.labels(engine=engine).inc(result.iterations)
-    return finish_min_period(prepared, result)
+    return finish_min_period(prepared, result, build_schedule=build_schedule)
 
 
 def min_period_for_k(
     graph,
     K: Mapping[str, int],
     *,
-    engine: str = "ratio-iteration",
+    engine: str = DEFAULT_ENGINE,
     build_schedule: bool = True,
     repetition: Optional[Dict[str, int]] = None,
     warm_start: Optional[Fraction] = None,
@@ -296,27 +307,13 @@ def min_period_for_k(
     InconsistentGraphError
         If the graph has no repetition vector.
     """
-    info = get_engine(engine)
     prepared = prepare_min_period(
         graph, K, repetition=repetition, warm_start=warm_start,
         pipeline=pipeline, expansion_cache=expansion_cache,
     )
-    try:
-        # The registry pipeline solves per strongly connected component
-        # with champion pruning when the engine supports it (acyclic
-        # regions cost nothing, components that cannot beat the best
-        # ratio are rejected by one oracle probe); the utilization bound
-        # seeds the champion, and warm-starts engines that take bounds.
-        result: CycleResult = solve_mcrp(
-            prepared.bi_graph, info, lower_bound=prepared.lower
-        )
-    except DeadlockError as exc:
-        # Annotate the infeasible circuit with task names so K-Iter can
-        # escalate K along it (a small-K infeasibility is not necessarily
-        # a graph deadlock — see exceptions.DeadlockError).
-        raise annotate_deadlock(prepared, exc)
-    _ENGINE_ITERATIONS.labels(engine=engine).inc(result.iterations)
-    return finish_min_period(prepared, result, build_schedule=build_schedule)
+    return solve_prepared_min_period(
+        prepared, engine, build_schedule=build_schedule
+    )
 
 
 def _extract_schedule(

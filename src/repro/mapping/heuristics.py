@@ -21,6 +21,7 @@ from repro.exceptions import DeadlockError, ModelError
 from repro.kperiodic.kiter import KIterResult, throughput_kiter
 from repro.mapping.partition import Mapping
 from repro.mapping.transform import apply_mapping
+from repro.mcrp.registry import DEFAULT_ENGINE
 from repro.model.graph import CsdfGraph
 
 
@@ -200,7 +201,7 @@ def throughput_under_mapping(
     graph: CsdfGraph,
     mapping: Mapping,
     *,
-    engine: str = "ratio-iteration",
+    engine: str = DEFAULT_ENGINE,
     time_budget: Optional[float] = None,
 ) -> Tuple[KIterResult, CsdfGraph]:
     """Exact throughput of ``graph`` executed under ``mapping``.

@@ -50,7 +50,7 @@ except ImportError:  # pragma: no cover - numpy present in CI
 from repro.exceptions import DeadlockError, ReproError, SolverError
 from repro.mcrp.graph import BiValuedGraph, CycleResult
 from repro.mcrp.karp import _NEG, _NEG_HALF, _recover_cycle
-from repro.mcrp.registry import get_engine, solve_mcrp
+from repro.mcrp.registry import DEFAULT_ENGINE, get_engine, solve_mcrp
 from repro.obs.metrics import REGISTRY as _REGISTRY
 
 _KERNEL_ROUNDS = _REGISTRY.counter("repro_batched_kernel_rounds_total")
@@ -240,7 +240,7 @@ def batching_available() -> bool:
 
 def batched_solve_mcrp(
     graphs: Sequence[BiValuedGraph],
-    engine: str = "ratio-iteration",
+    engine: str = DEFAULT_ENGINE,
     lower_bounds: Optional[Sequence[Optional[Fraction]]] = None,
 ) -> List[BatchedOutcome]:
     """Solve the MCRP for a whole fleet of graphs in one batched pass.

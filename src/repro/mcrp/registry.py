@@ -95,6 +95,11 @@ class EngineInfo:
     summary: str = ""
 
 
+#: The engine every library entry point and CLI verb uses unless told
+#: otherwise (the service layer defaults to ``hybrid`` and falls back
+#: to this one).
+DEFAULT_ENGINE = "ratio-iteration"
+
 _REGISTRY: Dict[str, EngineInfo] = {}
 _PLUGINS_LOADED = False
 
@@ -233,7 +238,7 @@ def get_engine(name: str) -> EngineInfo:
 
 def solve_mcrp(
     graph: BiValuedGraph,
-    engine: Union[str, EngineInfo] = "ratio-iteration",
+    engine: Union[str, EngineInfo] = DEFAULT_ENGINE,
     *,
     lower_bound: Optional[Fraction] = None,
     decompose: bool = True,

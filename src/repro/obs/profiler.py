@@ -19,9 +19,9 @@ the same file; ``repro profile <file>`` merges and renders them.
 Envelope schema (one JSON object per line)::
 
     {"schema": "repro-profile/1", "pid": 1234, "interval": 0.005,
-     "spans": {"job.solve": {"samples": 180,
-                             "frames": [["kiter.solve_kiter", 12, 170],
-                                        ...]}}}
+     "spans": {"fleet.round": {"samples": 180,
+                               "frames": [["batched._jacobi_probe", 12, 170],
+                                          ...]}}}
 
 ``frames`` rows are ``[key, self, cum]`` where ``key`` is
 ``<module-stem>.<function>``, ``self`` counts samples with that frame

@@ -12,6 +12,7 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Sequence
 
 from repro.kperiodic.schedule import KPeriodicSchedule
+from repro.mcrp.registry import DEFAULT_ENGINE
 from repro.model.graph import CsdfGraph
 from repro.scheduling.asap import FiringRecord
 from repro.utils.rational import lcm_list
@@ -58,7 +59,7 @@ def policy_gantt(
     graph: CsdfGraph,
     policy: str = "asap",
     *,
-    engine: str = "ratio-iteration",
+    engine: str = DEFAULT_ENGINE,
     binding=None,
     horizon_iterations: int = 2,
     width: int = 100,

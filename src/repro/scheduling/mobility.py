@@ -22,6 +22,7 @@ from fractions import Fraction
 from typing import Dict, FrozenSet, List, Mapping, Optional, Tuple
 
 from repro.scheduling.registry import ScheduleContext, schedule_context
+from repro.mcrp.registry import DEFAULT_ENGINE
 
 
 @dataclass(frozen=True)
@@ -95,7 +96,7 @@ def mobility_report(
     graph,
     *,
     K: Optional[Mapping[str, int]] = None,
-    engine: str = "ratio-iteration",
+    engine: str = DEFAULT_ENGINE,
 ) -> MobilityReport:
     """Certify λ* (K-Iter when ``K`` is omitted) and window every
     instance.

@@ -53,6 +53,7 @@ from typing import Callable, Dict, List, Mapping, Optional, Tuple
 from repro.exceptions import SchedulingError
 from repro.kperiodic.schedule import KPeriodicSchedule
 from repro.mcrp.graph import BiValuedGraph
+from repro.mcrp.registry import DEFAULT_ENGINE
 
 
 @dataclass(frozen=True)
@@ -293,7 +294,7 @@ def schedule_context(
     graph,
     *,
     K: Optional[Mapping[str, int]] = None,
-    engine: str = "ratio-iteration",
+    engine: str = DEFAULT_ENGINE,
     time_budget: Optional[float] = None,
 ) -> ScheduleContext:
     """Certify ``λ*`` (K-Iter when ``K`` is omitted) and package the
@@ -361,7 +362,7 @@ def build_schedule(
     graph,
     policy: str = "asap",
     *,
-    engine: str = "ratio-iteration",
+    engine: str = DEFAULT_ENGINE,
     K: Optional[Mapping[str, int]] = None,
     binding=None,
     time_budget: Optional[float] = None,

@@ -5,8 +5,8 @@ it turns graphs into content-addressed jobs, answers repeats from the
 two-tier result cache, deduplicates identical jobs inside a batch, fans
 cache misses out over a :class:`~repro.service.pool.SolverPool` (or
 solves inline when ``workers=0``), and applies the engine fallback
-policy (``hybrid`` → ``ratio-iteration`` by default) via the worker
-entry point.
+policy (``hybrid`` → ``ratio-iteration`` by default) via the payload
+driver.
 
 Typical use (inline mode — pass ``workers=4`` and
 ``cache=ResultCache(disk_root="results/cache")`` for the multi-process,
@@ -43,6 +43,7 @@ from typing import Any, Dict, Iterable, Iterator, List, Mapping, Optional, Union
 
 from repro.kperiodic.fleet import solve_fleet_payloads
 from repro.kperiodic.kiter import solve_kiter_payload
+from repro.mcrp.registry import DEFAULT_ENGINE
 from repro.model.graph import CsdfGraph
 from repro.obs.metrics import REGISTRY, MetricsRegistry
 from repro.obs.trace import (
@@ -116,12 +117,6 @@ class ThroughputService:
     update_policy / warm_start / max_rounds / time_budget:
         K-Iter parameters applied to every job unless overridden per
         call (see :func:`repro.kperiodic.kiter.throughput_kiter`).
-    batched:
-        Allow the batched fleet kernel
-        (:func:`repro.kperiodic.fleet.solve_fleet_payloads`) for each
-        job's rounds; ``False`` pins every job to the per-graph path.
-        Pure execution routing — the certified ``λ*`` is identical and
-        job digests do not change.
     workers:
         ``0`` solves inline in this process (no pool, no pickling —
         right for tests and single queries); ``n ≥ 1`` creates a
@@ -159,12 +154,11 @@ class ThroughputService:
         self,
         *,
         engine: str = "hybrid",
-        fallback_engines: Iterable[str] = ("ratio-iteration",),
+        fallback_engines: Iterable[str] = (DEFAULT_ENGINE,),
         update_policy: str = "lcm",
         warm_start: bool = True,
         max_rounds: int = 100_000,
         time_budget: Optional[float] = None,
-        batched: bool = True,
         workers: int = 0,
         pool: Optional[SolverPool] = None,
         mp_context: Union[str, Any, None] = None,
@@ -182,7 +176,6 @@ class ThroughputService:
         self.warm_start = warm_start
         self.max_rounds = max_rounds
         self.time_budget = time_budget
-        self.batched = batched
         if cache is None:
             cache = ResultCache()
         elif not isinstance(cache, ResultCache):
@@ -234,7 +227,6 @@ class ThroughputService:
             "warm_start": self.warm_start,
             "max_rounds": self.max_rounds,
             "time_budget": self.time_budget,
-            "batched": self.batched,
         }
         options.update(overrides)
         return ThroughputJob.from_graph(graph, **options)

@@ -16,10 +16,7 @@ or loading it under a different file name, yields the same digest.
 Budgets (``time_budget``, ``max_rounds``) are deliberately **excluded**
 from the digest; in exchange, only deterministic outcomes (``OK`` and
 ``DEADLOCK``) are ever cached — a ``TIMEOUT`` under a small budget must
-not poison a later, better-funded query. The ``batched`` toggle is
-excluded too: the batched fleet kernel certifies the same exact ``λ*``
-as the per-graph path, so routing is an execution detail, not part of
-the answer's identity.
+not poison a later, better-funded query.
 """
 
 from __future__ import annotations
@@ -30,6 +27,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
+from repro.mcrp.registry import DEFAULT_ENGINE
 from repro.model.graph import CsdfGraph
 
 #: Bump when the digest inputs or the outcome schema change shape, so a
@@ -78,15 +76,12 @@ class ThroughputJob:
 
     graph_dict: Dict[str, Any]
     engine: str = "hybrid"
-    fallback_engines: Tuple[str, ...] = ("ratio-iteration",)
+    fallback_engines: Tuple[str, ...] = (DEFAULT_ENGINE,)
     update_policy: str = "lcm"
     initial_k: Optional[Dict[str, int]] = None
     warm_start: bool = True
     max_rounds: int = 100_000
     time_budget: Optional[float] = None
-    #: Allow the batched fleet kernel for this job (execution routing
-    #: only — never part of the digest).
-    batched: bool = True
     label: str = ""
     _digest: Optional[str] = field(default=None, repr=False, compare=False)
     _canonical: Optional[Dict[str, Any]] = field(
@@ -144,7 +139,6 @@ class ThroughputJob:
             "warm_start": self.warm_start,
             "max_rounds": self.max_rounds,
             "time_budget": self.time_budget,
-            "batched": self.batched,
             "digest": self.digest,
             "graph_digest": self.graph_digest,
         }

@@ -93,10 +93,9 @@ def solve_chunk(payloads: Sequence[Dict[str, Any]]) -> List[Dict[str, Any]]:
     The whole chunk goes through
     :func:`repro.kperiodic.fleet.solve_fleet_payloads`, which advances a
     K-Iter machine per payload and answers each lockstep round with one
-    batched MCRP kernel pass over the stacked constraint graphs;
-    ineligible payloads fall back to the per-payload path inside the
-    fleet driver. Graph objects come from the per-worker LRU, so the
-    expansion block caches still carry across jobs.
+    batched MCRP kernel pass over the stacked constraint graphs. Graph
+    objects come from the per-worker LRU, so the expansion block caches
+    still carry across jobs.
 
     Explore chunks (``payload["kind"] == "explore"``, see
     :func:`repro.dse.explore.solve_explore_payload`) are whole sweeps,

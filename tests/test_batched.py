@@ -8,6 +8,7 @@ batched oracle can surface a different, equally valid critical circuit —
 so parity asserts values, statuses and errors, never probe counts.
 """
 
+import dataclasses
 import json
 import random
 from fractions import Fraction
@@ -15,24 +16,27 @@ from pathlib import Path
 
 import pytest
 
-from repro.exceptions import DeadlockError
+from repro.exceptions import DeadlockError, SolverError
 from repro.mcrp import (
     BiValuedGraph,
     batched_solve_mcrp,
     get_engine,
     solve_mcrp,
 )
+from repro.mcrp import registry as engine_registry
 from repro.mcrp.batched import BATCHED_ORACLES, batching_available
-from repro.kperiodic.fleet import fleet_eligible, solve_fleet_payloads
+from repro.kperiodic.fleet import solve_fleet_payloads
 from repro.kperiodic.kiter import solve_kiter_payload
 from repro.model.builder import sdf
+from repro.obs.metrics import REGISTRY
 
 pytestmark = pytest.mark.skipif(
     not batching_available(), reason="batched kernels require numpy"
 )
 
 ENGINES = sorted(BATCHED_ORACLES)
-FLEET_DIR = Path(__file__).parent / "data" / "fleet"
+DATA_DIR = Path(__file__).parent / "data"
+FLEET_DIR = DATA_DIR / "fleet"
 
 
 def ring(n: int, costs, transits) -> BiValuedGraph:
@@ -149,23 +153,68 @@ def two_cycle():
                name="two_cycle")
 
 
-def test_fleet_payload_schema_and_opt_out():
+def test_fleet_payload_schema_and_routing():
     payloads = [
         {"graph": two_cycle().to_dict(), "engine": "ratio-iteration"},
-        {"graph": two_cycle().to_dict(), "engine": "ratio-iteration",
-         "batched": False},
         {"graph": two_cycle().to_dict(), "engine": "bellman"},
     ]
-    assert fleet_eligible(payloads[0])
-    assert not fleet_eligible(payloads[1])
-    assert not fleet_eligible(payloads[2])
     outcomes = solve_fleet_payloads(payloads)
     for outcome in outcomes:
         assert outcome["status"] == "OK"
         assert outcome["period"] == [2, 1]
-        assert "batched" in outcome
+        assert not outcome["fallback"]
+    # The flag reports the route: bellman has no batched oracle, so the
+    # kernel call hands its graph to the per-graph engine.
+    assert outcomes[0]["batched"] is True
     assert outcomes[1]["batched"] is False
-    assert outcomes[2]["batched"] is False
+
+
+def test_config_error_counts_as_a_failed_solver_job():
+    before = REGISTRY.value("repro_solver_jobs_total", status="ERROR")
+    outcome = solve_kiter_payload(
+        {"graph": two_cycle().to_dict(), "update_policy": "typo"})
+    assert outcome["status"] == "ERROR"
+    assert "update_policy" in outcome["error"]
+    assert outcome["engine_used"] == ""
+    assert REGISTRY.value("repro_solver_jobs_total",
+                          status="ERROR") == before + 1
+
+
+def test_fallback_restarts_only_the_failing_job(monkeypatch):
+    """A SolverError mid-fleet moves that one job to its fallback engine
+    with a fresh machine; the failing engine is not run a second time."""
+    from repro.kperiodic import fleet as fleet_mod
+    from repro.mcrp.batched import BatchedOutcome
+
+    karp = get_engine("karp")
+    karp_runs = []
+    real_batched = fleet_mod.batched_solve_mcrp
+
+    def failing_batched(graphs, engine, lower_bounds):
+        if engine != "karp":
+            return real_batched(graphs, engine=engine,
+                                lower_bounds=lower_bounds)
+        karp_runs.append(len(graphs))
+        return [BatchedOutcome(error=SolverError("injected failure"))
+                for _ in graphs]
+
+    def counted_karp(graph, **options):
+        karp_runs.append(1)
+        return karp.solve(graph, **options)
+
+    monkeypatch.setattr(fleet_mod, "batched_solve_mcrp", failing_batched)
+    monkeypatch.setitem(engine_registry._REGISTRY, "karp",
+                        dataclasses.replace(karp, solve=counted_karp))
+    healthy = {"graph": two_cycle().to_dict(), "engine": "hybrid"}
+    failing = {"graph": two_cycle().to_dict(), "engine": "karp",
+               "fallback_engines": ["ratio-iteration"]}
+    outcomes = solve_fleet_payloads([healthy, failing, dict(healthy)])
+    assert [o["status"] for o in outcomes] == ["OK"] * 3
+    assert outcomes[1]["period"] == [2, 1]
+    assert outcomes[1]["engine_used"] == "ratio-iteration"
+    assert outcomes[1]["fallback"] is True
+    assert not outcomes[0]["fallback"] and not outcomes[2]["fallback"]
+    assert karp_runs == [1]  # one kernel call, no per-graph re-solve
 
 
 def test_fleet_deadlock_payload_mixed_in():
@@ -195,6 +244,30 @@ def fleet_fixture_cases():
     if not index.exists():  # sparse checkout
         return []
     return json.loads(index.read_text())
+
+
+def corpus_graph_dicts():
+    from repro.io import load_graph
+
+    golden = json.loads((DATA_DIR / "golden_index.json").read_text())
+    files = [DATA_DIR / entry["file"] for entry in golden]
+    files += [FLEET_DIR / entry["file"] for entry in fleet_fixture_cases()]
+    return [load_graph(path).to_dict() for path in files]
+
+
+@pytest.mark.parametrize("engine",
+                         ["ratio-iteration", "hybrid", "karp", "bellman"])
+def test_fleet_of_one_matches_the_whole_fleet(engine):
+    """Route independence: a payload's outcome does not depend on the
+    chunk it rides in (only timing and the process id may differ)."""
+    payloads = [{"graph": graph, "engine": engine}
+                for graph in corpus_graph_dicts()]
+    fleet = solve_fleet_payloads(payloads)
+    for payload, together in zip(payloads, fleet):
+        alone = solve_kiter_payload(payload)
+        for outcome in (alone, together):
+            del outcome["wall_time"], outcome["worker_pid"]
+        assert alone == together
 
 
 @pytest.mark.skipif(not fleet_fixture_cases(),

@@ -178,9 +178,8 @@ def test_engine_guide_batched_section_matches_registry():
     )
     for name in batched:
         assert f"`{name}`" in guide
-    # the escape hatch and the fallback contract are documented
-    assert "--no-batched" in guide
-    assert "per-graph" in guide
+    # the per-graph hand-off inside the kernel call is documented
+    assert "`solve_mcrp` per-graph inside the kernel call" in guide
 
 
 def test_scheduling_guide_policy_table_matches_registry():
