@@ -25,8 +25,16 @@ disjoint warm-up set, daemon boot included) and a **SQLite-vs-disk
 cache backend** micro-benchmark (put+get of golden-corpus-sized
 outcomes). CI job ``distributed-smoke`` runs this module and uploads
 ``BENCH_distributed.json`` plus the artifact.
+
+A second test gates the coordinator's bounded state: the p99 of
+``MemoryJobQueue`` ``lease``, ``ack`` and ``result`` with 0, 10k and
+50k completed jobs in the queue's history (``BENCH_distributed_queue.json``,
+``results/ablation_queue_history.txt``). The p99 at 50k must stay
+within ``HISTORY_GATE`` of the p99 at 0: no operation may scan the
+history.
 """
 
+import gc
 import os
 import subprocess
 import sys
@@ -55,6 +63,11 @@ WORKERS = 2
 #: time-slice — dedup, not parallelism, carries the floor there.
 REPEATS = 5
 GATE = 1.5
+#: Completed jobs in the queue before the per-operation timings.
+HISTORIES = (0, 10_000, 50_000)
+#: Timed submit → lease → ack → result cycles per history.
+CYCLES = 5_000
+HISTORY_GATE = 1.2
 
 
 def _graphs(*scales):
@@ -234,3 +247,95 @@ def _cache_backend_ablation(tmp_path):
         ])
         backend.close()
     return rows
+
+
+def _filled_queue(history):
+    """A memory queue holding ``history`` acked jobs."""
+    queue = MemoryJobQueue()
+    for i in range(history):
+        queue.submit({"digest": f"{i:064x}", "graph": {}})
+    for job in queue.lease(history):
+        queue.ack(job.job_id, job.token, {"status": "OK", "period": [1, 1]})
+    return queue
+
+
+def _p99(samples):
+    ordered = sorted(samples)
+    return ordered[int(0.99 * (len(ordered) - 1))]
+
+
+def test_memory_queue_operations_stay_flat_as_history_grows(benchmark):
+    queues = {history: _filled_queue(history) for history in HISTORIES}
+    times = {history: {"lease": [], "ack": [], "result": []}
+             for history in HISTORIES}
+    clock = time.perf_counter
+    order = list(HISTORIES)
+    # Histories take turns cycle by cycle, each first in turn, so host
+    # noise hits all alike. The collector is off while timing: where a
+    # collection lands is what scatters a ~10 us tail by ±20%, and the
+    # gate is about the queue's own work per operation.
+    gc.disable()
+    try:
+        for cycle in range(CYCLES):
+            digest = f"c{cycle:063x}"  # never a history digest
+            order = order[1:] + order[:1]
+            for history in order:
+                queue = queues[history]
+                queue.submit({"digest": digest, "graph": {}})
+                started = clock()
+                (job,) = queue.lease(1)
+                leased = clock()
+                queue.ack(job.job_id, job.token,
+                          {"status": "OK", "period": [1, 1]})
+                acked = clock()
+                assert queue.result(digest)["status"] == "OK"
+                answered = clock()
+                times[history]["lease"].append(leased - started)
+                times[history]["ack"].append(acked - leased)
+                times[history]["result"].append(answered - acked)
+    finally:
+        gc.enable()
+
+    p99_ms = {
+        (history, op): _p99(samples) * 1000
+        for history, ops in times.items() for op, samples in ops.items()
+    }
+    ops = ("lease", "ack", "result")
+    ratios = {op: p99_ms[HISTORIES[-1], op] / p99_ms[0, op] for op in ops}
+    table = format_table(
+        ["Completed jobs", *(f"{op} p99" for op in ops)],
+        [[f"{history:,}",
+          *(f"{p99_ms[history, op]:.4f}ms" for op in ops)]
+         for history in HISTORIES]
+        + [[f"{HISTORIES[-1]:,} / 0",
+            *(f"{ratios[op]:.2f}x" for op in ops)]],
+        title=(
+            f"MemoryJobQueue per-operation p99 vs history "
+            f"({CYCLES} cycles per history, {os.cpu_count()} CPU(s))"
+        ),
+    )
+    write_artifact("ablation_queue_history.txt", table)
+    print("\n" + table)
+    emit_bench(
+        "distributed_queue",
+        [
+            {"name": f"{op}_p99_ms_at_{history}",
+             "value": p99_ms[history, op], "unit": "ms"}
+            for history in HISTORIES for op in ops
+        ],
+        extra={
+            "cycles": CYCLES,
+            "cpu_count": os.cpu_count(),
+            "gate": {"threshold": HISTORY_GATE, "ratios": ratios,
+                     "passed": all(r <= HISTORY_GATE
+                                   for r in ratios.values())},
+        },
+        out_dir=str(Path(repro.__file__).resolve().parents[2]),
+    )
+    for op, ratio in ratios.items():
+        assert ratio <= HISTORY_GATE, (
+            f"{op} p99 at {HISTORIES[-1]:,} completed jobs is "
+            f"{ratio:.2f}x its p99 on an empty queue; the gate is "
+            f"{HISTORY_GATE}x"
+        )
+    benchmark.pedantic(lambda: None, rounds=1, iterations=1)

@@ -33,6 +33,7 @@ Expired-lease reclamation is lazy — performed inside ``lease``/
 
 from __future__ import annotations
 
+import heapq
 import json
 import sqlite3
 import threading
@@ -40,7 +41,7 @@ import time
 import uuid
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Union
+from typing import Any, Dict, List, Optional, Tuple, Union
 
 #: Queue states a job moves through.
 JOB_STATES = ("pending", "leased", "done", "dead")
@@ -198,7 +199,17 @@ class JobQueue:
 
 
 class MemoryJobQueue(JobQueue):
-    """In-process queue: dict of job records behind one lock."""
+    """In-process queue: job records behind one lock, plus two heaps.
+
+    Pending job ids sit in a min-heap, so ``lease`` hands out the
+    oldest pending jobs first without scanning the history. Leases sit
+    in a ``(deadline, job_id)`` heap with lazy invalidation: an entry
+    whose record was heartbeated, acked or nacked since it was pushed
+    no longer matches the record and is dropped when it surfaces.
+    Done and dead rows keep their outcome but not their payload. Every
+    hot operation is therefore O(log n) in the jobs held, whatever the
+    queue's uptime; only ``depth`` and ``dead_letters`` scan.
+    """
 
     name = "memory"
 
@@ -211,28 +222,41 @@ class MemoryJobQueue(JobQueue):
         # Same record objects keyed by job id: ack/nack/heartbeat are
         # O(1) instead of scanning every job under the lock.
         self._by_id: Dict[int, Dict[str, Any]] = {}
+        self._pending: List[int] = []  # heap of pending job ids
+        self._leases: List[Tuple[float, int]] = []  # (deadline, job_id)
         self._next_id = 1
 
     # -- internals -------------------------------------------------------
     def _reclaim_locked(self, now: float) -> None:
-        for record in self._jobs.values():
-            if record["state"] != "leased":
-                continue
-            if record["deadline"] > now:
-                continue
-            record["token"] = ""
-            record["error"] = (
-                f"lease expired (worker {record['worker'] or '?'})"
+        while self._leases and self._leases[0][0] <= now:
+            deadline, job_id = heapq.heappop(self._leases)
+            record = self._by_id[job_id]
+            if record["state"] != "leased" \
+                    or record["deadline"] != deadline:
+                continue  # stale entry: heartbeated, acked or nacked
+            self._release_locked(
+                record, f"lease expired (worker {record['worker'] or '?'})"
             )
-            if record["attempts"] >= self.max_attempts:
-                record["state"] = "dead"
-                self.counters.dead += 1
-            else:
-                record["state"] = "pending"
-                self.counters.redeliveries += 1
 
-    def _by_id_locked(self, job_id: int) -> Optional[Dict[str, Any]]:
-        return self._by_id.get(job_id)
+    def _release_locked(self, record: Dict[str, Any], error: str) -> None:
+        """Return a leased job to pending, or dead-letter it."""
+        record["token"] = ""
+        record["error"] = error
+        if record["attempts"] >= self.max_attempts:
+            record.update(state="dead", payload=None)
+            self.counters.dead += 1
+        else:
+            record["state"] = "pending"
+            heapq.heappush(self._pending, record["job_id"])
+            self.counters.redeliveries += 1
+
+    def _leased_locked(self, job_id: int,
+                       token: str) -> Optional[Dict[str, Any]]:
+        record = self._by_id.get(job_id)
+        if record is None or record["state"] != "leased" \
+                or record["token"] != token:
+            return None
+        return record
 
     # -- protocol --------------------------------------------------------
     def submit(self, payload: Dict[str, Any], *,
@@ -253,10 +277,11 @@ class MemoryJobQueue(JobQueue):
                                          record["job_id"])
                 # dead, or done with a budget-dependent outcome
                 # (TIMEOUT must never satisfy a later query): a fresh
-                # submit is a fresh chance.
-                record.update(state="pending", attempts=0, token="",
-                              worker="", deadline=0.0, outcome=None,
-                              error="")
+                # submit is a fresh chance, with the payload restored.
+                record.update(state="pending", payload=payload,
+                              attempts=0, token="", worker="",
+                              deadline=0.0, outcome=None, error="")
+                heapq.heappush(self._pending, record["job_id"])
                 self.counters.submitted += 1
                 return SubmitReceipt(digest, "queued", record["job_id"])
             job_id = self._next_id
@@ -269,6 +294,7 @@ class MemoryJobQueue(JobQueue):
             }
             self._jobs[digest] = record
             self._by_id[job_id] = record
+            heapq.heappush(self._pending, job_id)
             self.counters.submitted += 1
             return SubmitReceipt(digest, "queued", job_id)
 
@@ -280,18 +306,16 @@ class MemoryJobQueue(JobQueue):
         leased: List[LeasedJob] = []
         with self._lock:
             self._reclaim_locked(now)
-            for record in sorted(self._jobs.values(),
-                                 key=lambda r: r["job_id"]):
-                if len(leased) >= max_jobs:
-                    break
-                if record["state"] != "pending":
-                    continue
+            while self._pending and len(leased) < max_jobs:
+                record = self._by_id[heapq.heappop(self._pending)]
                 token = uuid.uuid4().hex
                 record.update(
                     state="leased", token=token, worker=worker_id,
                     deadline=now + timeout,
                     attempts=record["attempts"] + 1,
                 )
+                heapq.heappush(self._leases,
+                               (record["deadline"], record["job_id"]))
                 self.counters.leases += 1
                 leased.append(LeasedJob(
                     job_id=record["job_id"], token=token,
@@ -305,43 +329,34 @@ class MemoryJobQueue(JobQueue):
         now = time.time()
         with self._lock:
             self._reclaim_locked(now)
-            record = self._by_id_locked(job_id)
-            if record is None or record["state"] != "leased" \
-                    or record["token"] != token:
+            record = self._leased_locked(job_id, token)
+            if record is None:
                 return False
             record["deadline"] = now + self.visibility_timeout
+            heapq.heappush(self._leases, (record["deadline"], job_id))
             return True
 
     def ack(self, job_id: int, token: str,
             outcome: Dict[str, Any]) -> bool:
         with self._lock:
             self._reclaim_locked(time.time())
-            record = self._by_id_locked(job_id)
-            if record is None or record["state"] != "leased" \
-                    or record["token"] != token:
+            record = self._leased_locked(job_id, token)
+            if record is None:
                 self.counters.stale_acks += 1
                 return False
-            record.update(state="done", outcome=outcome, token="",
-                          error="")
+            record.update(state="done", outcome=outcome, payload=None,
+                          token="", error="")
             self.counters.acks += 1
             return True
 
     def nack(self, job_id: int, token: str, *, error: str = "") -> bool:
         with self._lock:
             self._reclaim_locked(time.time())
-            record = self._by_id_locked(job_id)
-            if record is None or record["state"] != "leased" \
-                    or record["token"] != token:
+            record = self._leased_locked(job_id, token)
+            if record is None:
                 return False
-            record["token"] = ""
-            record["error"] = error
             self.counters.nacks += 1
-            if record["attempts"] >= self.max_attempts:
-                record["state"] = "dead"
-                self.counters.dead += 1
-            else:
-                record["state"] = "pending"
-                self.counters.redeliveries += 1
+            self._release_locked(record, error)
             return True
 
     def result(self, digest: str) -> Optional[Dict[str, Any]]:

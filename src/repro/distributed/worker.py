@@ -302,9 +302,34 @@ class Worker:
             pass
 
     def solve_chunk(self, jobs: Sequence[LeasedJob]) -> None:
-        """Solve one leased chunk and report every outcome."""
+        """Solve one leased chunk and report every outcome.
+
+        A payload whose graph does not decode is nacked on its own, so
+        one poisoned job never takes its chunk-mates down with it; the
+        rest of the chunk solves in one fleet pass and one report.
+        """
+        from repro.service.pool import cached_graph
+
         payloads, contexts = self._trace_contexts(jobs)
         started = time.perf_counter()
+        solvable = []
+        for job, payload, ctx in zip(jobs, payloads, contexts):
+            try:
+                # Decoded graphs stay in the solve path's LRU, so the
+                # inline solve below does not decode them again.
+                cached_graph(payload)
+            except Exception as exc:  # noqa: BLE001 - e.g. no "graph"
+                self._nack(job, ctx, started, repr(exc))
+            else:
+                solvable.append((job, payload, ctx))
+        if solvable:
+            self._solve_and_report(*map(list, zip(*solvable)), started)
+        self._ship_trace(contexts)
+
+    def _solve_and_report(self, jobs: List[LeasedJob],
+                          payloads: List[Dict[str, Any]],
+                          contexts: List[Optional[Tuple]],
+                          started: float) -> None:
         done = threading.Event()
         beat = threading.Thread(
             target=self._heartbeat_loop, args=(jobs, done), daemon=True,
@@ -319,27 +344,12 @@ class Worker:
 
                 results = solve_chunk(payloads)
         except Exception as exc:  # noqa: BLE001 - report, don't die
+            for job, ctx in zip(jobs, contexts):
+                self._nack(job, ctx, started, repr(exc))
+            return
+        finally:
             done.set()
             beat.join()
-            for job, ctx in zip(jobs, contexts):
-                if ctx is not None:
-                    emit_event(
-                        "worker.nack", trace_id=ctx[0], parent_id=ctx[1],
-                        span_id=ctx[2],
-                        dur=time.perf_counter() - started,
-                        worker=self.worker_id, digest=job.digest[:12],
-                        error=repr(exc),
-                    )
-                try:
-                    self.queue.nack(job.job_id, job.token,
-                                    error=repr(exc))
-                    self._cells["nacks"].inc()
-                except Exception:  # noqa: BLE001
-                    pass
-            self._ship_trace(contexts)
-            return
-        done.set()
-        beat.join()
         for job, ctx, outcome in zip(jobs, contexts, results):
             if ctx is not None:
                 emit_event(
@@ -350,7 +360,21 @@ class Worker:
                     status=outcome.get("status", ""),
                 )
         self._report(jobs, results)
-        self._ship_trace(contexts)
+
+    def _nack(self, job: LeasedJob, ctx: Optional[Tuple], started: float,
+              error: str) -> None:
+        if ctx is not None:
+            emit_event(
+                "worker.nack", trace_id=ctx[0], parent_id=ctx[1],
+                span_id=ctx[2], dur=time.perf_counter() - started,
+                worker=self.worker_id, digest=job.digest[:12],
+                error=error,
+            )
+        try:
+            self.queue.nack(job.job_id, job.token, error=error)
+            self._cells["nacks"].inc()
+        except Exception:  # noqa: BLE001
+            pass
 
     def _report(self, jobs: Sequence[LeasedJob],
                 results: Sequence[Dict[str, Any]]) -> None:

@@ -41,8 +41,8 @@ from concurrent.futures import Future
 from dataclasses import dataclass, field
 from typing import Any, Dict, Iterable, Iterator, List, Mapping, Optional, Union
 
+from repro.distributed.worker import Worker
 from repro.kperiodic.fleet import solve_fleet_payloads
-from repro.kperiodic.kiter import solve_kiter_payload
 from repro.mcrp.registry import DEFAULT_ENGINE
 from repro.model.graph import CsdfGraph
 from repro.obs.metrics import REGISTRY, MetricsRegistry
@@ -147,7 +147,9 @@ class ThroughputService:
     queue_inline_drain:
         When ``True`` the service leases and solves jobs itself while
         waiting — queue semantics without external workers (or
-        cooperating with them).
+        cooperating with them). Each drain leases up to as many jobs
+        as the batch still waits on and solves them as one worker
+        chunk.
     """
 
     def __init__(
@@ -184,7 +186,10 @@ class ThroughputService:
         self._queue = queue
         self._queue_poll = queue_poll
         self._queue_wait_timeout = queue_wait_timeout
-        self._queue_inline_drain = queue_inline_drain
+        self._inline_worker = (
+            Worker(queue, worker_id=f"service-inline-{os.getpid()}")
+            if queue is not None and queue_inline_drain else None
+        )
         self._pool = pool
         self._owns_pool = pool is None
         self._workers = workers
@@ -606,7 +611,8 @@ class ThroughputService:
             pending = [d for d in pending if d not in results]
             if not pending:
                 break
-            if self._queue_inline_drain and self._try_drain_one():
+            if self._inline_worker is not None \
+                    and self._drain_inline(len(pending)):
                 continue  # solved something: re-poll immediately
             if out_of_time():
                 for digest in pending:
@@ -619,32 +625,22 @@ class ThroughputService:
             time.sleep(self._queue_poll)
         return [results[digest] for digest in digests]
 
-    def _try_drain_one(self) -> bool:
+    def _drain_inline(self, max_jobs: int) -> bool:
+        """Lease up to ``max_jobs`` queued jobs and solve them here.
+
+        The chunk runs through the worker daemon's own path
+        (:meth:`Worker.solve_chunk`): trace re-parenting, one batched
+        fleet pass, heartbeats that keep a long chunk's leases alive,
+        a nack for each payload that does not decode, and one report.
+        """
+        worker = self._inline_worker
         try:
-            return self._drain_one()
+            jobs = self._queue.lease(max_jobs, worker_id=worker.worker_id)
+            if jobs:
+                worker.solve_chunk(jobs)
+            return bool(jobs)
         except Exception:  # noqa: BLE001 - drain is opportunistic
             return False
-
-    def _drain_one(self) -> bool:
-        """Lease and solve one queued job inline (cooperative drain)."""
-        jobs = self._queue.lease(
-            1, worker_id=f"service-inline-{os.getpid()}"
-        )
-        if not jobs:
-            return False
-        job = jobs[0]
-        try:
-            outcome = dict(solve_kiter_payload(job.payload))
-        except Exception as exc:  # noqa: BLE001 - e.g. malformed graph
-            # A poisoned payload (possibly someone else's on a shared
-            # queue) must not abort this batch: nack it back, exactly
-            # like the worker daemon does, and let bounded retries
-            # dead-letter it.
-            self._queue.nack(job.job_id, job.token, error=repr(exc))
-            return True
-        outcome.setdefault("digest", job.digest)
-        self._queue.ack(job.job_id, job.token, outcome)
-        return True
 
     def _record(
         self, outcomes: List[JobOutcome], solves: int, wall: float

@@ -4,7 +4,7 @@
 ``concurrent.futures.ProcessPoolExecutor``. Chunking amortizes the IPC
 and pickling cost of tiny jobs; each worker keeps a small LRU of
 deserialized :class:`~repro.model.graph.CsdfGraph` objects keyed by the
-job's graph digest (``_cached_graph``), so a batch probing one graph
+job's graph digest (``cached_graph``), so a batch probing one graph
 under several engines or K policies parses it once per worker. The
 warm-started worker state goes further than parsing: the expansion
 block cache of the direct K-expansion pipeline
@@ -67,12 +67,13 @@ _GRAPH_CACHE_LIMIT = 128
 _GRAPH_CACHE: "OrderedDict[str, CsdfGraph]" = OrderedDict()
 
 
-def _cached_graph(payload: Dict[str, Any]) -> Optional[CsdfGraph]:
+def cached_graph(payload: Dict[str, Any]) -> CsdfGraph:
+    """The payload's decoded graph; raises if it does not decode."""
     # Keyed by the *graph* digest, not the job digest: jobs probing one
     # graph under several engines or K policies must share the entry.
     digest = payload.get("graph_digest") or payload.get("digest")
     if digest is None:
-        return None
+        return CsdfGraph.from_dict(payload["graph"])
     graph = _GRAPH_CACHE.get(digest)
     if graph is None:
         graph = CsdfGraph.from_dict(payload["graph"])
@@ -112,16 +113,16 @@ def solve_chunk(payloads: Sequence[Dict[str, Any]]) -> List[Dict[str, Any]]:
         }
         if not explore_at:
             return solve_fleet_payloads(
-                payloads, graphs=[_cached_graph(p) for p in payloads]
+                payloads, graphs=[cached_graph(p) for p in payloads]
             )
         from repro.dse.explore import solve_explore_payload
 
         plain = [p for i, p in enumerate(payloads) if i not in explore_at]
         plain_results = iter(solve_fleet_payloads(
-            plain, graphs=[_cached_graph(p) for p in plain]
+            plain, graphs=[cached_graph(p) for p in plain]
         ))
         return [
-            solve_explore_payload(payload, graph=_cached_graph(payload))
+            solve_explore_payload(payload, graph=cached_graph(payload))
             if index in explore_at else next(plain_results)
             for index, payload in enumerate(payloads)
         ]

@@ -11,7 +11,8 @@ Four layers of coverage:
   ``JobQueue``s: visibility-timeout redelivery, stale-token rejection
   (no duplicated results), bounded retries into the dead-letter bucket
   (no lost results), heartbeat extension, and the
-  never-replay-a-TIMEOUT rule.
+  never-replay-a-TIMEOUT rule; plus a hypothesis state machine that
+  holds ``MemoryJobQueue``'s heaps to a full-scan reference model.
 * **Coordinator semantics** — in-batch dedup, cache-first
   short-circuiting, result sourcing, worker liveness.
 * **End to end over localhost HTTP** — a coordinator plus two workers
@@ -31,6 +32,15 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import settings
+from hypothesis import strategies as st
+from hypothesis.stateful import (
+    RuleBasedStateMachine,
+    invariant,
+    precondition,
+    rule,
+    run_state_machine_as_test,
+)
 
 import repro
 from repro.distributed import (
@@ -47,6 +57,7 @@ from repro.distributed import (
     make_cache_backend,
     make_job_queue,
 )
+from repro.distributed.jobqueue import QueueCounters
 from repro.io import load_graph
 from repro.kperiodic import throughput_kiter
 from repro.model import sdf
@@ -352,6 +363,231 @@ def test_queue_heartbeat_extends_lease(make_queue):
         assert queue.lease(1) == []  # never redelivered meanwhile
     assert queue.ack(job.job_id, job.token, OK_OUTCOME)
     assert queue.counters.redeliveries == 0
+
+
+def test_queue_redelivers_an_older_job_before_newer_pending_ones(
+        make_queue):
+    queue = make_queue()
+    queue.submit(_payload(1))
+    old = queue.lease(1, worker_id="w")[0]
+    queue.submit(_payload(2))
+    queue.submit(_payload(3))
+    assert queue.nack(old.job_id, old.token, error="retry me")
+    assert [j.digest for j in queue.lease(2)] == [_digest(1), _digest(2)]
+    assert [j.digest for j in queue.lease(2)] == [_digest(3)]
+
+
+def test_memory_queue_done_rows_drop_payloads_and_resubmits_restore_them():
+    queue = MemoryJobQueue(max_attempts=1)
+    for i in (1, 2):
+        queue.submit(_payload(i))
+    done, dead = queue.lease(2)
+    timed_out = dict(OK_OUTCOME, status="TIMEOUT", period=None)
+    assert queue.ack(done.job_id, done.token, timed_out)
+    assert queue.nack(dead.job_id, dead.token, error="boom")
+    assert queue._jobs[_digest(1)]["payload"] is None
+    assert queue._jobs[_digest(2)]["payload"] is None
+    # A done row keeps its outcome, a dead row its dead letter.
+    assert queue.result(_digest(1))["status"] == "TIMEOUT"
+    assert queue.result(_digest(2))["dead_letter"] is True
+    for i in (1, 2):
+        assert queue.submit(_payload(i)).state == "queued"
+    assert [j.payload for j in queue.lease(2)] == [_payload(1), _payload(2)]
+
+
+class _Clock:
+    """A settable stand-in for the ``time`` module of the job queue."""
+
+    now = 1000.0
+
+    def time(self):
+        return self.now
+
+
+_CLOCK = _Clock()
+
+
+class _ScanQueue:
+    """Reference model: the queue logic before the heaps.
+
+    Every operation first reclaims expired leases by scanning every
+    record, and ``lease`` scans the records in ``job_id`` order. Tokens
+    are lease serial numbers.
+    """
+
+    def __init__(self, *, visibility_timeout, max_attempts):
+        self.visibility_timeout = visibility_timeout
+        self.max_attempts = max_attempts
+        self.jobs = {}  # digest -> record, in job_id order
+        self.counters = QueueCounters()
+        self._serial = 0
+
+    def _reclaim(self):
+        for record in self.jobs.values():
+            if record["state"] == "leased" \
+                    and record["deadline"] <= _CLOCK.now:
+                self._release(record)
+
+    def _release(self, record):
+        record["token"] = None
+        if record["attempts"] >= self.max_attempts:
+            record["state"] = "dead"
+            self.counters.dead += 1
+        else:
+            record["state"] = "pending"
+            self.counters.redeliveries += 1
+
+    def _leased(self, job_id, token):
+        for record in self.jobs.values():
+            if record["job_id"] == job_id and record["state"] == "leased" \
+                    and record["token"] == token:
+                return record
+        return None
+
+    def submit(self, digest):
+        self._reclaim()
+        record = self.jobs.get(digest)
+        if record is not None:
+            replayable = record["state"] == "done" \
+                and record["status"] == "OK"
+            if replayable or record["state"] in ("pending", "leased"):
+                self.counters.deduplicated += 1
+                return ("done" if replayable else "pending",
+                        record["job_id"])
+            record.update(state="pending", attempts=0, status=None)
+        else:
+            record = self.jobs[digest] = {
+                "job_id": len(self.jobs) + 1, "digest": digest,
+                "state": "pending", "attempts": 0, "token": None,
+                "deadline": 0.0, "status": None,
+            }
+        self.counters.submitted += 1
+        return "queued", record["job_id"]
+
+    def lease(self, max_jobs, timeout):
+        self._reclaim()
+        leased = []
+        for record in sorted(self.jobs.values(), key=lambda r: r["job_id"]):
+            if len(leased) >= max_jobs:
+                break
+            if record["state"] != "pending":
+                continue
+            self._serial += 1
+            record.update(state="leased", token=self._serial,
+                          deadline=_CLOCK.now + timeout,
+                          attempts=record["attempts"] + 1)
+            self.counters.leases += 1
+            leased.append(record)
+        return [(r["job_id"], r["digest"], r["attempts"], r["deadline"],
+                 r["token"]) for r in leased]
+
+    def heartbeat(self, job_id, token):
+        self._reclaim()
+        record = self._leased(job_id, token)
+        if record is None:
+            return False
+        record["deadline"] = _CLOCK.now + self.visibility_timeout
+        return True
+
+    def ack(self, job_id, token, status):
+        self._reclaim()
+        record = self._leased(job_id, token)
+        if record is None:
+            self.counters.stale_acks += 1
+            return False
+        record.update(state="done", status=status, token=None)
+        self.counters.acks += 1
+        return True
+
+    def nack(self, job_id, token):
+        self._reclaim()
+        record = self._leased(job_id, token)
+        if record is None:
+            return False
+        self.counters.nacks += 1
+        self._release(record)
+        return True
+
+
+class _QueueMachine(RuleBasedStateMachine):
+    """Random traffic against the heap queue and the scan model."""
+
+    DIGESTS = [_digest(i) for i in range(6)]
+
+    def __init__(self):
+        super().__init__()
+        _CLOCK.now = 1000.0
+        self.queue = MemoryJobQueue(visibility_timeout=2.0, max_attempts=2)
+        self.model = _ScanQueue(visibility_timeout=2.0, max_attempts=2)
+        self.leases = []  # (LeasedJob, model token)
+
+    @rule(i=st.integers(0, 5))
+    def submit(self, i):
+        digest = self.DIGESTS[i]
+        receipt = self.queue.submit({"digest": digest, "graph": {"i": i}})
+        assert (receipt.state, receipt.job_id) == self.model.submit(digest)
+
+    @rule(n=st.integers(1, 3), timeout=st.sampled_from([None, 1.0, 5.0]))
+    def lease(self, n, timeout):
+        jobs = self.queue.lease(n, worker_id="w",
+                                visibility_timeout=timeout)
+        expected = self.model.lease(n, timeout or 2.0)
+        assert [(j.job_id, j.digest, j.attempt, j.deadline) for j in jobs] \
+            == [row[:4] for row in expected]
+        for job, row in zip(jobs, expected):
+            assert job.payload["digest"] == job.digest
+            self.leases.append((job, row[4]))
+
+    @precondition(lambda self: self.leases)
+    @rule(pick=st.integers(0, 100))
+    def heartbeat(self, pick):
+        job, token = self.leases[pick % len(self.leases)]
+        assert self.queue.heartbeat(job.job_id, job.token) \
+            == self.model.heartbeat(job.job_id, token)
+
+    @precondition(lambda self: self.leases)
+    @rule(pick=st.integers(0, 100), status=st.sampled_from(["OK", "TIMEOUT"]))
+    def ack(self, pick, status):
+        job, token = self.leases[pick % len(self.leases)]
+        outcome = dict(OK_OUTCOME, status=status)
+        assert self.queue.ack(job.job_id, job.token, outcome) \
+            == self.model.ack(job.job_id, token, status)
+
+    @precondition(lambda self: self.leases)
+    @rule(pick=st.integers(0, 100))
+    def nack(self, pick):
+        job, token = self.leases[pick % len(self.leases)]
+        assert self.queue.nack(job.job_id, job.token, error="e") \
+            == self.model.nack(job.job_id, token)
+
+    @rule(dt=st.sampled_from([0.5, 1.0, 2.0, 6.0]))
+    def advance(self, dt):
+        _CLOCK.now += dt
+
+    @invariant()
+    def same_states_and_counters(self):
+        # depth() reclaims on the real queue; reclaim the model alike.
+        depth = self.queue.depth()
+        self.model._reclaim()
+        for digest, expected in self.model.jobs.items():
+            record = self.queue._jobs[digest]
+            assert (record["state"], record["attempts"]) \
+                == (expected["state"], expected["attempts"])
+            assert (record["payload"] is None) \
+                == (expected["state"] in ("done", "dead"))
+        assert sum(depth.values()) == len(self.model.jobs)
+        assert self.queue.counters == self.model.counters
+
+
+def test_memory_queue_matches_the_scan_model(monkeypatch):
+    from repro.distributed import jobqueue
+
+    monkeypatch.setattr(jobqueue, "time", _CLOCK)
+    run_state_machine_as_test(
+        _QueueMachine,
+        settings=settings(max_examples=60, stateful_step_count=40,
+                          deadline=None),
+    )
 
 
 def test_make_job_queue_specs(tmp_path):
@@ -704,6 +940,72 @@ def test_inline_drain_nacks_poisoned_payloads_instead_of_crashing():
     assert outcome.ok and outcome.period == 2
     dead = queue.dead_letters()
     assert [d["digest"] for d in dead] == [_digest(66)]
+
+
+def test_worker_nacks_only_the_poisoned_payload_of_a_chunk():
+    queue = MemoryJobQueue(max_attempts=1)
+    queue.submit({"digest": _digest(66)})  # no "graph": cannot decode
+    good = ThroughputJob.from_graph(two_cycle()).payload()
+    queue.submit(good)
+    worker = Worker(queue, chunk_size=2, drain=True, poll_interval=0.01)
+    stats = worker.run()
+    assert queue.counters.leases == 2  # both rode one chunk
+    assert [d["digest"] for d in queue.dead_letters()] == [_digest(66)]
+    outcome = queue.result(good["digest"])
+    assert outcome["status"] == "OK" and outcome["period"] == [2, 1]
+    assert (stats.nacks, stats.acks) == (1, 1)
+
+
+def _cycles(count):
+    return [
+        sdf({"A": d, "B": 1}, [("A", "B", 1, 1, 0), ("B", "A", 1, 1, 1)],
+            name=f"cycle{d}")
+        for d in range(1, count + 1)
+    ]
+
+
+class _CountingClient(CoordinatorClient):
+    def __init__(self, url):
+        super().__init__(url)
+        self.calls = {"lease": 0, "report": 0}
+
+    def lease(self, *args, **kwargs):
+        self.calls["lease"] += 1
+        return super().lease(*args, **kwargs)
+
+    def report(self, *args, **kwargs):
+        self.calls["report"] += 1
+        return super().report(*args, **kwargs)
+
+
+def test_inline_drain_leases_and_reports_a_batch_in_one_round_trip_each():
+    with CoordinatorServer() as server:
+        client = _CountingClient(server.url)
+        service = ThroughputService(queue=client, queue_inline_drain=True,
+                                    queue_poll=0.01)
+        outcomes = service.submit_many(_cycles(16))
+    assert [o.period for o in outcomes] == [d + 1 for d in range(1, 17)]
+    assert client.calls == {"lease": 1, "report": 1}
+
+
+def test_inline_drain_heartbeats_keep_a_long_fleet_leased(monkeypatch):
+    from repro.service import pool as pool_mod
+
+    real_solve_chunk = pool_mod.solve_chunk
+
+    def slow_solve_chunk(payloads):
+        time.sleep(1.0)  # outlives the 0.6 s lease unless heartbeated
+        return real_solve_chunk(payloads)
+
+    monkeypatch.setattr(pool_mod, "solve_chunk", slow_solve_chunk)
+    queue = MemoryJobQueue(visibility_timeout=0.6)
+    service = ThroughputService(queue=queue, queue_inline_drain=True,
+                                queue_poll=0.01)
+    outcomes = service.submit_many(_cycles(4))
+    assert all(o.ok for o in outcomes)
+    assert queue.counters.leases == 4
+    assert queue.counters.redeliveries == 0
+    assert queue.counters.stale_acks == 0
 
 
 def test_submit_async_tags_remote_hits_and_does_not_count_a_solve():
