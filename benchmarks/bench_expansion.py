@@ -18,6 +18,12 @@ artifact: it carries the same useful-pair sweeps as the legacy path and
 lands at parity or better — the win of this refactor is reuse, and the
 second test pins that reuse inside a real K-Iter escalation sequence via
 the cache-hit counters.
+
+``test_cold_fleet_compile_share`` is the cold-fleet row: the 52 corpus
+graphs solved as one ``hybrid`` fleet, with the compile layer — every
+``compile_expansion`` call plus the fleet's per-round segmented block
+pass — gated at ≤35% of the wall (``BENCH_expansion_fleet.json``,
+``results/ablation_fleet_compile.txt``).
 """
 
 import json
@@ -201,3 +207,89 @@ def _timed(fn) -> float:
     start = time.perf_counter()
     fn()
     return time.perf_counter() - start
+
+
+def _corpus_payloads():
+    """The 52 corpus graphs (golden + fleet) with their indexed λ*."""
+    rows = []
+    for directory, index_name in ((DATA, "golden_index.json"),
+                                  (DATA / "fleet", "fleet_index.json")):
+        for entry in json.loads((directory / index_name).read_text()):
+            rows.append((
+                json.loads((directory / entry["file"]).read_text()),
+                Fraction(*entry["period"]),
+            ))
+    return rows
+
+
+def test_cold_fleet_compile_share(monkeypatch, results_dir):
+    """Compile layer of a cold fleet: ≤35% of the wall, λ* exact.
+
+    The 52 corpus graphs are solved as one fleet through
+    ``solve_fleet_payloads`` with ``hybrid``, decoded from their dicts
+    on every run so each run compiles cold. The compile layer is the
+    time inside ``compile_expansion`` as the solver calls it plus the
+    fleet's per-round segmented block pass
+    (``derive_expansion_blocks``); the share is summed over 7 runs.
+    """
+    import repro.kperiodic.fleet as fleet
+    import repro.kperiodic.solver as solver
+
+    spent = {"compile": 0.0}
+
+    def timed_site(module, name):
+        original = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            start = time.perf_counter()
+            try:
+                return original(*args, **kwargs)
+            finally:
+                spent["compile"] += time.perf_counter() - start
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    timed_site(solver, "compile_expansion")
+    timed_site(fleet, "derive_expansion_blocks")
+
+    corpus = _corpus_payloads()
+    assert len(corpus) == 52
+    expected = [period for _, period in corpus]
+    fleet.solve_fleet_payloads(
+        [{"graph": graph, "engine": "hybrid"} for graph, _ in corpus])
+    walls, compiles = [], []
+    for _ in range(7):
+        payloads = [{"graph": graph, "engine": "hybrid"}
+                    for graph, _ in corpus]
+        spent["compile"] = 0.0
+        start = time.perf_counter()
+        outcomes = fleet.solve_fleet_payloads(payloads)
+        walls.append(time.perf_counter() - start)
+        compiles.append(spent["compile"])
+        assert [o["status"] for o in outcomes] == ["OK"] * len(corpus)
+        assert [Fraction(*o["period"]) for o in outcomes] == expected
+
+    share = sum(compiles) / sum(walls)
+    best = min(range(len(walls)), key=walls.__getitem__)
+    from repro.obs.bench import emit_bench
+
+    emit_bench(
+        "expansion_fleet",
+        [{"name": "fleet_compile_share", "value": share, "unit": "share"},
+         {"name": "fleet_wall_seconds", "value": walls[best], "unit": "s"},
+         {"name": "fleet_compile_seconds", "value": compiles[best],
+          "unit": "s"}],
+        extra={"graphs": len(corpus), "engine": "hybrid",
+               "timing": {"repeats": len(walls),
+                          "policy": "share of summed runs; best wall"}},
+        out_dir=str(Path(__file__).resolve().parent.parent),
+    )
+    text = (
+        f"cold fleet of {len(corpus)} corpus graphs (hybrid, one chunk): "
+        f"wall {walls[best] * 1e3:.1f}ms, compile + fleet block pass "
+        f"{compiles[best] * 1e3:.1f}ms (best run); compile share "
+        f"{share:.3f} over {len(walls)} runs (gate ≤0.35); every λ* "
+        f"matches the corpus index"
+    )
+    write_artifact("ablation_fleet_compile.txt", text)
+    assert share <= 0.35, text

@@ -31,7 +31,10 @@ except ImportError:  # pragma: no cover - numpy is present in CI
     _np = None
 
 from repro.analysis.consistency import repetition_vector
-from repro.analysis.precedence import useful_pair_arrays
+from repro.analysis.precedence import (
+    segmented_useful_pair_arrays,
+    useful_pair_arrays,
+)
 from repro.mcrp.graph import BiValuedGraph
 from repro.model.graph import CsdfGraph
 from repro.utils.rational import lcm_list
@@ -183,28 +186,27 @@ def _build_arcs_vectorized(
     to the streaming path's: per-buffer row-major candidate order,
     first-occurrence order among merged node pairs.
     """
-    parts_src, parts_dst, parts_cost, parts_beta, parts_den = [], [], [], [], []
-    for b in work.buffers():
-        denom = repetition[b.source] * b.total_production
-        p0s, pp0s, betas = useful_pair_arrays(b)
-        p0s = _np.asarray(p0s, dtype=_np.int64)
-        pp0s = _np.asarray(pp0s, dtype=_np.int64)
-        betas = _np.asarray(betas, dtype=_np.int64)
-        durations = _np.asarray(
-            work.task(b.source).durations, dtype=_np.int64
-        )
-        parts_src.append(p0s + base_of[b.source])
-        parts_dst.append(pp0s + base_of[b.target])
-        parts_cost.append(durations[p0s])
-        parts_beta.append(betas)
-        parts_den.append(_np.full(p0s.shape[0], denom, dtype=_np.int64))
-    if not parts_src:
+    buffers = list(work.buffers())
+    if not buffers:
         return True
-    srcs = _np.concatenate(parts_src)
-    dsts = _np.concatenate(parts_dst)
-    costs = _np.concatenate(parts_cost)
-    betas = _np.concatenate(parts_beta)
-    denoms = _np.concatenate(parts_den)
+    p0s, pp0s, betas, bounds = segmented_useful_pair_arrays(
+        [(b, 1, 1) for b in buffers]
+    )
+    counts = _np.diff(bounds)
+    srcs = p0s + _np.repeat(
+        _np.asarray([base_of[b.source] for b in buffers], dtype=_np.int64),
+        counts)
+    dsts = pp0s + _np.repeat(
+        _np.asarray([base_of[b.target] for b in buffers], dtype=_np.int64),
+        counts)
+    costs = _np.concatenate([
+        _np.asarray(work.task(b.source).durations, dtype=_np.int64)[
+            p0s[lo:hi]]
+        for b, lo, hi in zip(buffers, bounds[:-1], bounds[1:])
+    ])
+    denoms = _np.repeat(_np.asarray(
+        [repetition[b.source] * b.total_production for b in buffers],
+        dtype=_np.int64), counts)
     if merge:
         merged = merge_parallel_candidates(
             srcs, dsts, costs, betas, denoms, bi_graph.node_count

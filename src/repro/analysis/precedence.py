@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Iterator, List, Tuple
+from typing import Dict, Iterator, List, Sequence, Tuple
 
 try:  # numpy accelerates the O(ϕ·ϕ') candidate sweep; optional
     import numpy as _np
@@ -39,14 +39,14 @@ from repro.model.buffer import Buffer
 from repro.model.graph import CsdfGraph
 from repro.utils.rational import ceil_to_multiple, floor_to_multiple
 
-#: Row-block budget of the vectorized O(ϕ·ϕ') useful-pair sweeps, in
-#: int64 matrix cells: each candidate block materializes at most
-#: ``PAIR_SWEEP_BLOCK_CELLS`` cells per intermediate (8 Mi cells ≈ 64 MiB
-#: for the ``q``/``min-rate``/``β`` matrices each), bounding peak memory
-#: on K-expanded buffers whose full candidate matrix would not fit.
-#: Shared with the direct (G, K) expansion sweep in
-#: :func:`expanded_useful_pair_arrays`.
-PAIR_SWEEP_BLOCK_CELLS = 8 * 1024 * 1024
+#: Cell budget of one pass of the vectorized O(ϕ·ϕ') useful-pair sweep
+#: (:func:`segmented_useful_pair_arrays`): each pass materializes at
+#: most ``PAIR_SWEEP_BLOCK_CELLS`` int64 cells per intermediate (64 Ki
+#: cells = 512 KiB each, a handful of them live at once). That bounds
+#: the sweep's working memory whatever the request set — a whole fleet
+#: round, or one huge K-expanded buffer — and is already far past the
+#: size where numpy's per-call cost stops mattering.
+PAIR_SWEEP_BLOCK_CELLS = 64 * 1024
 
 
 @dataclass(frozen=True)
@@ -149,10 +149,8 @@ def useful_pair_arrays(buffer: Buffer):
     Semantically identical to :func:`useful_pairs` (a unit test pins the
     equivalence) but evaluates the α ≤ β filter with numpy, which is what
     makes K-expanded constraint generation tractable on the Table 2
-    graphs. Falls back to the streaming implementation without numpy.
-
-    Large producers are processed in row blocks to bound peak memory at
-    ``block × ϕ(consumer)`` int64 cells.
+    graphs: a one-segment call of :func:`segmented_useful_pair_arrays`.
+    Falls back to the streaming implementation without numpy.
     """
     if _np is None:  # pragma: no cover - numpy is present in CI
         ps, pps, betas = [], [], []
@@ -161,51 +159,7 @@ def useful_pair_arrays(buffer: Buffer):
             pps.append(pp - 1)
             betas.append(beta)
         return ps, pps, betas
-
-    production = _np.asarray(buffer.production, dtype=_np.int64)
-    consumption = _np.asarray(buffer.consumption, dtype=_np.int64)
-    return _pair_sweep(
-        production,
-        consumption,
-        _np.cumsum(production),
-        _np.cumsum(consumption),
-        buffer.initial_tokens,
-        buffer.rate_gcd,
-    )
-
-
-def _pair_sweep(production, consumption, prod_prefix, cons_prefix, m0, g):
-    """Row-blocked Theorem 2 α ≤ β sweep over prepared rate arrays.
-
-    The shared core of :func:`useful_pair_arrays` (base or materialized
-    expanded buffers) and :func:`expanded_useful_pair_arrays` (tiled
-    arrays synthesized from the base buffer): results are row-major in
-    the producer phase regardless of the block size, which is what the
-    parity contract between the two pipelines relies on.
-    """
-    base = production - prod_prefix - m0  # in(p) − Σ_{α≤p} in(α) − M0
-    phi_p = production.shape[0]
-    block = max(
-        1, min(phi_p, PAIR_SWEEP_BLOCK_CELLS // max(1, cons_prefix.shape[0]))
-    )
-    out_p: List = []
-    out_pp: List = []
-    out_beta: List = []
-    for lo in range(0, phi_p, block):
-        hi = min(phi_p, lo + block)
-        q_mat = cons_prefix[None, :] + base[lo:hi, None]
-        min_rate = _np.minimum(production[lo:hi, None], consumption[None, :])
-        alpha = -((-(q_mat - min_rate)) // g) * g
-        beta = ((q_mat - 1) // g) * g
-        rows, cols = _np.nonzero(alpha <= beta)
-        out_p.append(rows + lo)
-        out_pp.append(cols)
-        out_beta.append(beta[rows, cols])
-    return (
-        _np.concatenate(out_p) if out_p else _np.empty(0, dtype=_np.int64),
-        _np.concatenate(out_pp) if out_pp else _np.empty(0, dtype=_np.int64),
-        _np.concatenate(out_beta) if out_beta else _np.empty(0, dtype=_np.int64),
-    )
+    return segmented_useful_pair_arrays([(buffer, 1, 1)])[:3]
 
 
 def expanded_useful_pair_arrays(buffer: Buffer, k_src: int, k_dst: int):
@@ -215,58 +169,190 @@ def expanded_useful_pair_arrays(buffer: Buffer, k_src: int, k_dst: int):
     :func:`useful_pair_arrays` would return on the materialized
     expansion (production duplicated ``k_src`` times, consumption
     ``k_dst`` times — §3.2's ``[v]^P`` operator), without building the
-    expanded :class:`~repro.model.buffer.Buffer`. The trick is that the
-    expanded prefix sums are **affine in the tile index**:
-
-        ``prefix̃[j·ϕ + p] = j·total + prefix[p]``
-
-    so one ``np.tile`` + broadcast add reproduces them from the base
-    cumsum, and the expanded rounding gcd is
-    ``gcd(k_src·i_b, k_dst·o_b)`` arithmetically. A unit test pins the
-    equivalence pairwise against the materialized path.
+    expanded :class:`~repro.model.buffer.Buffer`: a one-segment call of
+    :func:`segmented_useful_pair_arrays`.
 
     Requires numpy (the direct pipeline is gated on it); raises
     :class:`RuntimeError` otherwise.
     """
-    if _np is None:  # pragma: no cover - numpy is present in CI
-        raise RuntimeError("expanded_useful_pair_arrays requires numpy")
-    from math import gcd
+    return segmented_useful_pair_arrays([(buffer, k_src, k_dst)])[:3]
 
-    production = _np.asarray(buffer.production, dtype=_np.int64)
-    consumption = _np.asarray(buffer.consumption, dtype=_np.int64)
-    if (
-        k_src == k_dst
-        and production.shape == consumption.shape
-        and not (production != 1).any()
-        and not (consumption != 1).any()
-    ):
-        # All-ones loop (every serialization self-loop): closed form.
-        # With unit rates the expanded gcd is ñ = k·ϕ and the α ≤ β
-        # interval is the single point q − 1 = P' − P − M0, so each
-        # producer phase P has exactly one useful pair — the phase the
-        # M0-th-next token enables: P' = (P + M0) mod ñ, with
-        # β = P' − P − M0 (the unique multiple of ñ in the window).
-        # Replaces the Θ(ñ²) sweep by Θ(ñ); pinned against the generic
-        # sweep by the unit tests.
-        n = k_src * production.shape[0]
-        p = _np.arange(n, dtype=_np.int64)
-        pp = (p + buffer.initial_tokens) % n
-        return p, pp, pp - p - buffer.initial_tokens
-    i_b = buffer.total_production
-    o_b = buffer.total_consumption
-    prod_prefix = _np.tile(_np.cumsum(production), k_src) + i_b * _np.repeat(
-        _np.arange(k_src, dtype=_np.int64), production.shape[0]
-    )
-    cons_prefix = _np.tile(_np.cumsum(consumption), k_dst) + o_b * _np.repeat(
-        _np.arange(k_dst, dtype=_np.int64), consumption.shape[0]
-    )
-    return _pair_sweep(
-        _np.tile(production, k_src),
-        _np.tile(consumption, k_dst),
-        prod_prefix,
-        cons_prefix,
-        buffer.initial_tokens,
-        gcd(k_src * i_b, k_dst * o_b),
+
+def segmented_useful_pair_arrays(requests: Sequence[Tuple[Buffer, int, int]]):
+    """``Y(b̃)`` of many K-expanded buffers in one vectorized sweep.
+
+    ``requests`` lists ``(buffer, k_src, k_dst)`` segments. Returns
+    ``(p0, pp0, beta, bounds)``: stacked int64 arrays in which segment
+    ``i`` is the slice ``bounds[i]:bounds[i + 1]`` and holds exactly
+    what :func:`useful_pairs` yields on the materialized expansion
+    (production duplicated ``k_src`` times, consumption ``k_dst`` times
+    — §3.2's ``[v]^P`` operator), with 0-based phases, row-major in the
+    producer phase.
+
+    No expanded :class:`~repro.model.buffer.Buffer` is built. The
+    expanded prefix sums are **affine in the tile index**,
+
+        ``prefix̃[j·ϕ + p] = j·total + prefix[p]``,
+
+    so they come from the base cumsum by one gather and one add, and the
+    expanded rounding gcd is ``gcd(k_src·i_b, k_dst·o_b)``. Every
+    segment's ``k_src·ϕ × k_dst·ϕ'`` cell grid is flattened row-major
+    into one index space, and one α ≤ β test covers all cells of all
+    segments; the per-buffer numpy overhead is gone, which is what
+    matters on fleet graphs of a few cells per buffer.
+
+    A pass holds at most :data:`PAIR_SWEEP_BLOCK_CELLS` cells: a larger
+    request set is split into several passes at row boundaries, so one
+    oversized buffer is swept in row blocks (a single row wider than the
+    budget is its own pass). All-ones segments with ``k_src == k_dst``
+    — every serialization loop — never enter the grid: with unit rates
+    each expanded phase ``P`` has exactly one useful pair, the phase
+    the ``M0``-th-next token enables, ``P' = (P + M0) mod ñ`` with
+    ``β = P' − P − M0`` (the unique multiple of ``ñ = k·ϕ`` in the
+    window), evaluated in Θ(ñ) for all such segments at once.
+
+    Requires numpy; raises :class:`RuntimeError` otherwise.
+    """
+    if _np is None:  # pragma: no cover - numpy is present in CI
+        raise RuntimeError("segmented_useful_pair_arrays requires numpy")
+    np = _np
+    ones: List[int] = []
+    generic: List[int] = []
+    for position, (buffer, k_src, k_dst) in enumerate(requests):
+        prod = buffer.production
+        if (k_src == k_dst and prod == buffer.consumption
+                and prod.count(1) == len(prod)):
+            ones.append(position)
+        else:
+            generic.append(position)
+
+    parts = []
+    if generic:
+        buffers, k_p, k_c = zip(*[requests[position] for position in generic])
+        k_p = np.asarray(k_p, dtype=np.int64)
+        k_c = np.asarray(k_c, dtype=np.int64)
+        rows = _expanded_rates([b.production for b in buffers], k_p)
+        cols = _expanded_rates([b.consumption for b in buffers], k_c)
+        parts.append(_grid_sweep(
+            np.asarray(generic, dtype=np.int64), rows, cols,
+            np.asarray([b.initial_tokens for b in buffers], dtype=np.int64),
+            np.gcd(k_p * rows[-1], k_c * cols[-1]),
+        ))
+    if ones:
+        buffers, k, _ = zip(*[requests[position] for position in ones])
+        n = np.asarray([len(b.production) for b in buffers],
+                       dtype=np.int64) * np.asarray(k, dtype=np.int64)
+        seg, p = _segment_ranges(n)
+        tokens = np.asarray([b.initial_tokens for b in buffers],
+                            dtype=np.int64)[seg]
+        pp = (p + tokens) % n[seg]
+        parts.append((np.asarray(ones, dtype=np.int64)[seg],
+                      p, pp, pp - p - tokens))
+    if not parts:
+        empty = np.empty(0, dtype=np.int64)
+        return empty, empty, empty, np.zeros(len(requests) + 1, np.int64)
+    if len(parts) == 1:
+        seg, p, pp, beta = parts[0]
+    else:
+        seg, p, pp, beta = (np.concatenate(arrays) for arrays in zip(*parts))
+        # Two runs, each sorted by request: a stable sort interleaves
+        # them back into request order, keeping row-major order inside.
+        order = np.argsort(seg, kind="stable")
+        seg, p, pp, beta = seg[order], p[order], pp[order], beta[order]
+    bounds = np.searchsorted(seg, np.arange(len(requests) + 1), side="left")
+    return p, pp, beta, bounds
+
+
+def _segment_ranges(lengths):
+    """``(segment, local index)`` of every element of concatenated ranges."""
+    seg = _np.repeat(_np.arange(lengths.shape[0], dtype=_np.int64), lengths)
+    starts = _np.cumsum(lengths) - lengths
+    return seg, _np.arange(seg.shape[0], dtype=_np.int64) - starts[seg]
+
+
+def _expanded_rates(vectors, ks):
+    """Tiled rates and affine prefix sums of every segment, end to end.
+
+    ``vectors`` holds each segment's base rate tuple and ``ks`` its
+    duplication count. Returns ``(segment, local phase, rate, prefix,
+    starts, lengths, totals)``: per expanded phase
+    ``rate[j·ϕ + p] = rate[p]`` and
+    ``prefix[j·ϕ + p] = j·total + Σ_{α≤p} rate[α]``, then each
+    segment's start and length in that concatenation and its base
+    total (``i_b`` or ``o_b``).
+    """
+    np = _np
+    base = np.asarray([r for vector in vectors for r in vector],
+                      dtype=np.int64)
+    phi = np.asarray([len(vector) for vector in vectors], dtype=np.int64)
+    lengths = phi * ks
+    base_start = np.cumsum(phi) - phi
+    totals = np.add.reduceat(base, base_start)
+    # Per-buffer cumsums from one global cumsum; int64 wraps modulo
+    # 2**64, so each difference is exact whenever its own value fits.
+    cum = np.cumsum(base)
+    seg, local = _segment_ranges(lengths)
+    phi_e = phi[seg]
+    tile = local // phi_e
+    at = base_start[seg] + local - tile * phi_e
+    before = (cum - base)[base_start]
+    prefix = cum[at] - before[seg] + tile * totals[seg]
+    return (seg, local, base[at], prefix, np.cumsum(lengths) - lengths,
+            lengths, totals)
+
+
+def _grid_sweep(index, rows, cols, m0, g):
+    """The α ≤ β test over every cell of every generic segment.
+
+    ``rows``/``cols`` are :func:`_expanded_rates` of the producer and
+    consumer sides, ``index`` maps a segment to its request. Returns
+    ``(request, p0, pp0, β)`` sorted by request, row-major within each.
+    """
+    np = _np
+    row_seg, row_local, row_rate, row_prefix, _, _, _ = rows
+    _, _, col_rate, col_prefix, col_start, col_len, _ = cols
+    # in(P) − Σ_{α≤P} in(α) − M0 per expanded producer phase P
+    base = row_rate - row_prefix - m0[row_seg]
+    width = col_len[row_seg]
+    row_col = col_start[row_seg]
+    row_g = g[row_seg]
+    cells_end = np.cumsum(width)
+    out_rows: List = []
+    out_cols: List = []
+    out_beta: List = []
+    lo = 0
+    while lo < row_seg.shape[0]:
+        # One pass: the rows whose cells fit the budget (at least one).
+        first = int(cells_end[lo - 1]) if lo else 0
+        hi = max(lo + 1, int(np.searchsorted(
+            cells_end, first + PAIR_SWEEP_BLOCK_CELLS, side="right")))
+        w = width[lo:hi]
+        cell_start = cells_end[lo:hi] - w - first
+        col = np.arange(int(cells_end[hi - 1]) - first, dtype=np.int64)
+        col += np.repeat(row_col[lo:hi] - cell_start, w)
+        # q − 1 per cell, and its residue modulo the rounding gcd g:
+        # α ≤ β holds iff a multiple of g lies in [q − min, q − 1], i.e.
+        # iff (q − 1) mod g < min(in, out), and then β = (q − 1) − that
+        # residue (floor semantics, so negative q are exact too).
+        q = col_prefix[col]
+        q += np.repeat(base[lo:hi] - 1, w)
+        residue = np.repeat(row_g[lo:hi], w)
+        np.remainder(q, residue, out=residue)
+        min_rate = np.repeat(row_rate[lo:hi], w)
+        np.minimum(min_rate, col_rate[col], out=min_rate)
+        hit = np.flatnonzero(residue < min_rate)
+        out_rows.append(
+            np.searchsorted(cell_start, hit, side="right") - 1 + lo)
+        out_cols.append(col[hit])
+        out_beta.append(q[hit] - residue[hit])
+        lo = hi
+    hit_rows = np.concatenate(out_rows)
+    seg = row_seg[hit_rows]
+    return (
+        index[seg],
+        row_local[hit_rows],
+        np.concatenate(out_cols) - col_start[seg],
+        np.concatenate(out_beta),
     )
 
 

@@ -238,7 +238,6 @@ class DseSession:
                 len(new) == len(old.durations)
                 and all(a >= b for a, b in zip(new, old.durations))
             ),
-            tasks={task_name: edited.task(task_name)},
         )
 
     def scale_task(
@@ -253,7 +252,6 @@ class DseSession:
         self._commit(
             "duration", graph, self._source_buffers(task_name),
             seed_safe=numerator >= denominator,
-            tasks={task_name: graph.task(task_name)},
         )
 
     def set_rates(
@@ -345,7 +343,6 @@ class DseSession:
         *,
         seed_safe: bool,
         k_safe: bool = True,
-        tasks: Optional[Dict[str, Any]] = None,
     ) -> None:
         with _span("dse.edit", kind=kind) as sp:
             self.graph = graph
@@ -356,18 +353,10 @@ class DseSession:
                 self._dirty.add(name)
             # The assembled-K memo aggregates the whole graph and
             # validates only by counts — always stale after a content
-            # edit. The serialization copy is structurally identical
-            # under content edits, so the edited objects are swapped
-            # into the memo instead of re-deriving it per solve.
+            # edit. The serialization memo keeps its counts under
+            # content edits, so it is rebound to the edited graph.
             self._cache.invalidate_compiled()
-            self._cache.patch_serialized(
-                graph,
-                tasks=tasks,
-                buffers={
-                    name: graph.buffer(name) for name in touched
-                    if graph.has_buffer(name)
-                },
-            )
+            self._cache.patch_serialized(graph)
             if not seed_safe:
                 self._seed_valid = False
             if not k_safe:

@@ -16,6 +16,7 @@
 from repro.kperiodic.expansion import (
     ExpansionBlockCache,
     compile_expansion,
+    derive_expansion_blocks,
     expand_graph,
     expanded_repetition_vector,
     expansion_cache_for,
@@ -34,6 +35,7 @@ from repro.kperiodic.solver import KPeriodicResult, min_period_for_k
 __all__ = [
     "ExpansionBlockCache",
     "compile_expansion",
+    "derive_expansion_blocks",
     "expand_graph",
     "expanded_repetition_vector",
     "expansion_cache_for",

@@ -38,8 +38,8 @@ except ImportError:  # pragma: no cover - numpy is present in CI
     _np = None
 
 from repro.analysis.constraint_graph import merge_parallel_candidates
-from repro.analysis.precedence import expanded_useful_pair_arrays
-from repro.exceptions import ModelError, ReproError
+from repro.analysis.precedence import segmented_useful_pair_arrays
+from repro.exceptions import ModelError
 from repro.mcrp.compiled import CompiledGraph
 from repro.mcrp.graph import FrozenBiValuedGraph
 from repro.model.buffer import Buffer
@@ -143,29 +143,24 @@ def expanded_repetition_vector(
 class ArcBlock:
     """One buffer's K-expanded constraint arcs, in buffer-local phases.
 
-    ``src_phase``/``dst_phase`` are 0-based phases of the *expanded*
-    producer/consumer (``P ∈ 0..K_src·ϕ−1``), ``cost`` the producer
-    phase durations ``d(t_P)`` and ``beta`` Theorem 2's β — all int64,
-    frozen read-only so cache sharing across rounds/jobs is safe. The
+    ``arcs`` is a read-only ``(4, n)`` int64 array (a view of one
+    segmented pass's output) whose rows are
+    ``src_phase``/``dst_phase`` — 0-based phases of the *expanded*
+    producer/consumer (``P ∈ 0..K_src·ϕ−1``) — ``cost``, the producer
+    phase durations ``d(t_P)``, and ``beta``, Theorem 2's β. Read-only
+    makes cache sharing across rounds/jobs safe, and one array per block
+    lets assembly stack a round's blocks with a single concatenate. The
     per-buffer denominator ``q̃_t·ĩ_b`` is *not* part of the block: it
     depends on ``lcm(K)`` and is recomputed at assembly each round,
     which is exactly what makes the block reusable whenever
     ``(K_src, K_dst)`` did not change.
     """
 
-    __slots__ = ("src_phase", "dst_phase", "cost", "beta")
+    __slots__ = ("arcs", "arc_count")
 
-    def __init__(self, src_phase, dst_phase, cost, beta):
-        for arr in (src_phase, dst_phase, cost, beta):
-            arr.setflags(write=False)
-        self.src_phase = src_phase
-        self.dst_phase = dst_phase
-        self.cost = cost
-        self.beta = beta
-
-    @property
-    def arc_count(self) -> int:
-        return int(self.src_phase.shape[0])
+    def __init__(self, arcs):
+        self.arcs = arcs
+        self.arc_count = arcs.shape[1]
 
     @property
     def cells(self) -> int:
@@ -199,11 +194,12 @@ class ExpansionBlockCache:
         self.hits = 0
         self.misses = 0
         self.evictions = 0
-        # The serialization-loop copy of the bound graph (plus its
-        # parallel-pair flag), revalidated by task/buffer counts: every
-        # K-Iter round re-derives the same copy otherwise, and under
-        # warm service traffic that rebuild dominates small compiles.
-        self._serialized: Optional[Tuple[Tuple[int, int], object, bool]] = None
+        # The work plan of the bound graph (its buffers plus the
+        # serialization loops, read into columns), revalidated by
+        # task/buffer counts: every K-Iter round re-derives the same
+        # plan otherwise, and under warm service traffic that rebuild
+        # dominates small compiles.
+        self._serialized: Optional[Tuple[Tuple[int, int], "_WorkPlan"]] = None
         # Fully assembled compiled constraint graphs keyed by the K
         # vector (task-name sorted). K-Iter's escalation sequence is
         # deterministic per graph, so a warm worker re-assembles the
@@ -243,38 +239,84 @@ class ExpansionBlockCache:
         while len(self._compiled) > self.max_compiled:
             self._compiled.popitem(last=False)
 
-    def serialized_for(self, graph) -> Optional[Tuple[object, bool]]:
-        """The cached ``with_serialization_loops()`` copy, if still valid."""
+    def serialized_for(self, graph) -> Optional["_WorkPlan"]:
+        """The cached serialization-loop work plan, if still valid."""
         entry = self._serialized
         if entry is not None and entry[0] == (
             graph.task_count, graph.buffer_count
         ):
-            return entry[1], entry[2]
+            return entry[1]
         return None
 
-    def store_serialized(self, graph, work, shared_pairs: bool) -> None:
-        self._serialized = (
-            (graph.task_count, graph.buffer_count), work, shared_pairs
+    def store_serialized(self, graph, plan: "_WorkPlan") -> None:
+        self._serialized = ((graph.task_count, graph.buffer_count), plan)
+
+    def lookup(
+        self,
+        keys: Sequence[Tuple[str, int, int]],
+        found: List[Optional[ArcBlock]],
+    ) -> List[Optional[ArcBlock]]:
+        """Look up every key whose ``found`` slot is ``None``.
+
+        Each such lookup counts one hit or one miss. Slots already
+        filled — blocks derived ahead, whose miss was counted then —
+        are kept and not counted again.
+        """
+        blocks = self._blocks
+        out: List[Optional[ArcBlock]] = []
+        hits = misses = 0
+        for key, block in zip(keys, found):
+            if block is None:
+                block = blocks.get(key)
+                if block is None:
+                    misses += 1
+                else:
+                    blocks.move_to_end(key)
+                    hits += 1
+            out.append(block)
+        self.hits += hits
+        self.misses += misses
+        _BLOCK_HIT.inc(hits)
+        _BLOCK_MISS.inc(misses)
+        return out
+
+    def __contains__(self, key: Tuple[str, int, int]) -> bool:
+        """Whether the block is cached, without counting a lookup."""
+        return key in self._blocks
+
+    def add_derived(
+        self, blocks: Mapping[Tuple[str, int, int], ArcBlock]
+    ) -> None:
+        """Store blocks derived ahead of their compile: one miss each.
+
+        The fleet pass (:func:`derive_expansion_blocks`) derives a
+        round's missing blocks before the compiles that use them run;
+        each is the miss that compile would have counted, and the
+        compile takes it without a second lookup.
+        """
+        self.misses += len(blocks)
+        _BLOCK_MISS.inc(len(blocks))
+        self._blocks.update(blocks)  # fresh keys: none was cached
+        self._cells += sum(block.cells for block in blocks.values())
+        self._evict()
+
+    def has_compiled(self, graph, k_key) -> bool:
+        """Whether :meth:`compiled_for` would hit, without counting."""
+        return (
+            self._compiled_counts == (graph.task_count, graph.buffer_count)
+            and k_key in self._compiled
         )
 
-    def get(self, name: str, k_src: int, k_dst: int) -> Optional[ArcBlock]:
-        block = self._blocks.get((name, k_src, k_dst))
-        if block is None:
-            self.misses += 1
-            _BLOCK_MISS.inc()
-            return None
-        self._blocks.move_to_end((name, k_src, k_dst))
-        self.hits += 1
-        _BLOCK_HIT.inc()
-        return block
-
-    def put(self, name: str, k_src: int, k_dst: int, block: ArcBlock) -> None:
-        key = (name, k_src, k_dst)
+    def put(self, key: Tuple[str, int, int], block: ArcBlock) -> None:
         old = self._blocks.pop(key, None)
         if old is not None:  # pragma: no cover - put-after-get misses this
             self._cells -= old.cells
         self._blocks[key] = block
         self._cells += block.cells
+        self._evict()
+
+    def _evict(self) -> None:
+        """Drop least recently used blocks until the cell budget holds."""
         while self._cells > self.max_cells and len(self._blocks) > 1:
             _, evicted = self._blocks.popitem(last=False)
             self._cells -= evicted.cells
@@ -321,36 +363,23 @@ class ExpansionBlockCache:
         self._compiled.clear()
         self._compiled_counts = None
 
-    def patch_serialized(self, graph, *, tasks=None, buffers=None) -> bool:
-        """Swap edited tasks/buffers into the serialization-loop memo.
+    def patch_serialized(self, graph) -> bool:
+        """Rebind the serialization-loop memo to an edited ``graph``.
 
         A *content* edit (rates, marking, durations — same topology)
-        leaves the serialization copy structurally identical: only the
-        edited objects differ, and ``shared_pairs`` is a pure topology
-        property. Rebuilding the memoized work graph with the
-        replacements swapped in (one shared-reference pass) is much
-        cheaper than re-deriving ``with_serialization_loops()`` from
-        scratch on the next compile — the steady-state win of
-        :class:`repro.dse.DseSession` edits. On any failure the memo is
-        dropped (never left stale): returns ``False`` and the next
-        compile rebuilds cold.
+        keeps the task and buffer counts the memo is validated by, so
+        the memo is rebuilt from the edited graph right away (one pass
+        over its buffers, no graph copy) — the steady-state path of
+        :class:`repro.dse.DseSession` edits. A count change drops the
+        memo instead: returns ``False`` and the next compile rebuilds.
         """
         entry = self._serialized
         if entry is None:
             return False
-        counts, work, shared_pairs = entry
-        if counts != (graph.task_count, graph.buffer_count):
+        if entry[0] != (graph.task_count, graph.buffer_count):
             self._serialized = None
             return False
-        from repro.transforms.surgery import rebuild_graph
-
-        try:
-            new_work = rebuild_graph(
-                work, tasks=tasks or None, buffers=buffers or None)
-        except ReproError:
-            self._serialized = None
-            return False
-        self._serialized = (counts, new_work, shared_pairs)
+        self._serialized = (entry[0], _WorkPlan(graph, serialize=True))
         return True
 
     def __len__(self) -> int:
@@ -422,22 +451,21 @@ class ExpandedNodeSpace:
     expanded phase ``P+1``.
     """
 
-    __slots__ = ("_names", "_starts", "_offsets", "node_count")
+    __slots__ = ("_names", "_starts", "node_count")
 
     def __init__(self, phase_counts: Sequence[Tuple[str, int]]):
         self._names: List[str] = []
         self._starts: List[int] = []
-        self._offsets: Dict[str, int] = {}
         total = 0
         for name, count in phase_counts:
             self._names.append(name)
             self._starts.append(total)
-            self._offsets[name] = total
             total += count
         self.node_count = total
 
-    def offset(self, task: str) -> int:
-        return self._offsets[task]
+    def starts(self):
+        """Each task's first node, in layout order (an int64 array)."""
+        return _np.asarray(self._starts, dtype=_np.int64)
 
     def spans(self):
         """Yield ``(task, start, phase count)`` per task in layout order."""
@@ -473,6 +501,190 @@ class ExpandedNodeSpace:
         }
 
 
+class _WorkPlan:
+    """The compile's static view of one graph.
+
+    Its buffers are those of ``graph.with_serialization_loops()`` (or of
+    ``graph`` itself when not serializing), read once into per-buffer
+    columns and memoized on the block cache, so a round's key and
+    denominator computation is a few list comprehensions.
+    ``shared_pairs`` says whether two buffers join the same task pair,
+    i.e. whether parallel arcs need merging.
+    """
+
+    __slots__ = ("tasks", "buffers", "names", "sources", "targets",
+                 "totals", "durations", "shared_pairs", "ends", "_keyed")
+
+    def __init__(self, graph: CsdfGraph, serialize: bool):
+        self.tasks = list(graph.tasks())
+        self.buffers = (
+            graph.serialized_buffers() if serialize else list(graph.buffers())
+        )
+        self.names = [b.name for b in self.buffers]
+        self.sources = [b.source for b in self.buffers]
+        self.targets = [b.target for b in self.buffers]
+        self.totals = [b.total_production for b in self.buffers]
+        durations = {t.name: t.durations for t in self.tasks}
+        self.durations = [durations[t] for t in self.sources]
+        self.shared_pairs = (
+            len(set(zip(self.sources, self.targets))) < len(self.buffers)
+        )
+        # Task positions of each buffer's producer and consumer, as
+        # numpy rows: node offsets become one gather per round.
+        position = {t.name: i for i, t in enumerate(self.tasks)}
+        self.ends = _np.asarray(
+            [[position[t] for t in self.sources],
+             [position[t] for t in self.targets]],
+            dtype=_np.int64,
+        ).reshape(2, len(self.buffers))
+        self._keyed = None
+
+    def block_keys(self, K, repetition):
+        """``(keys, denominators)`` of this round, or ``None``.
+
+        ``keys`` are the ``(buffer, K_src, K_dst)`` block keys and the
+        denominators are ``q̃_t·ĩ_b``; ``None`` when one of them trips
+        the int64 guard, which makes the compile unavailable. The last
+        answer is memoized: a fleet round asks twice, once for its
+        block pass and once for the compile.
+        """
+        last = self._keyed
+        if last is not None and last[0] == K and last[1] == repetition:
+            return last[2]
+        keyed = self._block_keys(K, repetition)
+        self._keyed = (dict(K), dict(repetition), keyed)
+        return keyed
+
+    def _block_keys(self, K, repetition):
+        k_src = [K[t] for t in self.sources]
+        k_dst = [K[t] for t in self.targets]
+        dens = [repetition[t] * k * total for t, k, total
+                in zip(self.sources, k_src, self.totals)]
+        if dens and max(dens) >= _DIRECT_INT64_GUARD:
+            return None
+        return list(zip(self.names, k_src, k_dst)), dens
+
+
+def _work_plan(graph: CsdfGraph, cache, serialize: bool) -> _WorkPlan:
+    """The :class:`_WorkPlan` of ``graph``, memoized on ``cache``."""
+    if serialize and cache is not None:
+        plan = cache.serialized_for(graph)
+        if plan is not None:
+            return plan
+    plan = _WorkPlan(graph, serialize)
+    if serialize and cache is not None:
+        cache.store_serialized(graph, plan)
+    return plan
+
+
+def _derive_blocks(requests, durations) -> List[ArcBlock]:
+    """One :class:`ArcBlock` per ``(buffer, K_src, K_dst)`` request.
+
+    Every request's useful pairs come from one
+    :func:`~repro.analysis.precedence.segmented_useful_pair_arrays`
+    pass; the producer durations ``d(t_P)`` (``durations``, one tuple
+    per request) are gathered in the same stacked space, and each block
+    is a read-only view of its segment.
+    """
+    p, pp, beta, bounds = segmented_useful_pair_arrays(requests)
+    phi = _np.asarray([len(d) for d in durations], dtype=_np.int64)
+    seg = _np.repeat(_np.arange(phi.shape[0], dtype=_np.int64),
+                     _np.diff(bounds))
+    starts = _np.cumsum(phi) - phi
+    flat = _np.asarray([d for ds in durations for d in ds], dtype=_np.int64)
+    cost = flat[starts[seg] + p % phi[seg]]
+    arcs = _np.stack([p, pp, cost, beta])
+    arcs.setflags(write=False)  # every block is a read-only view
+    cuts = bounds.tolist()
+    return [ArcBlock(arcs[:, lo:hi]) for lo, hi in zip(cuts, cuts[1:])]
+
+
+def _missing_blocks(graph, K, repetition, cache, claimed):
+    """The blocks one compile would miss, found without counting.
+
+    Returns ``None`` when a denominator trips the int64 guard (that
+    compile returns ``None`` before sweeping anything), otherwise
+    ``(plan, keys, slots)``: the buffer slots whose block is neither in
+    ``cache`` nor claimed by an earlier compile of the same pass on the
+    same cache, so a block two compiles share is derived once.
+    ``claimed`` maps the id of a cache that more than one compile of the
+    pass uses to the keys claimed so far.
+    """
+    plan = _work_plan(graph, cache, serialize=True)
+    keyed = plan.block_keys(K, repetition)
+    if keyed is None:
+        return None
+    keys = keyed[0]
+    if cache is None or not len(cache):
+        slots = range(len(keys))
+    else:
+        slots = [slot for slot, key in enumerate(keys) if key not in cache]
+    taken = claimed.get(id(cache)) if cache is not None else None
+    if taken is not None:
+        slots = [slot for slot in slots if keys[slot] not in taken]
+        taken.update(keys[slot] for slot in slots)
+    return plan, keys, slots
+
+
+def derive_expansion_blocks(
+    compiles: Sequence[Tuple[CsdfGraph, Mapping[str, int], Mapping[str, int],
+                             Optional[ExpansionBlockCache]]],
+) -> List[Optional[Dict[Tuple[str, int, int], ArcBlock]]]:
+    """Derive every missing block of many compiles in one segmented pass.
+
+    ``compiles`` lists the ``(graph, K, repetition, cache)`` arguments
+    of :func:`compile_expansion` calls (serializing, as K-Iter compiles)
+    about to run — one K-Iter round of a whole fleet. The blocks those
+    calls would miss in their caches are swept together by one
+    :func:`~repro.analysis.precedence.segmented_useful_pair_arrays`
+    pass, stored in the caches and counted as exactly one miss each.
+
+    Returns, per compile, the ``{(buffer, K_src, K_dst): ArcBlock}``
+    derived for it, to hand to ``compile_expansion(..., blocks=)``: the
+    assembly then takes them without a second (hit-counted) lookup.
+    ``None`` marks a compile this pass skipped — its int64 guard trips,
+    or numpy is missing — which then runs exactly as without the pass.
+    No block is stored and no miss counted unless the sweep succeeds.
+    """
+    if _np is None:
+        return [None] * len(compiles)
+    seen: set = set()
+    claimed: Dict[int, set] = {}
+    for *_, cache in compiles:
+        if cache is not None:
+            if id(cache) in seen:
+                claimed[id(cache)] = set()
+            seen.add(id(cache))
+    found = [
+        _missing_blocks(graph, K, repetition, cache, claimed)
+        for graph, K, repetition, cache in compiles
+    ]
+    requests = []
+    durations = []
+    for entry in found:
+        if entry is not None:
+            plan, keys, slots = entry
+            requests.extend(
+                (plan.buffers[slot], keys[slot][1], keys[slot][2])
+                for slot in slots)
+            durations.extend(plan.durations[slot] for slot in slots)
+    blocks = _derive_blocks(requests, durations) if requests else []
+    derived: List[Optional[Dict[Tuple[str, int, int], ArcBlock]]] = []
+    start = 0
+    for (_, _, _, cache), entry in zip(compiles, found):
+        if entry is None:
+            derived.append(None)
+            continue
+        _, keys, slots = entry
+        stop = start + len(slots)
+        mine = dict(zip([keys[slot] for slot in slots], blocks[start:stop]))
+        start = stop
+        if cache is not None:
+            cache.add_derived(mine)
+        derived.append(mine)
+    return derived
+
+
 def compile_expansion(
     graph: CsdfGraph,
     K: Mapping[str, int],
@@ -481,6 +693,7 @@ def compile_expansion(
     cache: Optional[ExpansionBlockCache] = None,
     serialize: bool = True,
     merge_parallel: bool = True,
+    blocks: Optional[Mapping[Tuple[str, int, int], ArcBlock]] = None,
 ) -> Optional[Tuple[FrozenBiValuedGraph, ExpandedNodeSpace]]:
     """Compile the constraint graph of ``G̃`` directly from ``(G, K)``.
 
@@ -489,8 +702,11 @@ def compile_expansion(
     arrays, pinned by the parity suite — without materializing ``G̃`` or
     any per-arc ``Fraction``:
 
-    1. per buffer, the expanded useful pairs come from the affine-tile
-       sweep (cached in ``cache`` under ``(buffer, K_src, K_dst)``);
+    1. per buffer, the expanded arc block is looked up in ``blocks``
+       (derived ahead by :func:`derive_expansion_blocks`, its miss
+       already counted), then in ``cache`` under
+       ``(buffer, K_src, K_dst)``; the misses of this compile are
+       derived together by one segmented affine-tile sweep and cached;
     2. blocks are offset into the task-major node space and concatenated
        as int64 ``(src, dst, cost, β)`` arrays with one shared
        denominator ``q̃_t·ĩ_b`` per buffer;
@@ -511,73 +727,48 @@ def compile_expansion(
     if _np is None:
         return None
     K = validate_periodicity(graph, K)
-    work = None
-    shared_pairs: Optional[bool] = None
-    if serialize and cache is not None:
-        hit = cache.serialized_for(graph)
-        if hit is not None:
-            work, shared_pairs = hit
-    if work is None:
-        work = graph.with_serialization_loops() if serialize else graph
-
+    plan = _work_plan(graph, cache, serialize)
+    keyed = plan.block_keys(K, repetition)
+    if keyed is None:
+        return None
+    keys, dens = keyed
     space = ExpandedNodeSpace(
-        [(t.name, K[t.name] * t.phase_count) for t in work.tasks()]
+        [(t.name, K[t.name] * t.phase_count) for t in plan.tasks]
     )
 
-    if shared_pairs is None:
-        pair_count: Dict[Tuple[str, str], int] = {}
-        for b in work.buffers():
-            key = (b.source, b.target)
-            pair_count[key] = pair_count.get(key, 0) + 1
-        shared_pairs = any(count > 1 for count in pair_count.values())
-        if serialize and cache is not None:
-            cache.store_serialized(graph, work, shared_pairs)
-
-    parts_src: List = []
-    parts_dst: List = []
-    parts_cost: List = []
-    parts_beta: List = []
-    den_vals: List[int] = []
-    den_lens: List[int] = []
-    for b in work.buffers():
-        k_src = K[b.source]
-        k_dst = K[b.target]
-        den = repetition[b.source] * k_src * b.total_production
-        if den >= _DIRECT_INT64_GUARD:
-            return None
-        block = cache.get(b.name, k_src, k_dst) if cache is not None else None
-        if block is None:
-            p, pp, beta = expanded_useful_pair_arrays(b, k_src, k_dst)
-            durations = _np.tile(
-                _np.asarray(work.task(b.source).durations, dtype=_np.int64),
-                k_src,
-            )
-            block = ArcBlock(p, pp, durations[p], beta)
-            if cache is not None:
-                cache.put(b.name, k_src, k_dst, block)
-        parts_src.append(block.src_phase + space.offset(b.source))
-        parts_dst.append(block.dst_phase + space.offset(b.target))
-        parts_cost.append(block.cost)
-        parts_beta.append(block.beta)
-        den_vals.append(den)
-        den_lens.append(block.arc_count)
-
-    if parts_src:
-        srcs = _np.concatenate(parts_src)
-        dsts = _np.concatenate(parts_dst)
-        costs = _np.concatenate(parts_cost)
-        betas = _np.concatenate(parts_beta)
-        # One repeat instead of one np.full per buffer: the per-buffer
-        # denominator q̃_t·ĩ_b is constant across a block's arcs.
-        denoms = _np.repeat(
-            _np.asarray(den_vals, dtype=_np.int64),
-            _np.asarray(den_lens, dtype=_np.int64),
+    found: List[Optional[ArcBlock]] = (
+        [blocks.get(key) for key in keys] if blocks else [None] * len(keys)
+    )
+    if cache is not None and None in found:
+        found = cache.lookup(keys, found)
+    missing = [slot for slot, block in enumerate(found) if block is None]
+    if missing:
+        derived = _derive_blocks(
+            [(plan.buffers[slot], keys[slot][1], keys[slot][2])
+             for slot in missing],
+            [plan.durations[slot] for slot in missing],
         )
+        for slot, block in zip(missing, derived):
+            found[slot] = block
+            if cache is not None:
+                cache.put(keys[slot], block)
+
+    if found:
+        lens = _np.asarray([block.arc_count for block in found],
+                           dtype=_np.int64)
+        srcs, dsts, costs, betas = _np.concatenate(
+            [block.arcs for block in found], axis=1)
+        offsets = _np.repeat(space.starts()[plan.ends], lens, axis=1)
+        srcs += offsets[0]
+        dsts += offsets[1]
+        # The per-buffer denominator q̃_t·ĩ_b is constant across a
+        # block's arcs.
+        denoms = _np.repeat(_np.asarray(dens, dtype=_np.int64), lens)
     else:
         srcs = dsts = costs = betas = _np.empty(0, dtype=_np.int64)
         denoms = _np.empty(0, dtype=_np.int64)
 
-    if merge_parallel and shared_pairs and srcs.shape[0]:
+    if merge_parallel and plan.shared_pairs and srcs.shape[0]:
         merged = merge_parallel_candidates(
             srcs, dsts, costs, betas, denoms, space.node_count
         )

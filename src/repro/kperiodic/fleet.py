@@ -36,6 +36,7 @@ from repro.exceptions import (
     ReproError,
     SolverError,
 )
+from repro.kperiodic.expansion import derive_expansion_blocks
 from repro.kperiodic.kiter import KIterMachine, KIterResult
 from repro.kperiodic.solver import annotate_deadlock, finish_min_period
 from repro.mcrp.batched import batched_solve_mcrp
@@ -52,6 +53,8 @@ _FLEET_JOBS = _REGISTRY.counter("repro_fleet_jobs_total")
 _SOLVER_JOBS = _REGISTRY.counter("repro_solver_jobs_total")
 _SOLVER_SECONDS = _REGISTRY.histogram("repro_solver_seconds")
 _ENGINE_ITERATIONS = _REGISTRY.counter("repro_engine_iterations_total")
+_BLOCK_PASS_FAILURES = _REGISTRY.counter(
+    "repro_fleet_block_pass_failures_total")
 
 
 class _FleetJob:
@@ -169,9 +172,9 @@ def _advance(
     """One lockstep round of one engine's machines; returns the live ones."""
     live: List[_FleetJob] = []
     batch = []
-    for job in jobs:
+    for job, blocks in zip(jobs, _derive_round(jobs)):
         try:
-            batch.append((job, job.machine.prepare()))
+            batch.append((job, job.machine.prepare(blocks)))
         except ReproError as exc:
             if _recover(job, started, exc):
                 live.append(job)
@@ -206,6 +209,33 @@ def _advance(
         live.append(job)
     _ENGINE_ITERATIONS.labels(engine=engine).inc(iterations)
     return live
+
+
+def _derive_round(jobs: List[_FleetJob]) -> List[Optional[Dict]]:
+    """Derive the round's missing arc blocks of every machine at once.
+
+    One segmented sweep for the whole group instead of one per buffer
+    per graph; machines that compile nothing this round are skipped.
+    The pass only saves work: if it fails, every machine's compile
+    derives its own blocks, so an error reaches only its own job.
+    """
+    slots = []
+    requests = []
+    for slot, job in enumerate(jobs):
+        request = job.machine.compile_request()
+        if request is not None:
+            slots.append(slot)
+            requests.append(request)
+    derived: List[Optional[Dict]] = [None] * len(jobs)
+    if requests:
+        try:
+            blocks = derive_expansion_blocks(requests)
+        except Exception:  # noqa: BLE001 - isolation: compiles retry alone
+            _BLOCK_PASS_FAILURES.inc()
+            return derived
+        for slot, mine in zip(slots, blocks):
+            derived[slot] = mine
+    return derived
 
 
 def _recover(job: _FleetJob, started: float, exc: ReproError) -> bool:

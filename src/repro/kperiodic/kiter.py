@@ -23,7 +23,10 @@ from repro.analysis.consistency import (
     repetition_vector,
 )
 from repro.exceptions import DeadlockError, SolverError
-from repro.kperiodic.expansion import expansion_cache_for
+from repro.kperiodic.expansion import (
+    expanded_repetition_vector,
+    expansion_cache_for,
+)
 from repro.kperiodic.optimality import (
     critical_qbar,
     optimality_test,
@@ -185,8 +188,32 @@ class KIterMachine:
     def done(self) -> bool:
         return self.final is not None
 
-    def prepare(self) -> PreparedMinPeriod:
-        """Set up the next round's fixed-K constraint graph."""
+    def compile_request(self):
+        """The next ``prepare()``'s compile, as ``(graph, K, q̃, cache)``.
+
+        ``None`` when that round compiles nothing: the legacy pipeline,
+        the round cap or the time budget stops it, or the assembled-K
+        memo answers it. The fleet driver hands the requests of a whole
+        round to :func:`~repro.kperiodic.expansion.derive_expansion_blocks`
+        and each result back to :meth:`prepare`.
+        """
+        if (
+            self.cache is None
+            or self._rounds_left <= 0
+            or self.budget.exhausted()
+            or self.cache.has_compiled(
+                self.graph, tuple(sorted(self.K.items())))
+        ):
+            return None
+        return (self.graph, self.K,
+                expanded_repetition_vector(self.q, self.K), self.cache)
+
+    def prepare(self, blocks=None) -> PreparedMinPeriod:
+        """Set up the next round's fixed-K constraint graph.
+
+        ``blocks`` are arc blocks derived ahead for this round's compile
+        (see :meth:`compile_request`).
+        """
         if self._rounds_left <= 0:
             raise SolverError(f"K-Iter exceeded {self.max_rounds} rounds")
         self._rounds_left -= 1
@@ -217,6 +244,7 @@ class KIterMachine:
         return prepare_min_period(
             self.graph, self.K, repetition=self.q, warm_start=seed,
             pipeline=self.pipeline, expansion_cache=self.cache,
+            blocks=blocks,
         )
 
     def absorb(self, result: KPeriodicResult) -> bool:

@@ -106,8 +106,13 @@ def prepare_min_period(
     warm_start: Optional[Fraction] = None,
     pipeline: str = "direct",
     expansion_cache: Optional[ExpansionBlockCache] = None,
+    blocks=None,
 ) -> PreparedMinPeriod:
-    """Build the constraint graph and warm-start bound for a fixed K."""
+    """Build the constraint graph and warm-start bound for a fixed K.
+
+    ``blocks`` are arc blocks derived ahead for the direct compile
+    (:func:`~repro.kperiodic.expansion.derive_expansion_blocks`).
+    """
     if pipeline not in ("direct", "legacy"):
         raise SolverError(
             f"unknown pipeline {pipeline!r} (choose 'direct' or 'legacy')"
@@ -132,7 +137,7 @@ def prepare_min_period(
             built = expansion_cache.compiled_for(graph, k_key)
         if built is None:
             built = compile_expansion(
-                graph, K, q_tilde, cache=expansion_cache
+                graph, K, q_tilde, cache=expansion_cache, blocks=blocks
             )
             if built is not None and k_key is not None:
                 expansion_cache.store_compiled(graph, k_key, built)

@@ -38,6 +38,14 @@ except ImportError:  # pragma: no cover - numpy present in CI
 
 _INT64_MAX = (1 << 63) - 1
 
+#: List attribute → the numpy mirror a from_int64_arrays graph derives
+#: it from on first read.
+_LIST_MIRRORS = {
+    "src": "np_src", "dst": "np_dst", "cost": "np_cost",
+    "transit": "np_transit", "cost_float": "np_cost_float",
+    "transit_float": "np_transit_float",
+}
+
 
 class CompiledGraph:
     """Immutable arc-array view of a bi-valued graph.
@@ -131,6 +139,21 @@ class CompiledGraph:
         self.dst_order = self.src_sorted = self.arc_ids_sorted = None
         self.dst_unique = self.seg_starts = self.seg_sizes = None
 
+    def __getattr__(self, name):
+        # Reached only for an unset slot: the list forms of a graph
+        # built by from_int64_arrays, derived on first read — the numpy
+        # kernels work on the mirrors and the CSR arrays alone.
+        if name == "out_arcs":
+            order = self.csr_arcs.tolist()
+            bounds = self.indptr.tolist()
+            value = tuple(order[lo:hi] for lo, hi in zip(bounds, bounds[1:]))
+        elif name in _LIST_MIRRORS:
+            value = getattr(self, _LIST_MIRRORS[name]).tolist()
+        else:
+            raise AttributeError(name)
+        setattr(self, name, value)
+        return value
+
     # ------------------------------------------------------------------
     def ensure_numpy(self) -> bool:
         """Build (once) the numpy mirrors and sorted segment structures.
@@ -145,18 +168,20 @@ class CompiledGraph:
         self._numpy_built = True
         if _np is None or not self.arc_count:
             return False
-        self.np_src = _np.array(self.src, dtype=_np.int64)
-        self.np_dst = _np.array(self.dst, dtype=_np.int64)
-        if (
-            self.max_abs_cost < _INT64_MAX
-            and self.max_abs_transit < _INT64_MAX
-        ):
-            self.np_cost = _np.array(self.cost, dtype=_np.int64)
-            self.np_transit = _np.array(self.transit, dtype=_np.int64)
-        self.np_cost_float = _np.array(self.cost_float, dtype=_np.float64)
-        self.np_transit_float = _np.array(
-            self.transit_float, dtype=_np.float64
-        )
+        if self.np_src is None:  # list-built: from_int64_arrays presets
+            self.np_src = _np.array(self.src, dtype=_np.int64)
+            self.np_dst = _np.array(self.dst, dtype=_np.int64)
+            if (
+                self.max_abs_cost < _INT64_MAX
+                and self.max_abs_transit < _INT64_MAX
+            ):
+                self.np_cost = _np.array(self.cost, dtype=_np.int64)
+                self.np_transit = _np.array(self.transit, dtype=_np.int64)
+            self.np_cost_float = _np.array(
+                self.cost_float, dtype=_np.float64)
+            self.np_transit_float = _np.array(
+                self.transit_float, dtype=_np.float64
+            )
         # CSR mirrors + nonempty source segments (for vectorized
         # per-source reductions, e.g. Howard policy improvement)
         self.np_indptr = _np.frombuffer(self.indptr, dtype=_np.int64).copy()
@@ -237,7 +262,10 @@ class CompiledGraph:
         exactly what incremental ``add_arc`` would have produced).
 
         ``labels`` may be any sequence (including a lazy view); it is
-        stored as given, not copied.
+        stored as given, not copied, and so are the int64 arrays, which
+        become the numpy mirrors (``np_src``, ``np_cost``, ...). The
+        list forms (``src``, ``cost``, ``out_arcs``, ...) are derived
+        from them on first read.
         """
         if _np is None:  # pragma: no cover - callers gate on numpy
             raise RuntimeError("from_int64_arrays requires numpy")
@@ -251,18 +279,24 @@ class CompiledGraph:
         self.node_count = node_count
         self.arc_count = m
         self.labels = labels
-        self.src = src.tolist()
-        self.dst = dst.tolist()
         self.scale = scale
-        self.cost = cost.tolist()
-        self.transit = transit.tolist()
         self.integral = scale == 1
         self.has_negative_cost = bool(m) and bool((cost < 0).any())
         self.max_abs_cost = int(_np.abs(cost).max()) if m else 0
         self.max_abs_transit = int(_np.abs(transit).max()) if m else 0
-        inv = 1.0 / scale
-        self.cost_float = (cost * inv).tolist()
-        self.transit_float = (transit * inv).tolist()
+        self.np_src = self.np_dst = self.np_cost = self.np_transit = None
+        self.np_cost_float = self.np_transit_float = None
+        if m:
+            # The numpy mirrors are the arrays themselves; the list
+            # forms are derived on first read (see __getattr__).
+            inv = 1.0 / scale
+            self.np_src, self.np_dst = src, dst
+            self.np_cost, self.np_transit = cost, transit
+            self.np_cost_float = cost * inv
+            self.np_transit_float = transit * inv
+        else:
+            self.src, self.dst, self.cost, self.transit = [], [], [], []
+            self.cost_float, self.transit_float = [], []
 
         order = _np.argsort(src, kind="stable")
         counts = _np.bincount(src, minlength=node_count) if m else (
@@ -271,21 +305,15 @@ class CompiledGraph:
         indptr_np = _np.zeros(node_count + 1, dtype=_np.int64)
         _np.cumsum(counts, out=indptr_np[1:])
         indptr = array("q")
-        indptr.frombytes(indptr_np.astype(_np.int64).tobytes())
+        indptr.frombytes(indptr_np.tobytes())
         csr = array("q")
-        csr.frombytes(order.astype(_np.int64).tobytes())
+        csr.frombytes(order.astype(_np.int64, copy=False).tobytes())
         self.indptr = indptr
         self.csr_arcs = csr
-        order_list = order.tolist()
-        indptr_list = indptr_np.tolist()
-        self.out_arcs = tuple(
-            order_list[indptr_list[v]:indptr_list[v + 1]]
-            for v in range(node_count)
-        )
+        # ``out_arcs`` stays unset until first read (see __getattr__):
+        # the numpy kernels walk the CSR arrays and never need it.
 
         self._numpy_built = False
-        self.np_src = self.np_dst = self.np_cost = self.np_transit = None
-        self.np_cost_float = self.np_transit_float = None
         self.np_indptr = self.np_csr_arcs = None
         self.src_unique = self.src_seg_starts = self.src_seg_sizes = None
         self.dst_order = self.src_sorted = self.arc_ids_sorted = None

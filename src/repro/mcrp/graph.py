@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from typing import Dict, Hashable, List, Optional, Sequence, Tuple
 
 
@@ -197,14 +198,27 @@ class FrozenBiValuedGraph(BiValuedGraph):
     def __init__(self, compiled):
         self.node_count = compiled.node_count
         self.labels = compiled.labels
-        self.arc_src = compiled.src
-        self.arc_dst = compiled.dst
-        self.arc_cost = ScaledFractionView(compiled.cost, compiled.scale)
-        self.arc_transit = ScaledFractionView(
-            compiled.transit, compiled.scale
-        )
-        self._out = compiled.out_arcs
         self._compiled = compiled
+
+    # The arc views read the compiled lists, which a numpy-built
+    # compiled graph derives on first read: a solve that stays in the
+    # numpy kernels never builds them.
+    arc_src = property(lambda self: self._compiled.src)
+    arc_dst = property(lambda self: self._compiled.dst)
+    _out = property(lambda self: self._compiled.out_arcs)
+
+    @cached_property
+    def arc_cost(self) -> ScaledFractionView:
+        return ScaledFractionView(self._compiled.cost, self._compiled.scale)
+
+    @cached_property
+    def arc_transit(self) -> ScaledFractionView:
+        return ScaledFractionView(
+            self._compiled.transit, self._compiled.scale)
+
+    @property
+    def arc_count(self) -> int:
+        return self._compiled.arc_count
 
     def add_node(self, label: Hashable = None) -> int:
         raise TypeError("FrozenBiValuedGraph is immutable")

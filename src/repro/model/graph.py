@@ -11,11 +11,28 @@ mistake with CSDF.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Any, Dict, Iterable, Iterator, List, Optional, Tuple
 
 from repro.exceptions import ModelError
 from repro.model.buffer import Buffer
 from repro.model.task import Task
+
+
+@lru_cache(maxsize=4096)
+def _serialization_loop(task: str, phases: int) -> Buffer:
+    """The all-ones, one-token self-loop of a task (immutable, shared)."""
+    ones = (1,) * phases
+    return Buffer(
+        name=f"__serial_{task}",
+        source=task,
+        target=task,
+        production=ones,
+        consumption=ones,
+        initial_tokens=1,
+        serialization=True,
+    )
+
 
 #: Schema tag shared with :mod:`repro.io.json_format`.
 DICT_FORMAT_TAG = "repro-csdf"
@@ -180,21 +197,24 @@ class CsdfGraph:
         (idempotent call) is skipped.
         """
         g = self.copy(self.name)
-        for t in self.tasks():
-            if g.has_buffer(f"__serial_{t.name}"):
-                continue
-            ones = tuple([1] * t.phase_count)
-            loop = Buffer(
-                name=f"__serial_{t.name}",
-                source=t.name,
-                target=t.name,
-                production=ones,
-                consumption=ones,
-                initial_tokens=1,
-                serialization=True,
-            )
+        for loop in self._missing_serialization_loops():
             g.add_buffer(loop)
         return g
+
+    def serialized_buffers(self) -> List[Buffer]:
+        """The buffers of :meth:`with_serialization_loops`, in order.
+
+        The same list the copy's :meth:`buffers` yields, without
+        building the copy.
+        """
+        return [*self._buffers.values(), *self._missing_serialization_loops()]
+
+    def _missing_serialization_loops(self) -> List[Buffer]:
+        return [
+            _serialization_loop(t.name, t.phase_count)
+            for t in self.tasks()
+            if f"__serial_{t.name}" not in self._buffers
+        ]
 
     def without_serialization_loops(self) -> "CsdfGraph":
         """Inverse of :meth:`with_serialization_loops` (drops flagged loops)."""

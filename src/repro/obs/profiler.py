@@ -53,6 +53,7 @@ __all__ = [
 _ENV = "REPRO_PROFILE"
 PROFILE_SCHEMA = "repro-profile/1"
 _MAX_DEPTH = 64
+_MAX_KEYS = 16384
 _DEFAULT_INTERVAL = 0.005
 
 
@@ -72,6 +73,8 @@ class _Profiler:
         self._counts: Dict[str, int] = {}
         self._thread: Optional[threading.Thread] = None
         self._atexit_armed = False
+        #: code object → frame key (see _frame_key).
+        self._keys: Dict[object, str] = {}
 
     # -- lifecycle ----------------------------------------------------
     def configure(self, path: Optional[str],
@@ -123,6 +126,21 @@ class _Profiler:
             if not stack:
                 self._active.pop(ident, None)
 
+    def _frame_key(self, code) -> str:
+        """``<module-stem>.<function>`` of a code object, memoized.
+
+        A sample walks up to ``_MAX_DEPTH`` frames while holding the
+        GIL; formatting each key afresh made that walk the profiler's
+        main cost on the profiled thread.
+        """
+        key = self._keys.get(code)
+        if key is None:
+            if len(self._keys) >= _MAX_KEYS:
+                self._keys.clear()
+            key = f"{Path(code.co_filename).stem}.{code.co_name}"
+            self._keys[code] = key
+        return key
+
     # -- the sampler thread -------------------------------------------
     def _run(self) -> None:
         my_ident = threading.get_ident()
@@ -147,9 +165,7 @@ class _Profiler:
                 keys: List[str] = []
                 depth = 0
                 while frame is not None and depth < _MAX_DEPTH:
-                    code = frame.f_code
-                    keys.append(
-                        f"{Path(code.co_filename).stem}.{code.co_name}")
+                    keys.append(self._frame_key(frame.f_code))
                     frame = frame.f_back
                     depth += 1
                 table = self._stats.setdefault(span_name, {})

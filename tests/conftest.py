@@ -68,6 +68,23 @@ def golden_corpus_cases():
     return [(entry["file"], Fraction(*entry["period"])) for entry in index]
 
 
+def corpus_graph_dicts():
+    """The 52 corpus graphs as dicts: the golden corpus, then the fleet."""
+    import json
+    from pathlib import Path
+
+    from repro.io import load_graph
+
+    data = Path(__file__).parent / "data"
+    files = []
+    for directory, index in ((data, "golden_index.json"),
+                             (data / "fleet", "fleet_index.json")):
+        if (directory / index).exists():  # sparse checkout: no fleet
+            files += [directory / entry["file"] for entry in
+                      json.loads((directory / index).read_text())]
+    return [load_graph(path).to_dict() for path in files]
+
+
 def make_random_live_graph(seed: int, tasks: int = 5, csdf_phases: int = 2):
     """Small random live CSDFG for cross-engine integration tests.
 
@@ -94,3 +111,44 @@ def make_random_live_graph(seed: int, tasks: int = 5, csdf_phases: int = 2):
         i = rng.randrange(j)
         spec.connect(names[j], names[i], rate_scale=1)
     return spec.build()
+
+
+def median_overhead_ratio(batch, bound, min_pairs=15, max_pairs=61):
+    """Median per-pair ``on/off`` ratio of ``batch``'s CPU seconds.
+
+    ``batch(on)`` runs one workload with the instrumentation on or off
+    and returns ``(seconds, digest)``; every digest must match the first
+    (instrumentation never changes a result). ``seconds`` should be
+    process CPU time: it counts a profiler's sampler thread, and not the
+    time a neighbour on a shared host keeps the process off the CPU.
+    Runs come in pairs whose
+    order alternates (off-on, on-off, ...), so a host that drifts slows
+    both halves of a pair alike, and the median of the per-pair ratios
+    ignores the pairs a noisy neighbour spoiled.
+
+    Pairs are added until the median's ~95% order-statistic interval
+    lies wholly below ``bound``, or ``max_pairs`` is reached: a quiet
+    host passes after ``min_pairs``, while a noisy one — or a burst of
+    contention on a shared host — keeps sampling instead of guessing.
+    """
+    import math
+    import statistics
+
+    batch(False)  # warm process-level state once (imports, caches)
+    reference = None
+    ratios = []
+    while len(ratios) < max_pairs:
+        seconds = {}
+        for on in ((False, True) if len(ratios) % 2 == 0
+                   else (True, False)):
+            seconds[on], digest = batch(on)
+            reference = reference or digest
+            assert digest == reference  # byte-identical outcomes
+        ratios.append(seconds[True] / seconds[False])
+        n = len(ratios)
+        if n >= min_pairs:
+            ordered = sorted(ratios)
+            k = max(0, math.floor(n / 2 - 0.98 * math.sqrt(n)))
+            if ordered[n - 1 - k] <= bound:
+                break
+    return statistics.median(ratios)

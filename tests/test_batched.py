@@ -30,6 +30,8 @@ from repro.kperiodic.kiter import solve_kiter_payload
 from repro.model.builder import sdf
 from repro.obs.metrics import REGISTRY
 
+from tests.conftest import corpus_graph_dicts
+
 pytestmark = pytest.mark.skipif(
     not batching_available(), reason="batched kernels require numpy"
 )
@@ -244,15 +246,6 @@ def fleet_fixture_cases():
     if not index.exists():  # sparse checkout
         return []
     return json.loads(index.read_text())
-
-
-def corpus_graph_dicts():
-    from repro.io import load_graph
-
-    golden = json.loads((DATA_DIR / "golden_index.json").read_text())
-    files = [DATA_DIR / entry["file"] for entry in golden]
-    files += [FLEET_DIR / entry["file"] for entry in fleet_fixture_cases()]
-    return [load_graph(path).to_dict() for path in files]
 
 
 @pytest.mark.parametrize("engine",

@@ -19,6 +19,7 @@ Five layers of coverage:
   a live coordinator's ``GET /report``.
 """
 
+import gc
 import json
 import os
 import time
@@ -64,7 +65,10 @@ from repro.obs.slowlog import (
 from repro.obs.summary import load_profiles, render_profile, render_summary
 from repro.obs.trace import collect_events, configure_tracing, span
 
-from tests.conftest import golden_corpus_cases
+from tests.conftest import (
+    golden_corpus_cases,
+    median_overhead_ratio,
+)
 
 DATA = Path(__file__).parent / "data"
 CASES = golden_corpus_cases()
@@ -332,37 +336,28 @@ def test_profiling_overhead_within_five_percent(tmp_path):
     from repro.service import ThroughputService
 
     graphs = [load_graph(DATA / name) for name, _ in CASES]
+    profile = tmp_path / "p.jsonl"  # profiled runs append to one file
 
-    def batch(profile_file):
-        if profile_file:
-            configure_profiling(str(profile_file), interval=0.005)
+    def batch(on):
+        if on:
+            configure_profiling(str(profile), interval=0.005)
         try:
             service = ThroughputService()  # fresh → cold cache each run
-            start = time.perf_counter()
+            gc.collect()  # no collection debt carried into the run
+            start = time.process_time()
             outcomes = service.submit_many(graphs)
-            elapsed = time.perf_counter() - start
+            elapsed = time.process_time() - start
         finally:
-            if profile_file:
+            if on:
                 write_profile()
                 configure_profiling(None)
         digest = json.dumps(
             [[o.status, str(o.period)] for o in outcomes])
         return elapsed, digest
 
-    batch(None)  # warm process-level state once (imports, JITed paths)
-    plain, profiled = [], []
-    reference = None
-    for round_ in range(3):  # interleaved, best-of-3 damps noise
-        off_s, off_digest = batch(None)
-        on_s, on_digest = batch(tmp_path / f"p{round_}.jsonl")
-        assert on_digest == off_digest  # bit-identical λ* outcomes
-        reference = reference or off_digest
-        assert off_digest == reference
-        plain.append(off_s)
-        profiled.append(on_s)
-
-    assert min(profiled) <= min(plain) * 1.05 + 0.05, (
-        f"profiling overhead too high: {profiled} vs {plain}"
+    ratio = median_overhead_ratio(batch, bound=1.05)
+    assert ratio <= 1.05, (
+        f"profiling overhead too high: median ratio {ratio}"
     )
 
 
