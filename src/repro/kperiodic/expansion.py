@@ -143,13 +143,14 @@ def expanded_repetition_vector(
 class ArcBlock:
     """One buffer's K-expanded constraint arcs, in buffer-local phases.
 
-    ``arcs`` is a read-only ``(4, n)`` int64 array (a view of one
-    segmented pass's output) whose rows are
+    ``arcs`` is a read-only ``(4, n)`` int64 array whose rows are
     ``src_phase``/``dst_phase`` — 0-based phases of the *expanded*
     producer/consumer (``P ∈ 0..K_src·ϕ−1``) — ``cost``, the producer
     phase durations ``d(t_P)``, and ``beta``, Theorem 2's β. Read-only
     makes cache sharing across rounds/jobs safe, and one array per block
     lets assembly stack a round's blocks with a single concatenate. The
+    array owns its memory (it is not a view into the pass that derived
+    it), so the cache's cell count is what a cached block holds. The
     per-buffer denominator ``q̃_t·ĩ_b`` is *not* part of the block: it
     depends on ``lcm(K)`` and is recomputed at assembly each round,
     which is exactly what makes the block reusable whenever
@@ -251,68 +252,43 @@ class ExpansionBlockCache:
     def store_serialized(self, graph, plan: "_WorkPlan") -> None:
         self._serialized = ((graph.task_count, graph.buffer_count), plan)
 
-    def lookup(
-        self,
-        keys: Sequence[Tuple[str, int, int]],
-        found: List[Optional[ArcBlock]],
+    def peek(
+        self, keys: Sequence[Tuple[str, int, int]]
     ) -> List[Optional[ArcBlock]]:
-        """Look up every key whose ``found`` slot is ``None``.
+        """The cached block of every key (``None`` if absent), uncounted.
 
-        Each such lookup counts one hit or one miss. Slots already
-        filled — blocks derived ahead, whose miss was counted then —
-        are kept and not counted again.
+        A compile peeks before its block pass and :meth:`record`\\ s the
+        lookups only once that pass succeeded, so a failed pass counts
+        nothing.
+        """
+        get = self._blocks.get
+        return [get(key) for key in keys]
+
+    def record(
+        self,
+        hit_keys: Sequence[Tuple[str, int, int]],
+        derived: Sequence[Tuple[Tuple[str, int, int], ArcBlock]],
+    ) -> None:
+        """Count one compile's lookups and store the blocks it derived.
+
+        ``hit_keys`` were found — cached, or derived for an earlier
+        compile of the same pass — and move to the LRU end; every
+        ``(key, block)`` of ``derived`` is one miss, stored here.
         """
         blocks = self._blocks
-        out: List[Optional[ArcBlock]] = []
-        hits = misses = 0
-        for key, block in zip(keys, found):
-            if block is None:
-                block = blocks.get(key)
-                if block is None:
-                    misses += 1
-                else:
-                    blocks.move_to_end(key)
-                    hits += 1
-            out.append(block)
-        self.hits += hits
-        self.misses += misses
-        _BLOCK_HIT.inc(hits)
-        _BLOCK_MISS.inc(misses)
-        return out
-
-    def __contains__(self, key: Tuple[str, int, int]) -> bool:
-        """Whether the block is cached, without counting a lookup."""
-        return key in self._blocks
-
-    def add_derived(
-        self, blocks: Mapping[Tuple[str, int, int], ArcBlock]
-    ) -> None:
-        """Store blocks derived ahead of their compile: one miss each.
-
-        The fleet pass (:func:`derive_expansion_blocks`) derives a
-        round's missing blocks before the compiles that use them run;
-        each is the miss that compile would have counted, and the
-        compile takes it without a second lookup.
-        """
-        self.misses += len(blocks)
-        _BLOCK_MISS.inc(len(blocks))
-        self._blocks.update(blocks)  # fresh keys: none was cached
-        self._cells += sum(block.cells for block in blocks.values())
-        self._evict()
-
-    def has_compiled(self, graph, k_key) -> bool:
-        """Whether :meth:`compiled_for` would hit, without counting."""
-        return (
-            self._compiled_counts == (graph.task_count, graph.buffer_count)
-            and k_key in self._compiled
-        )
-
-    def put(self, key: Tuple[str, int, int], block: ArcBlock) -> None:
-        old = self._blocks.pop(key, None)
-        if old is not None:  # pragma: no cover - put-after-get misses this
-            self._cells -= old.cells
-        self._blocks[key] = block
-        self._cells += block.cells
+        for key in hit_keys:
+            if key in blocks:  # an eviction may have dropped it since
+                blocks.move_to_end(key)
+        for key, block in derived:
+            old = blocks.pop(key, None)
+            if old is not None:  # pragma: no cover - peeked as absent
+                self._cells -= old.cells
+            blocks[key] = block
+            self._cells += block.cells
+        self.hits += len(hit_keys)
+        self.misses += len(derived)
+        _BLOCK_HIT.inc(len(hit_keys))
+        _BLOCK_MISS.inc(len(derived))
         self._evict()
 
     def _evict(self) -> None:
@@ -513,7 +489,7 @@ class _WorkPlan:
     """
 
     __slots__ = ("tasks", "buffers", "names", "sources", "targets",
-                 "totals", "durations", "shared_pairs", "ends", "_keyed")
+                 "totals", "durations", "shared_pairs", "ends")
 
     def __init__(self, graph: CsdfGraph, serialize: bool):
         self.tasks = list(graph.tasks())
@@ -537,25 +513,14 @@ class _WorkPlan:
              [position[t] for t in self.targets]],
             dtype=_np.int64,
         ).reshape(2, len(self.buffers))
-        self._keyed = None
 
     def block_keys(self, K, repetition):
         """``(keys, denominators)`` of this round, or ``None``.
 
         ``keys`` are the ``(buffer, K_src, K_dst)`` block keys and the
         denominators are ``q̃_t·ĩ_b``; ``None`` when one of them trips
-        the int64 guard, which makes the compile unavailable. The last
-        answer is memoized: a fleet round asks twice, once for its
-        block pass and once for the compile.
+        the int64 guard, which makes the compile unavailable.
         """
-        last = self._keyed
-        if last is not None and last[0] == K and last[1] == repetition:
-            return last[2]
-        keyed = self._block_keys(K, repetition)
-        self._keyed = (dict(K), dict(repetition), keyed)
-        return keyed
-
-    def _block_keys(self, K, repetition):
         k_src = [K[t] for t in self.sources]
         k_dst = [K[t] for t in self.targets]
         dens = [repetition[t] * k * total for t, k, total
@@ -584,7 +549,7 @@ def _derive_blocks(requests, durations) -> List[ArcBlock]:
     :func:`~repro.analysis.precedence.segmented_useful_pair_arrays`
     pass; the producer durations ``d(t_P)`` (``durations``, one tuple
     per request) are gathered in the same stacked space, and each block
-    is a read-only view of its segment.
+    copies out its segment, so the stacked arrays die with the pass.
     """
     p, pp, beta, bounds = segmented_useful_pair_arrays(requests)
     phi = _np.asarray([len(d) for d in durations], dtype=_np.int64)
@@ -594,95 +559,129 @@ def _derive_blocks(requests, durations) -> List[ArcBlock]:
     flat = _np.asarray([d for ds in durations for d in ds], dtype=_np.int64)
     cost = flat[starts[seg] + p % phi[seg]]
     arcs = _np.stack([p, pp, cost, beta])
-    arcs.setflags(write=False)  # every block is a read-only view
     cuts = bounds.tolist()
-    return [ArcBlock(arcs[:, lo:hi]) for lo, hi in zip(cuts, cuts[1:])]
+    blocks = []
+    for lo, hi in zip(cuts, cuts[1:]):
+        own = arcs[:, lo:hi].copy()
+        own.setflags(write=False)
+        blocks.append(ArcBlock(own))
+    return blocks
 
 
-def _missing_blocks(graph, K, repetition, cache, claimed):
-    """The blocks one compile would miss, found without counting.
+class BlockSet:
+    """Every arc block of one compile, resolved ahead of its assembly.
 
-    Returns ``None`` when a denominator trips the int64 guard (that
-    compile returns ``None`` before sweeping anything), otherwise
-    ``(plan, keys, slots)``: the buffer slots whose block is neither in
-    ``cache`` nor claimed by an earlier compile of the same pass on the
-    same cache, so a block two compiles share is derived once.
-    ``claimed`` maps the id of a cache that more than one compile of the
-    pass uses to the keys claimed so far.
+    ``keys`` and ``denominators`` are the compile's
+    :meth:`_WorkPlan.block_keys`, and ``found`` its blocks, slot-aligned
+    with them. Made by :func:`derive_expansion_blocks` and consumed by
+    ``compile_expansion(..., blocks=)``.
     """
-    plan = _work_plan(graph, cache, serialize=True)
-    keyed = plan.block_keys(K, repetition)
-    if keyed is None:
-        return None
-    keys = keyed[0]
-    if cache is None or not len(cache):
-        slots = range(len(keys))
-    else:
-        slots = [slot for slot, key in enumerate(keys) if key not in cache]
-    taken = claimed.get(id(cache)) if cache is not None else None
-    if taken is not None:
-        slots = [slot for slot in slots if keys[slot] not in taken]
-        taken.update(keys[slot] for slot in slots)
-    return plan, keys, slots
+
+    __slots__ = ("plan", "keys", "denominators", "found")
+
+    def __init__(self, plan, keys, denominators, found):
+        self.plan = plan
+        self.keys = keys
+        self.denominators = denominators
+        self.found = found
+
+
+def _resolve(compiles, serialize: bool) -> List[Optional[BlockSet]]:
+    """Resolve the blocks of many compiles, deriving all misses at once.
+
+    Each compile peeks at its cache; the blocks none of them holds are
+    swept by one :func:`_derive_blocks` pass. A block two compiles on
+    the same cache both miss is derived once: the first counts the
+    miss, the second a hit, as if they had run one after the other.
+    Lookups are counted and derived blocks stored only after the pass
+    succeeded. ``None`` marks a compile whose int64 guard trips.
+    """
+    resolved: List[Optional[BlockSet]] = []
+    pending = []
+    requests: List[Tuple[Buffer, int, int]] = []
+    durations: List[tuple] = []
+    # Caches that more than one compile of the pass uses, mapped to the
+    # request each missing key was first claimed by.
+    seen: set = set()
+    claimed: Dict[int, Dict[Tuple[str, int, int], int]] = {}
+    for *_, cache in compiles:
+        if cache is not None:
+            if id(cache) in seen:
+                claimed[id(cache)] = {}
+            seen.add(id(cache))
+    for graph, K, repetition, cache in compiles:
+        plan = _work_plan(graph, cache, serialize)
+        keyed = plan.block_keys(K, repetition)
+        if keyed is None:
+            resolved.append(None)
+            continue
+        keys, dens = keyed
+        if cache is not None and len(cache):
+            found = cache.peek(keys)
+            missing = [slot for slot, block in enumerate(found)
+                       if block is None]
+        else:
+            found = [None] * len(keys)
+            missing = list(range(len(keys)))
+        linked = []  # (slot, request) derived for an earlier compile
+        taken = claimed.get(id(cache)) if cache is not None else None
+        if taken is not None:
+            own = []
+            for slot in missing:
+                request = taken.get(keys[slot])
+                if request is None:
+                    taken[keys[slot]] = len(requests) + len(own)
+                    own.append(slot)
+                else:
+                    linked.append((slot, request))
+            missing = own
+        first = len(requests)
+        buffers, plan_durations = plan.buffers, plan.durations
+        requests.extend([(buffers[slot], keys[slot][1], keys[slot][2])
+                         for slot in missing])
+        durations.extend([plan_durations[slot] for slot in missing])
+        entry = BlockSet(plan, keys, dens, found)
+        resolved.append(entry)
+        pending.append((cache, entry, missing, first, linked))
+    blocks = _derive_blocks(requests, durations) if requests else []
+    for cache, entry, missing, first, linked in pending:
+        found, keys = entry.found, entry.keys
+        hits = ([key for key, block in zip(keys, found) if block is not None]
+                if cache is not None else [])
+        for request, slot in enumerate(missing, first):
+            found[slot] = blocks[request]
+        for slot, request in linked:
+            found[slot] = blocks[request]
+            hits.append(keys[slot])
+        if cache is not None:
+            cache.record(hits, [(keys[slot], found[slot])
+                                for slot in missing])
+    return resolved
 
 
 def derive_expansion_blocks(
     compiles: Sequence[Tuple[CsdfGraph, Mapping[str, int], Mapping[str, int],
                              Optional[ExpansionBlockCache]]],
-) -> List[Optional[Dict[Tuple[str, int, int], ArcBlock]]]:
-    """Derive every missing block of many compiles in one segmented pass.
+) -> List[Optional[BlockSet]]:
+    """Resolve the blocks of many compiles in one segmented pass.
 
     ``compiles`` lists the ``(graph, K, repetition, cache)`` arguments
     of :func:`compile_expansion` calls (serializing, as K-Iter compiles)
-    about to run — one K-Iter round of a whole fleet. The blocks those
-    calls would miss in their caches are swept together by one
+    about to run — one K-Iter round of a whole fleet. Every block those
+    calls would miss in their caches is swept by one
     :func:`~repro.analysis.precedence.segmented_useful_pair_arrays`
-    pass, stored in the caches and counted as exactly one miss each.
+    pass and stored; each lookup counts one hit or one miss, exactly as
+    the compile itself would count it.
 
-    Returns, per compile, the ``{(buffer, K_src, K_dst): ArcBlock}``
-    derived for it, to hand to ``compile_expansion(..., blocks=)``: the
-    assembly then takes them without a second (hit-counted) lookup.
-    ``None`` marks a compile this pass skipped — its int64 guard trips,
-    or numpy is missing — which then runs exactly as without the pass.
-    No block is stored and no miss counted unless the sweep succeeds.
+    Returns, per compile, its :class:`BlockSet`, to hand to
+    ``compile_expansion(..., blocks=)``, which then assembles without
+    a lookup of its own. ``None`` marks a compile whose int64 guard
+    trips (or every compile, without numpy); that compile then runs
+    exactly as without the pass.
     """
     if _np is None:
         return [None] * len(compiles)
-    seen: set = set()
-    claimed: Dict[int, set] = {}
-    for *_, cache in compiles:
-        if cache is not None:
-            if id(cache) in seen:
-                claimed[id(cache)] = set()
-            seen.add(id(cache))
-    found = [
-        _missing_blocks(graph, K, repetition, cache, claimed)
-        for graph, K, repetition, cache in compiles
-    ]
-    requests = []
-    durations = []
-    for entry in found:
-        if entry is not None:
-            plan, keys, slots = entry
-            requests.extend(
-                (plan.buffers[slot], keys[slot][1], keys[slot][2])
-                for slot in slots)
-            durations.extend(plan.durations[slot] for slot in slots)
-    blocks = _derive_blocks(requests, durations) if requests else []
-    derived: List[Optional[Dict[Tuple[str, int, int], ArcBlock]]] = []
-    start = 0
-    for (_, _, _, cache), entry in zip(compiles, found):
-        if entry is None:
-            derived.append(None)
-            continue
-        _, keys, slots = entry
-        stop = start + len(slots)
-        mine = dict(zip([keys[slot] for slot in slots], blocks[start:stop]))
-        start = stop
-        if cache is not None:
-            cache.add_derived(mine)
-        derived.append(mine)
-    return derived
+    return _resolve(compiles, serialize=True)
 
 
 def compile_expansion(
@@ -693,7 +692,7 @@ def compile_expansion(
     cache: Optional[ExpansionBlockCache] = None,
     serialize: bool = True,
     merge_parallel: bool = True,
-    blocks: Optional[Mapping[Tuple[str, int, int], ArcBlock]] = None,
+    blocks: Optional[BlockSet] = None,
 ) -> Optional[Tuple[FrozenBiValuedGraph, ExpandedNodeSpace]]:
     """Compile the constraint graph of ``G̃`` directly from ``(G, K)``.
 
@@ -702,11 +701,11 @@ def compile_expansion(
     arrays, pinned by the parity suite — without materializing ``G̃`` or
     any per-arc ``Fraction``:
 
-    1. per buffer, the expanded arc block is looked up in ``blocks``
-       (derived ahead by :func:`derive_expansion_blocks`, its miss
-       already counted), then in ``cache`` under
-       ``(buffer, K_src, K_dst)``; the misses of this compile are
-       derived together by one segmented affine-tile sweep and cached;
+    1. per buffer, the expanded arc block is looked up in ``cache``
+       under ``(buffer, K_src, K_dst)``, and the misses are derived
+       together by one segmented affine-tile sweep and cached — unless
+       ``blocks`` (:func:`derive_expansion_blocks`) resolved them all
+       ahead, lookups counted;
     2. blocks are offset into the task-major node space and concatenated
        as int64 ``(src, dst, cost, β)`` arrays with one shared
        denominator ``q̃_t·ĩ_b`` per buffer;
@@ -727,31 +726,14 @@ def compile_expansion(
     if _np is None:
         return None
     K = validate_periodicity(graph, K)
-    plan = _work_plan(graph, cache, serialize)
-    keyed = plan.block_keys(K, repetition)
-    if keyed is None:
-        return None
-    keys, dens = keyed
+    if blocks is None:
+        blocks = _resolve([(graph, K, repetition, cache)], serialize)[0]
+        if blocks is None:
+            return None
+    plan, dens, found = blocks.plan, blocks.denominators, blocks.found
     space = ExpandedNodeSpace(
         [(t.name, K[t.name] * t.phase_count) for t in plan.tasks]
     )
-
-    found: List[Optional[ArcBlock]] = (
-        [blocks.get(key) for key in keys] if blocks else [None] * len(keys)
-    )
-    if cache is not None and None in found:
-        found = cache.lookup(keys, found)
-    missing = [slot for slot, block in enumerate(found) if block is None]
-    if missing:
-        derived = _derive_blocks(
-            [(plan.buffers[slot], keys[slot][1], keys[slot][2])
-             for slot in missing],
-            [plan.durations[slot] for slot in missing],
-        )
-        for slot, block in zip(missing, derived):
-            found[slot] = block
-            if cache is not None:
-                cache.put(keys[slot], block)
 
     if found:
         lens = _np.asarray([block.arc_count for block in found],

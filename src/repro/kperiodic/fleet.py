@@ -53,8 +53,6 @@ _FLEET_JOBS = _REGISTRY.counter("repro_fleet_jobs_total")
 _SOLVER_JOBS = _REGISTRY.counter("repro_solver_jobs_total")
 _SOLVER_SECONDS = _REGISTRY.histogram("repro_solver_seconds")
 _ENGINE_ITERATIONS = _REGISTRY.counter("repro_engine_iterations_total")
-_BLOCK_PASS_FAILURES = _REGISTRY.counter(
-    "repro_fleet_block_pass_failures_total")
 
 
 class _FleetJob:
@@ -171,8 +169,15 @@ def _advance(
 ) -> List[_FleetJob]:
     """One lockstep round of one engine's machines; returns the live ones."""
     live: List[_FleetJob] = []
+    planned = []
+    for job in jobs:
+        try:
+            planned.append((job, job.machine.plan()))
+        except ReproError as exc:
+            if _recover(job, started, exc):
+                live.append(job)
     batch = []
-    for job, blocks in zip(jobs, _derive_round(jobs)):
+    for (job, _), blocks in zip(planned, _derive_round(planned)):
         try:
             batch.append((job, job.machine.prepare(blocks)))
         except ReproError as exc:
@@ -211,27 +216,25 @@ def _advance(
     return live
 
 
-def _derive_round(jobs: List[_FleetJob]) -> List[Optional[Dict]]:
-    """Derive the round's missing arc blocks of every machine at once.
+def _derive_round(planned) -> List[Optional[Dict]]:
+    """Derive the missing arc blocks of a round's plans all at once.
 
     One segmented sweep for the whole group instead of one per buffer
-    per graph; machines that compile nothing this round are skipped.
-    The pass only saves work: if it fails, every machine's compile
-    derives its own blocks, so an error reaches only its own job.
+    per graph; plans that compile nothing this round are skipped. The
+    pass only saves work: if it fails, every machine's compile derives
+    its own blocks, so an error reaches only its own job.
     """
     slots = []
-    requests = []
-    for slot, job in enumerate(jobs):
-        request = job.machine.compile_request()
-        if request is not None:
+    compiles = []
+    for slot, (_, plan) in enumerate(planned):
+        if plan.compile_args is not None:
             slots.append(slot)
-            requests.append(request)
-    derived: List[Optional[Dict]] = [None] * len(jobs)
-    if requests:
+            compiles.append(plan.compile_args)
+    derived: List[Optional[Dict]] = [None] * len(planned)
+    if compiles:
         try:
-            blocks = derive_expansion_blocks(requests)
+            blocks = derive_expansion_blocks(compiles)
         except Exception:  # noqa: BLE001 - isolation: compiles retry alone
-            _BLOCK_PASS_FAILURES.inc()
             return derived
         for slot, mine in zip(slots, blocks):
             derived[slot] = mine

@@ -23,10 +23,7 @@ from repro.analysis.consistency import (
     repetition_vector,
 )
 from repro.exceptions import DeadlockError, SolverError
-from repro.kperiodic.expansion import (
-    expanded_repetition_vector,
-    expansion_cache_for,
-)
+from repro.kperiodic.expansion import expansion_cache_for
 from repro.kperiodic.optimality import (
     critical_qbar,
     optimality_test,
@@ -35,15 +32,16 @@ from repro.kperiodic.optimality import (
 from repro.kperiodic.schedule import KPeriodicSchedule
 from repro.kperiodic.solver import (
     KPeriodicResult,
+    MinPeriodPlan,
     PreparedMinPeriod,
     min_period_for_k,
+    plan_min_period,
     prepare_min_period,
     solve_prepared_min_period,
 )
 from repro.mcrp.registry import DEFAULT_ENGINE
 from repro.obs.metrics import REGISTRY as _REGISTRY
 from repro.obs.trace import span as _span
-from repro.utils.rational import lcm_list
 from repro.utils.timing import TimeBudget
 
 # Pre-bound cells: one integer add per round / escalation.
@@ -114,6 +112,7 @@ class KIterMachine:
 
     Protocol per round::
 
+        machine.plan()                      # optional; may raise
         prepared = machine.prepare()        # may raise SolverError/Budget
         try:
             result = <solve prepared.bi_graph somehow>
@@ -183,43 +182,33 @@ class KIterMachine:
         self._initial_seed = (
             Fraction(warm_lambda) if warm_lambda is not None else None
         )
+        # The round plan() opened and its warm-start seed, until
+        # prepare() builds it.
+        self._plan: Optional[MinPeriodPlan] = None
+        self._seed: Optional[Fraction] = None
 
     @property
     def done(self) -> bool:
         return self.final is not None
 
-    def compile_request(self):
-        """The next ``prepare()``'s compile, as ``(graph, K, q̃, cache)``.
+    def plan(self) -> MinPeriodPlan:
+        """Open the next round and validate its fixed-K compile.
 
-        ``None`` when that round compiles nothing: the legacy pipeline,
-        the round cap or the time budget stops it, or the assembled-K
-        memo answers it. The fleet driver hands the requests of a whole
-        round to :func:`~repro.kperiodic.expansion.derive_expansion_blocks`
-        and each result back to :meth:`prepare`.
-        """
-        if (
-            self.cache is None
-            or self._rounds_left <= 0
-            or self.budget.exhausted()
-            or self.cache.has_compiled(
-                self.graph, tuple(sorted(self.K.items())))
-        ):
-            return None
-        return (self.graph, self.K,
-                expanded_repetition_vector(self.q, self.K), self.cache)
-
-    def prepare(self, blocks=None) -> PreparedMinPeriod:
-        """Set up the next round's fixed-K constraint graph.
-
-        ``blocks`` are arc blocks derived ahead for this round's compile
-        (see :meth:`compile_request`).
+        The fleet driver plans a whole lockstep round first, derives the
+        missing arc blocks of every plan in one pass, and hands each
+        machine its blocks through :meth:`prepare`; :meth:`prepare`
+        opens the round itself when nothing planned it.
         """
         if self._rounds_left <= 0:
             raise SolverError(f"K-Iter exceeded {self.max_rounds} rounds")
         self._rounds_left -= 1
         self.budget.check()
         _ROUNDS_TOTAL.inc()
-        self._lcm_k = lcm_list(self.K.values())
+        plan = plan_min_period(
+            self.graph, self.K, repetition=self.q, pipeline=self.pipeline,
+            expansion_cache=self.cache,
+        )
+        self._lcm_k = plan.lcm_k
         seed = None
         if self._initial_seed is not None:
             if self.warm_start and self._prev_lambda is None:
@@ -241,9 +230,20 @@ class KIterMachine:
             # when the certified period exceeded the utilization bound
             # by more than the lcm growth factor.
             seed = self._prev_lambda
+        self._seed = seed
+        self._plan = plan
+        return plan
+
+    def prepare(self, blocks=None) -> PreparedMinPeriod:
+        """Set up the round's fixed-K constraint graph.
+
+        ``blocks`` are arc blocks derived ahead for the compile of the
+        round :meth:`plan` opened.
+        """
+        plan = self._plan if self._plan is not None else self.plan()
+        self._plan = None
         return prepare_min_period(
-            self.graph, self.K, repetition=self.q, warm_start=seed,
-            pipeline=self.pipeline, expansion_cache=self.cache,
+            self.graph, self.K, warm_start=self._seed, plan=plan,
             blocks=blocks,
         )
 

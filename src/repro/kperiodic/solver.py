@@ -98,6 +98,69 @@ class PreparedMinPeriod:
     lower: Fraction
 
 
+@dataclass
+class MinPeriodPlan:
+    """A validated fixed-K round, before its constraint graph is built.
+
+    :func:`plan_min_period` makes it: ``K`` is checked, ``q̃`` derived
+    and the assembled-K memo consulted (``built`` on a hit).
+    :func:`prepare_min_period` then builds the graph from it. The fleet
+    driver plans a whole lockstep round first, derives the round's
+    missing arc blocks in one pass over :attr:`compile_args`, and only
+    then prepares each plan.
+    """
+
+    graph: object
+    K: Dict[str, int]
+    repetition: Dict[str, int]
+    q_tilde: Dict[str, int]
+    lcm_k: int
+    pipeline: str
+    expansion_cache: Optional[ExpansionBlockCache]
+    k_key: Optional[Tuple[Tuple[str, int], ...]]
+    built: Optional[Tuple[BiValuedGraph, object]]
+
+    @property
+    def compile_args(self):
+        """``(graph, K, q̃, cache)`` of the direct compile this round
+        runs, or ``None`` (legacy pipeline, or the memo answered)."""
+        if self.pipeline != "direct" or self.built is not None:
+            return None
+        return self.graph, self.K, self.q_tilde, self.expansion_cache
+
+
+def plan_min_period(
+    graph,
+    K: Mapping[str, int],
+    *,
+    repetition: Optional[Dict[str, int]] = None,
+    pipeline: str = "direct",
+    expansion_cache: Optional[ExpansionBlockCache] = None,
+) -> MinPeriodPlan:
+    """Validate a fixed-K round and look it up in the assembled-K memo."""
+    if pipeline not in ("direct", "legacy"):
+        raise SolverError(
+            f"unknown pipeline {pipeline!r} (choose 'direct' or 'legacy')"
+        )
+    K = validate_periodicity(graph, K)
+    if repetition is None:
+        repetition = repetition_vector(graph)
+    k_key = built = None
+    if pipeline == "direct" and expansion_cache is not None:
+        # Assembled-graph memo: a warm worker replays the same
+        # deterministic K sequence on every repeat solve of a graph,
+        # so the frozen compiled form is reused outright — the block
+        # cache only pays off within one escalation run.
+        k_key = tuple(sorted(K.items()))
+        built = expansion_cache.compiled_for(graph, k_key)
+    return MinPeriodPlan(
+        graph=graph, K=K, repetition=repetition,
+        q_tilde=expanded_repetition_vector(repetition, K),
+        lcm_k=lcm_list(K.values()), pipeline=pipeline,
+        expansion_cache=expansion_cache, k_key=k_key, built=built,
+    )
+
+
 def prepare_min_period(
     graph,
     K: Mapping[str, int],
@@ -106,43 +169,34 @@ def prepare_min_period(
     warm_start: Optional[Fraction] = None,
     pipeline: str = "direct",
     expansion_cache: Optional[ExpansionBlockCache] = None,
+    plan: Optional[MinPeriodPlan] = None,
     blocks=None,
 ) -> PreparedMinPeriod:
     """Build the constraint graph and warm-start bound for a fixed K.
 
-    ``blocks`` are arc blocks derived ahead for the direct compile
+    ``plan`` is this round's :func:`plan_min_period`, when made ahead
+    (it then supersedes the other arguments but ``warm_start``), and
+    ``blocks`` the arc blocks derived ahead for its direct compile
     (:func:`~repro.kperiodic.expansion.derive_expansion_blocks`).
     """
-    if pipeline not in ("direct", "legacy"):
-        raise SolverError(
-            f"unknown pipeline {pipeline!r} (choose 'direct' or 'legacy')"
+    if plan is None:
+        plan = plan_min_period(
+            graph, K, repetition=repetition, pipeline=pipeline,
+            expansion_cache=expansion_cache,
         )
-    K = validate_periodicity(graph, K)
-    if repetition is None:
-        repetition = repetition_vector(graph)
-    lcm_k = lcm_list(K.values())
-
-    q_tilde = expanded_repetition_vector(repetition, K)
+    graph, K, repetition = plan.graph, plan.K, plan.repetition
+    lcm_k, q_tilde = plan.lcm_k, plan.q_tilde
     node_index: Optional[Dict[Tuple[str, int], int]] = None
     space = None
-    if pipeline == "direct":
-        # Assembled-graph memo: a warm worker replays the same
-        # deterministic K sequence on every repeat solve of a graph,
-        # so the frozen compiled form is reused outright — the block
-        # cache below only pays off within one escalation run.
-        built = None
-        k_key = None
-        if expansion_cache is not None:
-            k_key = tuple(sorted(K.items()))
-            built = expansion_cache.compiled_for(graph, k_key)
-        if built is None:
-            built = compile_expansion(
-                graph, K, q_tilde, cache=expansion_cache, blocks=blocks
-            )
-            if built is not None and k_key is not None:
-                expansion_cache.store_compiled(graph, k_key, built)
-        if built is not None:
-            bi_graph, space = built
+    built = plan.built
+    if plan.compile_args is not None:
+        built = compile_expansion(
+            graph, K, q_tilde, cache=plan.expansion_cache, blocks=blocks
+        )
+        if built is not None and plan.k_key is not None:
+            plan.expansion_cache.store_compiled(graph, plan.k_key, built)
+    if built is not None:
+        bi_graph, space = built
     if space is None:
         expanded = expand_graph(graph, K)
         bi_graph, node_index = build_constraint_graph(

@@ -301,7 +301,7 @@ def batched_solve_mcrp(
 
     if member_compiled:
         stack = BatchedCompiledGraph(member_compiled)
-        _iterate_stack(stack, member_index, graphs, bounds, oracle,
+        _iterate_stack(stack, member_index, bounds, oracle,
                        outcomes, delegate,
                        rounds_cell=_KERNEL_ROUNDS.labels(engine=engine))
     for i, outcome in enumerate(outcomes):
@@ -310,7 +310,7 @@ def batched_solve_mcrp(
     return [o for o in outcomes if o is not None]
 
 
-def _iterate_stack(stack, member_index, graphs, bounds, oracle,
+def _iterate_stack(stack, member_index, bounds, oracle,
                    outcomes, delegate, rounds_cell=None) -> None:
     """Ascending λ iteration over the stacked fleet (exact per graph)."""
     states: Dict[int, _GraphState] = {}
@@ -374,27 +374,28 @@ def _iterate_stack(stack, member_index, graphs, bounds, oracle,
                     # per-graph engine owns both rare paths.
                     delegate(i, st.lower)
                     continue
+                # Arc data is read from the numpy mirrors (every
+                # stacked graph has them): the list forms of a
+                # numpy-built compiled graph are never derived here.
                 compiled = stack.graphs[pos]
-                graph = graphs[i]
                 outcomes[i] = BatchedOutcome(result=CycleResult(
                     ratio=st.lam,
                     cycle_arcs=list(st.critical),
-                    cycle_nodes=[graph.arc_src[a] for a in st.critical],
+                    cycle_nodes=compiled.np_src[st.critical].tolist(),
                     iterations=st.iterations,
                 ))
                 continue
             cycle = cycles[pos]
             compiled = stack.graphs[pos]
-            cost = sum(compiled.cost[a] for a in cycle)
-            transit = sum(compiled.transit[a] for a in cycle)
+            cost = sum(compiled.np_cost[cycle].tolist())
+            transit = sum(compiled.np_transit[cycle].tolist())
             if transit <= 0:
-                graph = graphs[i]
                 outcomes[i] = BatchedOutcome(error=DeadlockError(
                     "constraint cycle with positive cost and non-positive "
                     f"transit (L={cost}/{compiled.scale}, "
                     f"H={transit}/{compiled.scale}): "
                     "no feasible period exists (deadlock)",
-                    cycle_nodes=[graph.arc_src[a] for a in cycle],
+                    cycle_nodes=compiled.np_src[cycle].tolist(),
                 ))
                 continue
             st.lam = Fraction(cost, transit)
@@ -512,6 +513,7 @@ def _extract_cycle(
     compiled = stack.graphs[pos]
     aoff = stack.arc_offset[pos]
     noff = stack.node_offset[pos]
+    src = compiled.np_src
     seen_at: Dict[int, int] = {}
     chain: List[int] = []
     node = start
@@ -522,12 +524,14 @@ def _extract_cycle(
             return None
         local = arc - aoff
         chain.append(local)
-        node = compiled.src[local] + noff
+        node = int(src[local]) + noff
     cycle = chain[seen_at[node]:]
     cycle.reverse()
     num, den = lam.numerator, lam.denominator
     total = sum(
-        den * compiled.cost[a] - num * compiled.transit[a] for a in cycle
+        den * cost - num * transit for cost, transit in zip(
+            compiled.np_cost[cycle].tolist(),
+            compiled.np_transit[cycle].tolist())
     )
     if total <= 0:
         return None
@@ -537,6 +541,25 @@ def _extract_cycle(
 # ----------------------------------------------------------------------
 # batched Karp table
 # ----------------------------------------------------------------------
+class _WalkWeights:
+    """:meth:`CompiledGraph.parametric_weights` at ``λ``, read per arc.
+
+    A Karp walk reads the weights of at most ``n`` arcs, so they are
+    formed on access from the numpy mirrors (exact Python ints) rather
+    than for every arc of the graph.
+    """
+
+    __slots__ = ("_cost", "_transit", "_num", "_den")
+
+    def __init__(self, compiled, lam: Fraction):
+        self._cost, self._transit = compiled.np_cost, compiled.np_transit
+        self._num, self._den = lam.numerator, lam.denominator
+
+    def __getitem__(self, arc: int) -> int:
+        return (self._den * int(self._cost[arc])
+                - self._num * int(self._transit[arc]))
+
+
 def _karp_probe(
     stack: BatchedCompiledGraph,
     states: Dict[int, _GraphState],
@@ -658,14 +681,13 @@ def _karp_probe(
         if best_num <= 0:
             quiet.add(pos)  # best mean ≤ 0: no positive cycle at this λ
             continue
-        weights = compiled.parametric_weights(
-            st.lam.numerator, st.lam.denominator)
         pred_rows = [
             _np.where(preds[k][sl] >= 0, preds[k][sl] - aoff, -1)
             for k in range(n + 1)
         ]
         cycles[pos] = _recover_cycle(
-            n, pred_rows, compiled.src, compiled.dst, weights,
-            best_node, Fraction(best_num, best_den),
+            n, pred_rows, compiled.np_src, compiled.np_dst,
+            _WalkWeights(compiled, st.lam), best_node,
+            Fraction(best_num, best_den),
         )
     return cycles, quiet, punt

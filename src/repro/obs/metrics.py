@@ -86,8 +86,6 @@ METRICS: Dict[str, MetricSpec] = {
         ("engine",)),
     "repro_fleet_jobs_total": MetricSpec(
         "counter", "Fleet jobs by route taken", ("mode",)),
-    "repro_fleet_block_pass_failures_total": MetricSpec(
-        "counter", "Fleet rounds whose shared block pass failed"),
     # --- expansion block cache --------------------------------------
     "repro_expansion_block_cache_total": MetricSpec(
         "counter", "Expansion block cache events", ("event",)),

@@ -227,6 +227,11 @@ def _mixed_chunk():
     payloads[3] = {"graph": figure2, "engine": "hybrid", "max_rounds": 1}
     payloads.insert(4, {"graph": _overflow_graph().to_dict(),
                         "engine": "hybrid"})
+    # Bad periodicity vectors: one misses a task, one has K = 0.
+    payloads.append({"graph": figure2, "engine": "hybrid",
+                     "initial_k": {"A": 1}})
+    payloads.append({"graph": figure2, "engine": "hybrid",
+                     "initial_k": {t["name"]: 0 for t in figure2["tasks"]}})
     return payloads
 
 
@@ -240,6 +245,9 @@ def test_chunk_mates_of_legacy_round_cap_and_overflow_are_untouched():
     assert "exceeded 1 rounds" in together[3]["error"]
     assert together[4]["status"] == "OK"
     assert Fraction(*together[4]["period"]) == 7  # d(A) + d(B), via legacy
+    assert together[7]["status"] == together[8]["status"] == "ERROR"
+    assert "misses task" in together[7]["error"]
+    assert "must be a positive integer" in together[8]["error"]
     golden = json.loads((DATA / "golden_index.json").read_text())
     for position, entry in zip((0, 1, 2, 5, 6), golden[:3] + golden[4:6]):
         assert together[position]["status"] == "OK"
@@ -253,9 +261,7 @@ def test_a_failing_shared_pass_only_costs_the_saving():
     def broken(compiles):
         raise MemoryError("shared pass")
 
-    failures = REGISTRY.value("repro_fleet_block_pass_failures_total")
     with mock.patch("repro.kperiodic.fleet.derive_expansion_blocks",
                     broken):
         outcomes = solve_fleet_payloads(payloads)
     assert [_without_timing(o) for o in outcomes] == expected
-    assert REGISTRY.value("repro_fleet_block_pass_failures_total") > failures
