@@ -36,7 +36,7 @@ from repro.exceptions import (
     ReproError,
     SolverError,
 )
-from repro.kperiodic.expansion import derive_expansion_blocks
+from repro.kperiodic.expansion import BlockSet, derive_expansion_blocks
 from repro.kperiodic.kiter import KIterMachine, KIterResult
 from repro.kperiodic.solver import annotate_deadlock, finish_min_period
 from repro.mcrp.batched import batched_solve_mcrp
@@ -216,13 +216,14 @@ def _advance(
     return live
 
 
-def _derive_round(planned) -> List[Optional[Dict]]:
-    """Derive the missing arc blocks of a round's plans all at once.
+def _derive_round(planned) -> List[Optional[BlockSet]]:
+    """Resolve the arc blocks of a round's plans all at once.
 
-    One segmented sweep for the whole group instead of one per buffer
-    per graph; plans that compile nothing this round are skipped. The
-    pass only saves work: if it fails, every machine's compile derives
-    its own blocks, so an error reaches only its own job.
+    One segmented sweep derives the missing blocks of the whole group
+    instead of one per buffer per graph; plans that compile nothing
+    this round are skipped. The pass only saves work: if it fails,
+    every machine's compile resolves its own blocks, so an error
+    reaches only its own job.
     """
     slots = []
     compiles = []
@@ -230,15 +231,15 @@ def _derive_round(planned) -> List[Optional[Dict]]:
         if plan.compile_args is not None:
             slots.append(slot)
             compiles.append(plan.compile_args)
-    derived: List[Optional[Dict]] = [None] * len(planned)
+    resolved: List[Optional[BlockSet]] = [None] * len(planned)
     if compiles:
         try:
             blocks = derive_expansion_blocks(compiles)
         except Exception:  # noqa: BLE001 - isolation: compiles retry alone
-            return derived
+            return resolved
         for slot, mine in zip(slots, blocks):
-            derived[slot] = mine
-    return derived
+            resolved[slot] = mine
+    return resolved
 
 
 def _recover(job: _FleetJob, started: float, exc: ReproError) -> bool:

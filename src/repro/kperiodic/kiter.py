@@ -237,8 +237,8 @@ class KIterMachine:
     def prepare(self, blocks=None) -> PreparedMinPeriod:
         """Set up the round's fixed-K constraint graph.
 
-        ``blocks`` are arc blocks derived ahead for the compile of the
-        round :meth:`plan` opened.
+        ``blocks`` is the :class:`~repro.kperiodic.expansion.BlockSet`
+        resolved ahead for the compile of the round :meth:`plan` opened.
         """
         plan = self._plan if self._plan is not None else self.plan()
         self._plan = None

@@ -176,7 +176,7 @@ def prepare_min_period(
 
     ``plan`` is this round's :func:`plan_min_period`, when made ahead
     (it then supersedes the other arguments but ``warm_start``), and
-    ``blocks`` the arc blocks derived ahead for its direct compile
+    ``blocks`` the blocks resolved ahead for its direct compile
     (:func:`~repro.kperiodic.expansion.derive_expansion_blocks`).
     """
     if plan is None:
@@ -507,7 +507,11 @@ def _potentials_python(
     arc_dst = compiled.dst
     dist: List[int] = [0] * n if seed is None else list(seed)
     in_queue = [True] * n
-    relaxations = [0] * n
+    # FIFO order re-queues a node at most once per Bellman–Ford pass,
+    # and without a positive cycle n passes suffice. Improvements are
+    # not bounded that way: a node can improve several times while it
+    # waits in the queue, once per in-arc.
+    requeues = [0] * n
     queue = deque(range(n))
     while queue:
         u = queue.popleft()
@@ -518,12 +522,12 @@ def _potentials_python(
             candidate = du + weights[arc]
             if candidate > dist[v]:
                 dist[v] = candidate
-                relaxations[v] += 1
-                if relaxations[v] > n + 1:
-                    raise SolverError(
-                        "positive cycle at certified λ*: engine bug"
-                    )
                 if not in_queue[v]:
+                    requeues[v] += 1
+                    if requeues[v] > n + 1:
+                        raise SolverError(
+                            "positive cycle at certified λ*: engine bug"
+                        )
                     in_queue[v] = True
                     queue.append(v)
     return dist

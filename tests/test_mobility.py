@@ -18,7 +18,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from repro.exceptions import DeadlockError, SchedulingError
@@ -42,6 +42,7 @@ def _context(seed: int, tasks: int):
 
 
 @given(seed=st.integers(0, 400), tasks=st.integers(3, 6))
+@example(seed=278, tasks=5)  # a node improves more often than n times
 @SETTINGS
 def test_alap_dominates_asap_instancewise(seed, tasks):
     _graph, ctx = _context(seed, tasks)
