@@ -148,10 +148,11 @@ class ArcBlock:
     producer/consumer (``P ∈ 0..K_src·ϕ−1``) — ``cost``, the producer
     phase durations ``d(t_P)``, and ``beta``, Theorem 2's β. Read-only
     makes cache sharing across rounds/jobs safe, and one array per block
-    lets assembly stack a round's blocks with a single concatenate. The
-    array owns its memory (it is not a view into the pass that derived
-    it), so the cache's cell count is what a cached block holds. The
-    per-buffer denominator ``q̃_t·ĩ_b`` is *not* part of the block: it
+    lets assembly stack a round's blocks with a single concatenate. It
+    is a view into :attr:`base`, the one array that holds every block
+    one compile derived (copied out of the pass that derived them), so
+    the blocks of a compile share one allocation and a cache holding
+    any of them holds all of it. The per-buffer denominator ``q̃_t·ĩ_b`` is *not* part of the block: it
     depends on ``lcm(K)`` and is recomputed at assembly each round,
     which is exactly what makes the block reusable whenever
     ``(K_src, K_dst)`` did not change.
@@ -164,9 +165,9 @@ class ArcBlock:
         self.arc_count = arcs.shape[1]
 
     @property
-    def cells(self) -> int:
-        """int64 cells held (the cache's size accounting unit)."""
-        return 4 * self.arc_count
+    def base(self):
+        """The array whose memory the block's arcs live in."""
+        return self.arcs if self.arcs.base is None else self.arcs.base
 
 
 class ExpansionBlockCache:
@@ -183,7 +184,10 @@ class ExpansionBlockCache:
     hits the cache for the rest.
 
     Bounded by total int64 cells (LRU eviction), not entry count, since
-    block sizes vary by orders of magnitude across K.
+    block sizes vary by orders of magnitude across K. The cells counted
+    are those of the :attr:`ArcBlock.base` arrays the cached blocks
+    keep alive, each counted once while any block in it is cached, so
+    the bound holds for the memory the cache actually pins.
     """
 
     def __init__(self, max_cells: int = 16_000_000):
@@ -192,6 +196,9 @@ class ExpansionBlockCache:
             OrderedDict()
         )
         self._cells = 0
+        # id(base) → [cached blocks in it, its cells]; an entry keeps
+        # its base alive, so the id cannot be reused while counted.
+        self._bases: Dict[int, List[int]] = {}
         self.hits = 0
         self.misses = 0
         self.evictions = 0
@@ -279,12 +286,10 @@ class ExpansionBlockCache:
         for key in hit_keys:
             if key in blocks:  # an eviction may have dropped it since
                 blocks.move_to_end(key)
-        for key, block in derived:
-            old = blocks.pop(key, None)
-            if old is not None:  # pragma: no cover - peeked as absent
-                self._cells -= old.cells
-            blocks[key] = block
-            self._cells += block.cells
+        # Derived keys were peeked as absent, so nothing is replaced.
+        blocks.update(derived)
+        for _, block in derived:
+            self._hold(block)
         self.hits += len(hit_keys)
         self.misses += len(derived)
         _BLOCK_HIT.inc(len(hit_keys))
@@ -295,12 +300,30 @@ class ExpansionBlockCache:
         """Drop least recently used blocks until the cell budget holds."""
         while self._cells > self.max_cells and len(self._blocks) > 1:
             _, evicted = self._blocks.popitem(last=False)
-            self._cells -= evicted.cells
+            self._release(evicted)
             self.evictions += 1
             _BLOCK_EVICTION.inc()
 
+    def _hold(self, block: ArcBlock) -> None:
+        base = block.base
+        entry = self._bases.get(id(base))
+        if entry is None:
+            self._bases[id(base)] = [1, base.size]
+            self._cells += base.size
+        else:
+            entry[0] += 1
+
+    def _release(self, block: ArcBlock) -> None:
+        key = id(block.base)
+        entry = self._bases[key]
+        entry[0] -= 1
+        if not entry[0]:
+            del self._bases[key]
+            self._cells -= entry[1]
+
     def clear(self) -> None:
         self._blocks.clear()
+        self._bases.clear()
         self._cells = 0
 
     def invalidate_buffer(self, name: str) -> int:
@@ -318,8 +341,7 @@ class ExpansionBlockCache:
         """
         stale = [key for key in self._blocks if key[0] == name]
         for key in stale:
-            block = self._blocks.pop(key)
-            self._cells -= block.cells
+            self._release(self._blocks.pop(key))
         return len(stale)
 
     def invalidate_assembled(self) -> None:
@@ -542,14 +564,15 @@ def _work_plan(graph: CsdfGraph, cache, serialize: bool) -> _WorkPlan:
     return plan
 
 
-def _derive_blocks(requests, durations) -> List[ArcBlock]:
-    """One :class:`ArcBlock` per ``(buffer, K_src, K_dst)`` request.
+def _derive_arcs(requests, durations):
+    """The stacked arcs of many ``(buffer, K_src, K_dst)`` requests.
 
     Every request's useful pairs come from one
     :func:`~repro.analysis.precedence.segmented_useful_pair_arrays`
     pass; the producer durations ``d(t_P)`` (``durations``, one tuple
-    per request) are gathered in the same stacked space, and each block
-    copies out its segment, so the stacked arrays die with the pass.
+    per request) are gathered in the same stacked space. Returns the
+    ``(4, total)`` arcs and the request bounds, a list of
+    ``len(requests) + 1`` offsets.
     """
     p, pp, beta, bounds = segmented_useful_pair_arrays(requests)
     phi = _np.asarray([len(d) for d in durations], dtype=_np.int64)
@@ -558,29 +581,24 @@ def _derive_blocks(requests, durations) -> List[ArcBlock]:
     starts = _np.cumsum(phi) - phi
     flat = _np.asarray([d for ds in durations for d in ds], dtype=_np.int64)
     cost = flat[starts[seg] + p % phi[seg]]
-    arcs = _np.stack([p, pp, cost, beta])
-    cuts = bounds.tolist()
-    blocks = []
-    for lo, hi in zip(cuts, cuts[1:]):
-        own = arcs[:, lo:hi].copy()
-        own.setflags(write=False)
-        blocks.append(ArcBlock(own))
-    return blocks
+    return _np.stack([p, pp, cost, beta]), bounds.tolist()
 
 
 class BlockSet:
     """Every arc block of one compile, resolved ahead of its assembly.
 
-    ``keys`` and ``denominators`` are the compile's
-    :meth:`_WorkPlan.block_keys`, and ``found`` its blocks, slot-aligned
-    with them. Made by :func:`derive_expansion_blocks` and consumed by
+    ``K`` is the compile's validated periodicity vector, ``keys`` and
+    ``denominators`` are its :meth:`_WorkPlan.block_keys`, and
+    ``found`` its blocks, slot-aligned with them. Made by
+    :func:`derive_expansion_blocks` and consumed by
     ``compile_expansion(..., blocks=)``.
     """
 
-    __slots__ = ("plan", "keys", "denominators", "found")
+    __slots__ = ("plan", "K", "keys", "denominators", "found")
 
-    def __init__(self, plan, keys, denominators, found):
+    def __init__(self, plan, K, keys, denominators, found):
         self.plan = plan
+        self.K = K
         self.keys = keys
         self.denominators = denominators
         self.found = found
@@ -590,7 +608,9 @@ def _resolve(compiles, serialize: bool) -> List[Optional[BlockSet]]:
     """Resolve the blocks of many compiles, deriving all misses at once.
 
     Each compile peeks at its cache; the blocks none of them holds are
-    swept by one :func:`_derive_blocks` pass. A block two compiles on
+    swept by one :func:`_derive_arcs` pass, and each compile copies its
+    own out as the base of its new blocks, so no block pins the pass
+    or another compile's arcs. A block two compiles on
     the same cache both miss is derived once: the first counts the
     miss, the second a hit, as if they had run one after the other.
     Lookups are counted and derived blocks stored only after the pass
@@ -610,6 +630,7 @@ def _resolve(compiles, serialize: bool) -> List[Optional[BlockSet]]:
                 claimed[id(cache)] = {}
             seen.add(id(cache))
     for graph, K, repetition, cache in compiles:
+        K = validate_periodicity(graph, K)
         plan = _work_plan(graph, cache, serialize)
         keyed = plan.block_keys(K, repetition)
         if keyed is None:
@@ -640,10 +661,20 @@ def _resolve(compiles, serialize: bool) -> List[Optional[BlockSet]]:
         requests.extend([(buffers[slot], keys[slot][1], keys[slot][2])
                          for slot in missing])
         durations.extend([plan_durations[slot] for slot in missing])
-        entry = BlockSet(plan, keys, dens, found)
+        entry = BlockSet(plan, K, keys, dens, found)
         resolved.append(entry)
         pending.append((cache, entry, missing, first, linked))
-    blocks = _derive_blocks(requests, durations) if requests else []
+    arcs, cuts = _derive_arcs(requests, durations) if requests else (None, [])
+    blocks: List[ArcBlock] = []
+    for _, _, missing, first, _ in pending:
+        if missing:
+            start, stop = cuts[first], cuts[first + len(missing)]
+            base = arcs[:, start:stop].copy()
+            base.setflags(write=False)  # and so is every view of it
+            blocks.extend(
+                ArcBlock(base[:, lo - start:hi - start]) for lo, hi
+                in zip(cuts[first:], cuts[first + 1:first + len(missing) + 1])
+            )
     for cache, entry, missing, first, linked in pending:
         found, keys = entry.found, entry.keys
         hits = ([key for key, block in zip(keys, found) if block is not None]
@@ -705,7 +736,7 @@ def compile_expansion(
        under ``(buffer, K_src, K_dst)``, and the misses are derived
        together by one segmented affine-tile sweep and cached — unless
        ``blocks`` (:func:`derive_expansion_blocks`) resolved them all
-       ahead, lookups counted;
+       ahead for this ``K``, lookups counted;
     2. blocks are offset into the task-major node space and concatenated
        as int64 ``(src, dst, cost, β)`` arrays with one shared
        denominator ``q̃_t·ĩ_b`` per buffer;
@@ -725,12 +756,12 @@ def compile_expansion(
     """
     if _np is None:
         return None
-    K = validate_periodicity(graph, K)
     if blocks is None:
         blocks = _resolve([(graph, K, repetition, cache)], serialize)[0]
         if blocks is None:
             return None
-    plan, dens, found = blocks.plan, blocks.denominators, blocks.found
+    plan, K = blocks.plan, blocks.K
+    dens, found = blocks.denominators, blocks.found
     space = ExpandedNodeSpace(
         [(t.name, K[t.name] * t.phase_count) for t in plan.tasks]
     )

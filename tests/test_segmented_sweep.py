@@ -183,6 +183,27 @@ def test_shared_graph_object_derives_each_block_once():
     assert len(cache) == cache.misses  # no block was derived twice
 
 
+def test_block_cache_counts_the_memory_its_blocks_pin():
+    from repro.io import load_graph
+    from repro.kperiodic.expansion import expansion_cache_for
+
+    graphs = [load_graph(DATA / name)
+              for name in ("golden_figure1.json", "golden_figure2.json")]
+    solve_fleet_payloads(
+        [{"graph": g.to_dict(), "engine": "hybrid"} for g in graphs], graphs)
+    caches = [expansion_cache_for(g) for g in graphs]
+    pinned = [{id(b.base): b.base.size for b in c._blocks.values()}
+              for c in caches]
+    assert not set(pinned[0]) & set(pinned[1])  # one pass, no shared arcs
+    for cache, bases in zip(caches, pinned):
+        assert cache.stats()["cells"] == sum(bases.values())
+    cache = caches[1]
+    cache.max_cells = 0  # evict down to one block: only its base stays
+    cache._evict()
+    (block,) = cache._blocks.values()
+    assert cache.stats()["cells"] == block.base.size
+
+
 # ----------------------------------------------------------------------
 # Fault isolation inside one chunk
 # ----------------------------------------------------------------------
