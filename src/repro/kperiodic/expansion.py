@@ -610,11 +610,11 @@ def _resolve(compiles, serialize: bool) -> List[Optional[BlockSet]]:
     Each compile peeks at its cache; the blocks none of them holds are
     swept by one :func:`_derive_arcs` pass, and each compile copies its
     own out as the base of its new blocks, so no block pins the pass
-    or another compile's arcs. A block two compiles on
-    the same cache both miss is derived once: the first counts the
-    miss, the second a hit, as if they had run one after the other.
-    Lookups are counted and derived blocks stored only after the pass
-    succeeded. ``None`` marks a compile whose int64 guard trips.
+    or another compile's arcs. A block two compiles on the same cache
+    both miss is derived once: the first counts the miss, the second a
+    hit, as if they had run one after the other. Lookups are counted
+    and derived blocks stored only after the pass succeeded. ``None``
+    marks a compile whose int64 guard trips.
     """
     resolved: List[Optional[BlockSet]] = []
     pending = []
