@@ -17,10 +17,20 @@ capacity-scale descent plus per-buffer shrinks, the shape of
 calls (workers=0: inline solves, no pool overhead in the baseline),
 with **bit-identical certified λ*** on every probe. The duration
 sensitivity sweep rides along as an informational row.
+
+``test_probe_time_goes_to_the_oracle`` splits one warm probe of the
+same sweep on golden_synthetic2 into its layers: block invalidation,
+the SCC sweep plus the component slice, and the positive-cycle oracle.
+A probe's one constraint graph is a single SCC, so the bookkeeping
+around the oracle must stay ≤0.10 of the probe wall.
+
+Both tests add their rows to ``BENCH_dse.json`` and their lines to
+``results/ablation_dse.txt``.
 """
 
 import json
 import time
+from contextlib import contextmanager
 from pathlib import Path
 
 import pytest
@@ -31,6 +41,8 @@ from repro.buffers.capacity import bound_all_buffers, minimal_buffer_capacity
 from repro.dse import DseSession
 from repro.exceptions import DeadlockError
 from repro.io import load_graph
+from repro.kperiodic.expansion import ExpansionBlockCache
+from repro.mcrp import decompose, ratio_iteration
 
 DATA = Path(__file__).resolve().parent.parent / "tests" / "data"
 try:
@@ -113,8 +125,6 @@ def _cold_sweep(graph, probes):
 
 
 def test_sizing_sweep_beats_cold_submission(results_dir):
-    from repro.obs.bench import emit_bench
-
     rows = []
     deadline = time.perf_counter() + BUDGET
     # Smallest of the top-3 first: the per-probe cold cost grows with
@@ -149,18 +159,15 @@ def test_sizing_sweep_beats_cold_submission(results_dir):
         "probe; cold = one ThroughputService(workers=0) submission per "
         "design point)"
     )
-    write_artifact("ablation_dse.txt", text)
-
     best = max(rows, key=lambda r: r[5])
-    emit_bench(
-        "dse",
+    _report(
+        "sweep", text,
         [{"name": "sizing_sweep_speedup", "value": best[5], "unit": "x"},
          {"name": "sizing_sweep_session_seconds", "value": best[4],
           "unit": "s"},
          {"name": "sizing_sweep_cold_seconds", "value": best[3],
           "unit": "s"}],
-        extra={"graph": best[0], "probes": best[2]},
-        out_dir=str(Path(__file__).resolve().parent.parent),
+        {"graph": best[0], "probes": best[2]},
     )
     assert best[5] >= 5.0, (
         f"incremental sizing sweep ({best[4]:.4f}s) must be ≥5x faster "
@@ -205,4 +212,115 @@ def _sensitivity_sweep():
         f"{name:<24} sensitivity ({2 * len(cold) + 1} solves)    "
         f"cold {cold_s * 1e3:9.2f}ms   session {warm_s * 1e3:9.2f}ms   "
         f"speedup {cold_s / max(warm_s, 1e-12):6.2f}x"
+    )
+
+
+# ----------------------------------------------------------------------
+# Where a warm probe's time goes
+# ----------------------------------------------------------------------
+#: The probe layers timed, each as the functions whose calls it sums.
+_LAYERS = {
+    "invalidation": [(ExpansionBlockCache, "invalidate_buffer")],
+    "scc_slice": [(decompose, "strongly_connected_node_sets"),
+                  (decompose, "_subgraph")],
+    "oracle": [(ratio_iteration, "find_positive_cycle"),
+               (decompose, "find_positive_cycle")],
+}
+
+
+@contextmanager
+def _timed_layers(monkeypatch):
+    """Seconds spent inside each layer's functions while the block runs."""
+    spent = dict.fromkeys(_LAYERS, 0.0)
+
+    def timed(layer, fn):
+        def wrapper(*args, **kwargs):
+            start = time.perf_counter()
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                spent[layer] += time.perf_counter() - start
+        return wrapper
+
+    for layer, sites in _LAYERS.items():
+        for owner, name in sites:
+            monkeypatch.setattr(owner, name, timed(layer, getattr(owner, name)))
+    yield spent
+    monkeypatch.undo()
+
+
+def test_probe_time_goes_to_the_oracle(results_dir, monkeypatch):
+    graph = load_graph(DATA / "golden_synthetic2.json")
+    probes = _probe_sequence(graph)
+    session = DseSession(bound_all_buffers(graph, probes[0]))
+    warm_periods = []
+    for caps in probes:  # untimed: the cold first solve is not a probe
+        session.set_capacities(caps)
+        warm_periods.append(_solve(session))
+    passes = 3
+    wall = 0.0
+    with _timed_layers(monkeypatch) as spent:
+        for _ in range(passes):
+            periods = []
+            for caps in probes:
+                start = time.perf_counter()
+                session.set_capacities(caps)
+                periods.append(_solve(session))
+                wall += time.perf_counter() - start
+            assert periods == warm_periods
+    count = passes * len(probes)
+    ms = {layer: 1e3 * seconds / count for layer, seconds in spent.items()}
+    probe_ms = 1e3 * wall / count
+    share = (ms["invalidation"] + ms["scc_slice"]) / probe_ms
+    text = (
+        f"golden_synthetic2.json   per warm probe ({count} probes): "
+        f"wall {probe_ms:7.2f}ms   invalidation {ms['invalidation']:6.3f}ms"
+        f"   scc+slice {ms['scc_slice']:6.3f}ms"
+        f"   oracle {ms['oracle']:7.2f}ms   "
+        f"(invalidation+scc+slice share {share:.3f}, gate ≤0.10)"
+    )
+    _report(
+        "probe_layers", text,
+        [{"name": "probe_ms", "value": probe_ms, "unit": "ms"},
+         {"name": "probe_invalidation_ms", "value": ms["invalidation"],
+          "unit": "ms"},
+         {"name": "probe_scc_slice_ms", "value": ms["scc_slice"],
+          "unit": "ms"},
+         {"name": "probe_oracle_ms", "value": ms["oracle"], "unit": "ms"},
+         {"name": "probe_bookkeeping_share", "value": share,
+          "unit": "share"}],
+    )
+    assert share <= 0.10, (
+        f"invalidation + SCC + slice take {share:.3f} of a warm probe "
+        f"(gate ≤0.10):\n{text}"
+    )
+
+
+def _solve(session):
+    try:
+        return session.solve().period
+    except DeadlockError:
+        return None
+
+
+#: Per-test rows and artifact lines, re-emitted whole by every test so
+#: ``BENCH_dse.json`` and ``ablation_dse.txt`` carry all that ran.
+_SECTIONS = {}
+
+
+def _report(key, text, metrics, extra=None):
+    from repro.obs.bench import emit_bench
+
+    _SECTIONS[key] = (text, metrics, extra or {})
+    sections = [_SECTIONS[k] for k in ("sweep", "probe_layers")
+                if k in _SECTIONS]
+    write_artifact("ablation_dse.txt",
+                   "\n".join(text for text, _, _ in sections))
+    envelope_extra = {}
+    for _, _, section_extra in sections:
+        envelope_extra.update(section_extra)
+    emit_bench(
+        "dse", [row for _, rows, _ in sections for row in rows],
+        extra=envelope_extra,
+        out_dir=str(Path(__file__).resolve().parent.parent),
     )

@@ -30,7 +30,9 @@ from __future__ import annotations
 import weakref
 from bisect import bisect_right
 from collections import OrderedDict
-from typing import Dict, Hashable, List, Mapping, Optional, Sequence, Tuple
+from typing import (
+    Dict, Hashable, List, Mapping, Optional, Sequence, Set, Tuple,
+)
 
 try:  # the direct pipeline is numpy-only; the legacy path is the fallback
     import numpy as _np
@@ -196,6 +198,9 @@ class ExpansionBlockCache:
             OrderedDict()
         )
         self._cells = 0
+        # buffer name → the keys of its cached blocks, so invalidating
+        # one buffer costs its own blocks, not a scan of the cache
+        self._keys_of: Dict[str, Set[Tuple[str, int, int]]] = {}
         # id(base) → [cached blocks in it, its cells]; an entry keeps
         # its base alive, so the id cannot be reused while counted.
         self._bases: Dict[int, List[int]] = {}
@@ -288,8 +293,14 @@ class ExpansionBlockCache:
                 blocks.move_to_end(key)
         # Derived keys were peeked as absent, so nothing is replaced.
         blocks.update(derived)
-        for _, block in derived:
+        keys_of = self._keys_of
+        for key, block in derived:
             self._hold(block)
+            keys = keys_of.get(key[0])
+            if keys is None:
+                keys_of[key[0]] = {key}
+            else:
+                keys.add(key)
         self.hits += len(hit_keys)
         self.misses += len(derived)
         _BLOCK_HIT.inc(len(hit_keys))
@@ -299,8 +310,12 @@ class ExpansionBlockCache:
     def _evict(self) -> None:
         """Drop least recently used blocks until the cell budget holds."""
         while self._cells > self.max_cells and len(self._blocks) > 1:
-            _, evicted = self._blocks.popitem(last=False)
+            key, evicted = self._blocks.popitem(last=False)
             self._release(evicted)
+            keys = self._keys_of[key[0]]
+            keys.discard(key)
+            if not keys:
+                del self._keys_of[key[0]]
             self.evictions += 1
             _BLOCK_EVICTION.inc()
 
@@ -323,6 +338,7 @@ class ExpansionBlockCache:
 
     def clear(self) -> None:
         self._blocks.clear()
+        self._keys_of.clear()
         self._bases.clear()
         self._cells = 0
 
@@ -337,9 +353,10 @@ class ExpansionBlockCache:
         ``(K_src, K_dst)``. The assembled memos are *not* touched here —
         they aggregate every buffer, so the caller drops them once per
         edit batch via :meth:`invalidate_assembled`. Returns the number
-        of blocks dropped (the ``session.*`` invalidation metric).
+        of blocks dropped (the ``session.*`` invalidation metric). The
+        per-buffer key index makes this O(blocks dropped).
         """
-        stale = [key for key in self._blocks if key[0] == name]
+        stale = self._keys_of.pop(name, ())
         for key in stale:
             self._release(self._blocks.pop(key))
         return len(stale)

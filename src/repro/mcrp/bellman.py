@@ -45,7 +45,11 @@ class ScaledGraph:
     all L/H denominators; cycle ratios are unchanged by the common scaling.
     Since the compiled-core refactor this is a thin adapter over
     ``graph.compile()`` — construction is O(1) after the first compile of
-    the same graph.
+    the same graph. The list forms (``cost``, ``transit``, ``arc_src``,
+    ``arc_dst``, ``out_arcs``) are read from the compiled graph only
+    when a consumer asks: the pure-Python oracle and the ``lawler`` and
+    ``bellman`` engines do, the numpy Jacobi path never does, so a
+    Jacobi solve of an array-built graph derives none of them.
     """
 
     def __init__(self, graph: BiValuedGraph):
@@ -54,11 +58,12 @@ class ScaledGraph:
         self.compiled = compiled
         self.node_count = compiled.node_count
         self.scale = compiled.scale
-        self.cost: List[int] = compiled.cost
-        self.transit: List[int] = compiled.transit
-        self.arc_src = compiled.src
-        self.arc_dst = compiled.dst
-        self.out_arcs = compiled.out_arcs
+
+    cost = property(lambda self: self.compiled.cost)
+    transit = property(lambda self: self.compiled.transit)
+    arc_src = property(lambda self: self.compiled.src)
+    arc_dst = property(lambda self: self.compiled.dst)
+    out_arcs = property(lambda self: self.compiled.out_arcs)
 
     def cycle_ratio(self, arc_indices: List[int]) -> Tuple[int, int]:
         """``(Σ cost, Σ transit)`` of a cycle, in scaled integers.
@@ -66,9 +71,7 @@ class ScaledGraph:
         The exact ratio is ``Fraction(Σ cost, Σ transit)`` — the scale
         cancels.
         """
-        total_cost = sum(self.cost[i] for i in arc_indices)
-        total_transit = sum(self.transit[i] for i in arc_indices)
-        return total_cost, total_transit
+        return self.compiled.cycle_sums(arc_indices)
 
 
 def find_positive_cycle(
@@ -220,6 +223,7 @@ def _extract_pred_cycle_array(
     weights,
 ) -> Optional[List[int]]:
     """Predecessor-chain walk over the numpy pred array (verified)."""
+    arc_src = scaled.compiled.np_src
     seen_at = {}
     chain_arcs: List[int] = []
     node = start
@@ -229,7 +233,7 @@ def _extract_pred_cycle_array(
         if arc < 0:
             return None
         chain_arcs.append(arc)
-        node = scaled.arc_src[arc]
+        node = int(arc_src[arc])
     first = seen_at[node]
     cycle_arcs = chain_arcs[first:]
     cycle_arcs.reverse()
@@ -324,6 +328,7 @@ def _extract_pred_cycle(
     Walks the chain from ``start``; a repeat closes a candidate cycle,
     whose weight is verified (predecessor cycles are ≥ 0 but can be 0).
     """
+    arc_src = scaled.arc_src
     seen_at = {}
     chain_nodes: List[int] = []
     chain_arcs: List[int] = []
@@ -335,7 +340,7 @@ def _extract_pred_cycle(
         if arc is None:
             return None  # chain reached an un-relaxed node: no cycle here
         chain_arcs.append(arc)
-        node = scaled.arc_src[arc]
+        node = arc_src[arc]
     first = seen_at[node]
     cycle_arcs = chain_arcs[first:]
     cycle_arcs.reverse()  # forward (source -> dest) order
@@ -391,6 +396,7 @@ def find_any_cycle(scaled: ScaledGraph) -> Optional[List[int]]:
     maximum cycle ratio is 0 (every cycle is then critical).
     """
     n = scaled.node_count
+    out_arcs, arc_src, arc_dst = scaled.out_arcs, scaled.arc_src, scaled.arc_dst
     WHITE, GREY, BLACK = 0, 1, 2
     colour = [WHITE] * n
     entered_by: List[Optional[int]] = [None] * n
@@ -401,12 +407,12 @@ def find_any_cycle(scaled: ScaledGraph) -> Optional[List[int]]:
         colour[root] = GREY
         while stack:
             node, arc_pos = stack[-1]
-            arcs = scaled.out_arcs[node]
+            arcs = out_arcs[node]
             moved = False
             while arc_pos < len(arcs):
                 arc = arcs[arc_pos]
                 arc_pos += 1
-                nxt = scaled.arc_dst[arc]
+                nxt = arc_dst[arc]
                 if colour[nxt] == GREY:
                     # Found a back arc: unwind the grey stack into a cycle.
                     cycle = [arc]
@@ -415,7 +421,7 @@ def find_any_cycle(scaled: ScaledGraph) -> Optional[List[int]]:
                         incoming = entered_by[cursor]
                         assert incoming is not None
                         cycle.append(incoming)
-                        cursor = scaled.arc_src[incoming]
+                        cursor = arc_src[incoming]
                     cycle.reverse()
                     return cycle
                 if colour[nxt] == WHITE:

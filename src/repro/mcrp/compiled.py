@@ -209,6 +209,26 @@ class CompiledGraph:
         return True
 
     # ------------------------------------------------------------------
+    def cycle_sums(self, arcs: Sequence[int]) -> Tuple[int, int]:
+        """Exact ``(Σ cost, Σ transit)`` over ``arcs``, scaled integers.
+
+        Read from the int64 mirrors when they exist (summed as Python
+        ints, so the sum cannot overflow), from the lists otherwise: an
+        array-built graph derives no list form for it.
+        """
+        if self.np_cost is not None:
+            return (sum(self.np_cost[arcs].tolist()),
+                    sum(self.np_transit[arcs].tolist()))
+        cost, transit = self.cost, self.transit
+        return sum(cost[a] for a in arcs), sum(transit[a] for a in arcs)
+
+    def arc_sources(self, arcs: Sequence[int]) -> List[int]:
+        """Source node of every arc of ``arcs`` (mirror-first, as above)."""
+        if self.np_src is not None:
+            return self.np_src[arcs].tolist()
+        src = self.src
+        return [src[a] for a in arcs]
+
     def out_arcs_of(self, node: int) -> List[int]:
         """Arc indices leaving ``node`` (CSR slice)."""
         return self.out_arcs[node]

@@ -19,14 +19,20 @@ value. Decomposition pays twice:
 The probe-skip is sound only for λ̂ > 0: at λ̂ = 0 a zero-cost
 negative-transit deadlock cycle is invisible, so such components are
 always solved fully.
+
+The common case has nothing to decompose: a bounded-buffer constraint
+graph is one SCC. Two numpy breadth-first searches certify that, and
+the engine then solves the graph itself — no Tarjan sweep, no copy.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Callable, Dict, List, Optional, Tuple, Union
+from typing import (
+    Callable, Dict, List, Optional, Sequence, Set, Tuple, Union,
+)
 
-try:  # numpy accelerates the subgraph slicing; optional
+try:  # numpy accelerates the certificate and slicing; optional
     import numpy as _np
 except ImportError:  # pragma: no cover - numpy is present in CI
     _np = None
@@ -39,20 +45,85 @@ from repro.mcrp.ratio_iteration import max_cycle_ratio
 #: Below this arc count the numpy subgraph slice costs more in array
 #: round-trips than the plain Python copy it replaces.
 _MIN_SLICE_ARCS = 256
+#: From this node count on (the oracle's own numpy threshold) a
+#: strong-connectivity certificate runs before Tarjan: one forward and
+#: one backward breadth-first search over the numpy arc arrays.
+_MIN_CERTIFICATE_NODES = 64
+#: Levels one search may take before the certificate gives up and
+#: Tarjan answers: a level is one O(m) numpy sweep, so a graph of long
+#: diameter must not pay more than Tarjan's one Python pass would.
+#: Constraint graphs of bounded CSDF graphs need under ten.
+_MAX_CERTIFICATE_LEVELS = 64
 
 
-def strongly_connected_node_sets(graph: BiValuedGraph) -> List[List[int]]:
-    """Tarjan SCCs over the compiled CSR arc arrays (iterative), largest first.
+def strongly_connected_node_sets(graph: BiValuedGraph) -> List[Sequence[int]]:
+    """SCCs of ``graph`` as node sequences, largest first.
 
-    The sweep never touches Python adjacency *objects*: children are read
-    straight from the compiled ``indptr``/``csr_arcs``/``dst`` arrays,
-    which the graph's other consumers (oracle, potentials) share.
+    Constraint graphs of bounded CSDF graphs are mostly one SCC (the
+    buffer back-arcs close every cycle), so from
+    ``_MIN_CERTIFICATE_NODES`` nodes on a numpy certificate is tried
+    first: when node 0 reaches every node and every node reaches node
+    0, the whole graph is the one component, returned as
+    ``range(n)`` — the identity component :func:`_subgraph` solves in
+    place. Otherwise — or without numpy — Tarjan's sweep lists each
+    component in its pop order.
     """
     compiled = graph.compile()
     n = compiled.node_count
+    if n >= _MIN_CERTIFICATE_NODES and _strongly_connected(compiled):
+        return [range(n)]
+    return _tarjan(compiled)
+
+
+def _strongly_connected(compiled) -> bool:
+    """Whether node 0 reaches every node and is reached from every node.
+
+    Forward search over the arcs ``np_src → np_dst``, then — only if
+    that reached every node — backward over ``np_dst → np_src``. An
+    array-built graph already holds both arrays; a list-built one gets
+    them from :meth:`~repro.mcrp.compiled.CompiledGraph.ensure_numpy`,
+    which the numpy oracle needs on it anyway.
+    """
+    if _np is None or (
+        compiled.np_src is None and not compiled.ensure_numpy()
+    ):
+        return False
+    src, dst, n = compiled.np_src, compiled.np_dst, compiled.node_count
+    return _reaches_all(src, dst, n) and _reaches_all(dst, src, n)
+
+
+def _reaches_all(tails, heads, n: int) -> bool:
+    """Whether node 0 reaches every node along the arcs ``tails → heads``.
+
+    One vectorized sweep per BFS level: mark the head of every arc
+    whose tail is marked. Stops when every node is marked, when a level
+    marks nothing new, or after ``_MAX_CERTIFICATE_LEVELS`` levels
+    (then ``False``: not certified, Tarjan decides).
+    """
+    seen = _np.zeros(n, dtype=bool)
+    seen[0] = True
+    reached = 1
+    for _ in range(_MAX_CERTIFICATE_LEVELS):
+        seen[heads[seen[tails]]] = True
+        now = int(_np.count_nonzero(seen))
+        if now == n:
+            return True
+        if now == reached:
+            return False
+        reached = now
+    return False
+
+
+def _tarjan(compiled) -> List[List[int]]:
+    """Tarjan SCCs over the compiled CSR arrays (iterative), largest first.
+
+    Children are read from ``indptr`` plus the destination of every
+    CSR position, taken from the int64 mirrors when they exist: the
+    sweep builds no list form of an array-built graph.
+    """
+    n = compiled.node_count
     indptr = compiled.indptr
-    csr_arcs = compiled.csr_arcs
-    arc_dst = compiled.dst
+    child_at = _csr_destinations(compiled)
     index = [-1] * n
     low = [0] * n
     on_stack = [False] * n
@@ -73,7 +144,7 @@ def strongly_connected_node_sets(graph: BiValuedGraph) -> List[List[int]]:
             end = indptr[node + 1]
             advanced = False
             while pos < end:
-                child = arc_dst[csr_arcs[pos]]
+                child = child_at[pos]
                 pos += 1
                 if index[child] == -1:
                     work[-1] = (node, pos)
@@ -101,35 +172,56 @@ def strongly_connected_node_sets(graph: BiValuedGraph) -> List[List[int]]:
     return components
 
 
+def _csr_destinations(compiled) -> List[int]:
+    """``dst[csr_arcs[p]]`` for every CSR position ``p``."""
+    if compiled.np_dst is not None:
+        csr = _np.frombuffer(compiled.csr_arcs, dtype=_np.int64)
+        return compiled.np_dst[csr].tolist()
+    dst = compiled.dst
+    return [dst[arc] for arc in compiled.csr_arcs]
+
+
 def _subgraph(
-    graph: BiValuedGraph, nodes: List[int]
-) -> Tuple[BiValuedGraph, List[int], List[int]]:
-    """Induced subgraph + (local→global node map, local→global arc map)."""
+    graph: BiValuedGraph, nodes: Sequence[int]
+) -> Tuple[BiValuedGraph, Sequence[int], Sequence[int]]:
+    """Induced subgraph + (local→global node map, local→global arc map).
+
+    The identity component ``range(n)`` is the graph itself: it is
+    solved in place, with identity maps and no copy. Any other node
+    sequence — a Tarjan component lists its nodes in pop order, even
+    one spanning the whole graph — is copied, relabeled in that order.
+    """
     compiled = graph.compile()
+    if nodes == range(compiled.node_count):
+        return graph, nodes, range(compiled.arc_count)
     sliced = _subgraph_compiled(compiled, graph, nodes)
     if sliced is not None:
         return sliced
     indptr = compiled.indptr
-    csr_arcs = compiled.csr_arcs
-    arc_dst = compiled.dst
+    child_at = _csr_destinations(compiled)
     local_of = {g: l for l, g in enumerate(nodes)}
     sub = BiValuedGraph(len(nodes), labels=[graph.labels[g] for g in nodes])
     arc_map: List[int] = []
     srcs: List[int] = []
     dsts: List[int] = []
-    costs = []
-    transits = []
     for g_node in nodes:
         src_local = local_of[g_node]
         for pos in range(indptr[g_node], indptr[g_node + 1]):
-            arc = csr_arcs[pos]
-            dst_local = local_of.get(arc_dst[arc])
+            dst_local = local_of.get(child_at[pos])
             if dst_local is not None:
                 srcs.append(src_local)
                 dsts.append(dst_local)
-                costs.append(graph.arc_cost[arc])
-                transits.append(graph.arc_transit[arc])
-                arc_map.append(arc)
+                arc_map.append(compiled.csr_arcs[pos])
+    if compiled.np_cost is not None:
+        # read the int64 mirrors: an array-built graph keeps no lists
+        scale = compiled.scale
+        costs = [Fraction(c, scale)
+                 for c in compiled.np_cost[arc_map].tolist()]
+        transits = [Fraction(t, scale)
+                    for t in compiled.np_transit[arc_map].tolist()]
+    else:
+        costs = [graph.arc_cost[arc] for arc in arc_map]
+        transits = [graph.arc_transit[arc] for arc in arc_map]
     sub.extend_arcs(srcs, dsts, costs, transits)
     return sub, nodes, arc_map
 
@@ -206,10 +298,10 @@ def max_cycle_ratio_sccs(
         engine = engine.solve
     elif seed_lower_bound is None:
         seed_lower_bound = True
-    components = [
-        c for c in strongly_connected_node_sets(graph)
-        if len(c) > 1 or _has_self_arc(graph, c[0])
-    ]
+    components = strongly_connected_node_sets(graph)
+    if components and len(components[-1]) == 1:  # cyclic iff self-arc
+        looped = _self_arc_nodes(graph.compile())
+        components = [c for c in components if len(c) > 1 or c[0] in looped]
     if not components:
         return CycleResult(ratio=None)
 
@@ -244,9 +336,10 @@ def max_cycle_ratio_sccs(
     solve_component(components[0])
     remaining = components[1:]
     component_of: Dict[int, int] = {}
-    for idx, nodes in enumerate(components):
-        for v in nodes:
-            component_of[v] = idx
+    if remaining:
+        for idx, nodes in enumerate(components):
+            for v in nodes:
+                component_of[v] = idx
 
     while remaining:
         if champion is None or champion <= 0:
@@ -266,7 +359,8 @@ def max_cycle_ratio_sccs(
         iterations += 1
         if probe is None:
             break
-        hit = component_of[node_map[sub.arc_src[probe[0]]]]
+        (probe_src,) = scaled.compiled.arc_sources(probe[:1])
+        hit = component_of[node_map[probe_src]]
         remaining = [
             nodes for nodes in remaining
             if component_of[nodes[0]] != hit
@@ -293,5 +387,8 @@ def max_cycle_ratio_sccs(
     return final
 
 
-def _has_self_arc(graph: BiValuedGraph, node: int) -> bool:
-    return any(graph.arc_dst[a] == node for a in graph.out_arcs(node))
+def _self_arc_nodes(compiled) -> Set[int]:
+    if compiled.np_src is not None:
+        src = compiled.np_src
+        return set(src[src == compiled.np_dst].tolist())
+    return {s for s, d in zip(compiled.src, compiled.dst) if s == d}

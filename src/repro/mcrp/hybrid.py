@@ -111,7 +111,7 @@ def max_cycle_ratio_hybrid(
         return CycleResult(
             ratio=candidate,
             cycle_arcs=list(candidate_cycle),
-            cycle_nodes=[compiled.src[a] for a in candidate_cycle],
+            cycle_nodes=compiled.arc_sources(candidate_cycle),
             iterations=1,
         )
     cost, transit = scaled.cycle_ratio(probe)
@@ -120,7 +120,7 @@ def max_cycle_ratio_hybrid(
             "constraint cycle with positive cost and non-positive "
             f"transit (L={cost}/{scaled.scale}, H={transit}/{scaled.scale}): "
             "no feasible period exists (deadlock)",
-            cycle_nodes=[compiled.src[a] for a in probe],
+            cycle_nodes=compiled.arc_sources(probe),
         )
     # The prefilter undershot: ascend exactly from the probe's ratio
     # (a certified jump strictly above the candidate).
@@ -153,6 +153,7 @@ def _vectorized_howard_candidate(
     seg_starts = compiled.src_seg_starts
     seg_sizes = compiled.src_seg_sizes
     positions = _np.arange(m, dtype=_np.int64)
+    node_ids = _np.arange(n, dtype=_np.int64)
 
     # Initial policy: per source, the arc of maximum cost.
     policy = _np.full(n, -1, dtype=_np.int64)
@@ -163,21 +164,25 @@ def _vectorized_howard_candidate(
     first = _np.minimum.reduceat(hit, seg_starts)
     policy[src_unique] = csr[first]
 
-    cost_i = compiled.cost
-    transit_i = compiled.transit
     best_exact: Optional[Fraction] = None
     best_cycle: Optional[List[int]] = None
     stale = 0
     for _ in range(max_policy_iterations):
         # Rate every cycle of the functional policy graph exactly and
         # take the best as the reference (multi-chain policies are the
-        # norm on SCC-decomposed constraint graphs).
+        # norm on SCC-decomposed constraint graphs). The pointer chases
+        # number each policy arc by its source node (node v's arc is
+        # local arc v), so they run over O(n) lists gathered from the
+        # arrays each iteration, never the graph's O(m) list forms.
         exact = None
         cycle = None
+        local_cycle = None
         pol = policy.tolist()
-        for cand_cycle in policy_cycles(compiled.dst, pol):
-            num = sum(cost_i[a] for a in cand_cycle)
-            den = sum(transit_i[a] for a in cand_cycle)
+        local_policy = _np.where(policy >= 0, node_ids, -1).tolist()
+        succ = dst[policy].tolist()  # unread where policy is -1
+        for cand_local in policy_cycles(succ, local_policy):
+            cand_cycle = [pol[v] for v in cand_local]
+            num, den = compiled.cycle_sums(cand_cycle)
             if den <= 0:
                 # Deadlock-shaped policy cycle: leave it to the exact
                 # engine (do not steer the floats with it).
@@ -186,6 +191,7 @@ def _vectorized_howard_candidate(
             if exact is None or ratio > exact:
                 exact = ratio
                 cycle = cand_cycle
+                local_cycle = cand_local
         if exact is None:
             break
         if best_exact is None or exact > best_exact:
@@ -201,8 +207,8 @@ def _vectorized_howard_candidate(
         lam = float(exact)
         values = _np.array(
             policy_values(
-                compiled.src, compiled.dst, pol, cycle, lam,
-                compiled.cost_float, compiled.transit_float,
+                range(n), succ, local_policy, local_cycle, lam,
+                cost_f[policy].tolist(), transit_f[policy].tolist(),
             ),
             dtype=_np.float64,
         )

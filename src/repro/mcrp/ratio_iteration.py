@@ -113,7 +113,7 @@ def max_cycle_ratio(
                 "constraint cycle with positive cost and non-positive "
                 f"transit (L={cost}/{scaled.scale}, H={transit}/{scaled.scale}): "
                 "no feasible period exists (deadlock)",
-                cycle_nodes=[graph.arc_src[a] for a in cycle],
+                cycle_nodes=scaled.compiled.arc_sources(cycle),
             )
         lam = Fraction(cost, transit)
         critical = cycle
@@ -149,10 +149,9 @@ def max_cycle_ratio(
     # λ ≥ 0 with H > 0 has L > 0), and convergence at lam certifies there
     # is no cycle with H ≤ 0 either (it would still be positive at lam).
 
-    nodes = [graph.arc_src[a] for a in critical]
     return CycleResult(
         ratio=lam,
         cycle_arcs=list(critical),
-        cycle_nodes=nodes,
+        cycle_nodes=scaled.compiled.arc_sources(critical),
         iterations=iterations,
     )

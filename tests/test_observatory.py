@@ -573,11 +573,25 @@ def test_cli_report_writes_html(tmp_path, monkeypatch):
     assert "Metric families" in html
 
 
-def test_coordinator_serves_report(tmp_path):
+class _PinnedReportClock:
+    """The report's ``time`` module with its clock stopped at the epoch."""
+
+    strftime = staticmethod(time.strftime)
+
+    @staticmethod
+    def gmtime(seconds=None):
+        return time.gmtime(0 if seconds is None else seconds)
+
+
+def test_coordinator_serves_report(tmp_path, monkeypatch):
     from repro.distributed import CoordinatorClient, CoordinatorServer
     from repro.distributed.client import http_text
+    from repro.obs import report
     from repro.service import ThroughputService
 
+    # Two fetches render two pages; a stopped clock keeps their
+    # ``generated <second>`` stamps equal across a second boundary.
+    monkeypatch.setattr(report, "time", _PinnedReportClock)
     with CoordinatorServer() as server:
         status, body = http_text(f"{server.url}/report")
         assert status == 200
