@@ -20,9 +20,13 @@ sensitivity sweep rides along as an informational row.
 
 ``test_probe_time_goes_to_the_oracle`` splits one warm probe of the
 same sweep on golden_synthetic2 into its layers: block invalidation,
-the SCC sweep plus the component slice, and the positive-cycle oracle.
-A probe's one constraint graph is a single SCC, so the bookkeeping
-around the oracle must stay ≤0.10 of the probe wall.
+the SCC sweep plus the component slice, the warm-certificate replay and
+the positive-cycle oracle. A probe's one constraint graph is a single
+SCC, so the bookkeeping around the oracle must stay ≤0.10 of the probe
+wall; and a probe whose λ* and critical circuit did not move is proven
+by replaying the previous probe's certificate, so ≥80% of the live
+probes must be certified without an engine call (a count: it does not
+depend on the host).
 
 Both tests add their rows to ``BENCH_dse.json`` and their lines to
 ``results/ablation_dse.txt``.
@@ -41,6 +45,7 @@ from repro.buffers.capacity import bound_all_buffers, minimal_buffer_capacity
 from repro.dse import DseSession
 from repro.exceptions import DeadlockError
 from repro.io import load_graph
+from repro.kperiodic import kiter
 from repro.kperiodic.expansion import ExpansionBlockCache
 from repro.mcrp import decompose, ratio_iteration
 
@@ -223,6 +228,7 @@ _LAYERS = {
     "invalidation": [(ExpansionBlockCache, "invalidate_buffer")],
     "scc_slice": [(decompose, "strongly_connected_node_sets"),
                   (decompose, "_subgraph")],
+    "certify": [(kiter, "certify_warm")],
     "oracle": [(ratio_iteration, "find_positive_cycle"),
                (decompose, "find_positive_cycle")],
 }
@@ -259,6 +265,7 @@ def test_probe_time_goes_to_the_oracle(results_dir, monkeypatch):
         warm_periods.append(_solve(session))
     passes = 3
     wall = 0.0
+    certified_before = session.certified
     with _timed_layers(monkeypatch) as spent:
         for _ in range(passes):
             periods = []
@@ -269,6 +276,8 @@ def test_probe_time_goes_to_the_oracle(results_dir, monkeypatch):
                 wall += time.perf_counter() - start
             assert periods == warm_periods
     count = passes * len(probes)
+    live = passes * sum(period is not None for period in warm_periods)
+    certified = (session.certified - certified_before) / live
     ms = {layer: 1e3 * seconds / count for layer, seconds in spent.items()}
     probe_ms = 1e3 * wall / count
     share = (ms["invalidation"] + ms["scc_slice"]) / probe_ms
@@ -276,8 +285,11 @@ def test_probe_time_goes_to_the_oracle(results_dir, monkeypatch):
         f"golden_synthetic2.json   per warm probe ({count} probes): "
         f"wall {probe_ms:7.2f}ms   invalidation {ms['invalidation']:6.3f}ms"
         f"   scc+slice {ms['scc_slice']:6.3f}ms"
+        f"   certify {ms['certify']:6.3f}ms"
         f"   oracle {ms['oracle']:7.2f}ms   "
-        f"(invalidation+scc+slice share {share:.3f}, gate ≤0.10)"
+        f"(invalidation+scc+slice share {share:.3f}, gate ≤0.10; "
+        f"certified without an engine call {certified:.3f} of live "
+        f"probes, gate ≥0.80)"
     )
     _report(
         "probe_layers", text,
@@ -286,13 +298,20 @@ def test_probe_time_goes_to_the_oracle(results_dir, monkeypatch):
           "unit": "ms"},
          {"name": "probe_scc_slice_ms", "value": ms["scc_slice"],
           "unit": "ms"},
+         {"name": "probe_certify_ms", "value": ms["certify"], "unit": "ms"},
          {"name": "probe_oracle_ms", "value": ms["oracle"], "unit": "ms"},
          {"name": "probe_bookkeeping_share", "value": share,
+          "unit": "share"},
+         {"name": "probe_certified_share", "value": certified,
           "unit": "share"}],
     )
     assert share <= 0.10, (
         f"invalidation + SCC + slice take {share:.3f} of a warm probe "
         f"(gate ≤0.10):\n{text}"
+    )
+    assert certified >= 0.80, (
+        f"only {certified:.3f} of the live warm probes were certified "
+        f"without an engine call (gate ≥0.80):\n{text}"
     )
 
 

@@ -21,7 +21,17 @@ certified K          re-used as ``initial_k`` — always exactness-safe
 certified λ*         seeds the first round's engine — only when every
                      edit since could not *lower* λ* (the downgrade
                      rule below)
+warm certificate     the last solve's critical circuit and potentials
+                     at λ*: when the first round's K is the certified
+                     K, they are replayed before any engine runs, for
+                     any edit direction (see below)
 ===================  =================================================
+
+**Warm certificate.** A circuit of ratio ``λ̂`` proves ``λ* ≥ λ̂``;
+potentials under which a relaxation at ``λ̂`` goes quiet prove that no
+cycle is positive, so ``λ* ≤ λ̂``. Both are checked exactly on the
+current graph, so a stale certificate costs at most 32 sweeps, and a
+probe whose λ* and critical circuit did not move needs no engine call.
 
 **Warm-start downgrade rule.** A seed above the true λ* costs restart
 probes (never exactness — the engines detect an uncertified start).
@@ -43,13 +53,12 @@ own block cache is invalidated per edit by name.
 from __future__ import annotations
 
 import time
-from fractions import Fraction
 from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from repro.analysis.consistency import repetition_vector
 from repro.exceptions import DeadlockError, ModelError, ReproError
 from repro.kperiodic.expansion import ExpansionBlockCache
-from repro.kperiodic.kiter import KIterResult, throughput_kiter
+from repro.kperiodic.kiter import KIterResult, WarmStart, throughput_kiter
 from repro.mcrp.registry import DEFAULT_ENGINE
 from repro.model.graph import CsdfGraph
 from repro.obs.metrics import REGISTRY as _REGISTRY
@@ -72,6 +81,7 @@ _INVALIDATIONS = _REGISTRY.counter(
 _SOLVES = _REGISTRY.counter("repro_session_solves_total")
 _WARM = _REGISTRY.counter("repro_session_warm_starts_total")
 _ROUNDS_SAVED = _REGISTRY.counter("repro_session_rounds_saved_total")
+_CERTIFIED = _REGISTRY.counter("repro_session_certified_total")
 
 
 class DseSession:
@@ -87,9 +97,9 @@ class DseSession:
         MCRP engine for every solve (see
         :func:`repro.kperiodic.kiter.throughput_kiter`).
     warm_start:
-        ``False`` disables both the cross-solve λ* seed and K-Iter's
-        own intra-solve seeding (ablation/debug switch); the certified
-        K is still reused.
+        ``False`` disables the cross-solve λ* seed, the warm
+        certificate and K-Iter's own intra-solve seeding
+        (ablation/debug switch); the certified K is still reused.
     max_cells:
         Block-cache budget, as in
         :class:`~repro.kperiodic.expansion.ExpansionBlockCache`.
@@ -123,7 +133,6 @@ class DseSession:
         self._cache = ExpansionBlockCache(max_cells)
         self._q: Optional[Dict[str, int]] = None
         self._last: Optional[KIterResult] = None
-        self._last_seed: Optional[Fraction] = None
         # Validity of the previous certified solve as a starting point:
         # _k_valid — q unchanged, so the K vector still applies;
         # _seed_valid — every edit since was direction-"up", so the
@@ -140,6 +149,7 @@ class DseSession:
         self.invalidated_blocks = 0
         self.warm_outcomes: Dict[str, int] = {}
         self.rounds_saved = 0
+        self.certified = 0
         self.solves: Dict[str, int] = {}
 
     # ------------------------------------------------------------------
@@ -386,13 +396,18 @@ class DseSession:
         """
         q = self._repetition()
         initial_k = None
-        warm: Optional[Fraction] = None
+        certificate = None
         if self._last is not None and self._k_valid:
             initial_k = dict(self._last.K)
-            if self.warm_start and self._seed_valid:
-                warm = self._last_seed
+            certificate = self._last.certificate
+        warm = None
+        if self.warm_start:
+            warm = WarmStart(
+                certificate,
+                seed=certificate is not None and self._seed_valid,
+            )
         with _span("dse.solve", engine=self.engine) as sp:
-            sp.attrs["warm"] = warm is not None
+            sp.attrs["warm"] = warm is not None and warm.seed
             try:
                 result = throughput_kiter(
                     self.graph,
@@ -402,7 +417,7 @@ class DseSession:
                     warm_start=self.warm_start,
                     expansion_cache=self._cache,
                     repetition=q,
-                    warm_lambda=warm,
+                    warm=warm,
                 )
             except DeadlockError:
                 self._count_solve("DEADLOCK")
@@ -420,17 +435,22 @@ class DseSession:
     def _absorb_solve(
         self,
         result: KIterResult,
-        warm: Optional[Fraction],
+        warm: Optional[WarmStart],
         initial_k: Optional[Dict[str, int]],
     ) -> None:
-        if warm is None:
+        first = result.rounds[0] if result.rounds else None
+        if first is not None and first.warm_certified:
+            self.certified += 1
+            _CERTIFIED.inc()
+        if warm is None or not warm.seed:
             outcome = "skipped"
         else:
-            first = result.rounds[0] if result.rounds else None
+            # A replayed certificate proves λ* = λ̂: the seed was a hit.
             overshoot = (
                 first is not None
                 and first.omega is not None
-                and warm > first.omega * lcm_list(first.K.values())
+                and warm.certificate.lam
+                > first.omega * lcm_list(first.K.values())
             )
             outcome = "overshoot" if overshoot else "hit"
         self.warm_outcomes[outcome] = self.warm_outcomes.get(outcome, 0) + 1
@@ -445,7 +465,6 @@ class DseSession:
             _ROUNDS_SAVED.inc(saved)
         self._count_solve("OK")
         self._last = result
-        self._last_seed = result.period * lcm_list(result.K.values())
         self._k_valid = True
         self._seed_valid = True
 
@@ -507,7 +526,6 @@ class DseSession:
         self.graph = self._base
         self._q = None
         self._last = None
-        self._last_seed = None
         self._k_valid = False
         self._seed_valid = False
 
@@ -518,6 +536,7 @@ class DseSession:
             "invalidated_blocks": self.invalidated_blocks,
             "warm_starts": dict(self.warm_outcomes),
             "rounds_saved": self.rounds_saved,
+            "certified": self.certified,
             "solves": dict(self.solves),
             "cache": self._cache.stats(),
         }
@@ -526,7 +545,8 @@ class DseSession:
     # Pickling: the block cache holds numpy arrays scaled to the
     # session's working set — drop it and rebuild cold on the far side.
     # Graphs, the q memo and the last certified solve travel, so an
-    # unpickled session still warm-starts from λ* and the certified K.
+    # unpickled session still warm-starts from its certificate, λ* and
+    # the certified K.
     # ------------------------------------------------------------------
     def __getstate__(self) -> Dict[str, Any]:
         state = dict(self.__dict__)
@@ -535,7 +555,6 @@ class DseSession:
 
     def __setstate__(self, state: Dict[str, Any]) -> None:
         self.__dict__.update(state)
+        # The names stay dirty: blocks the far side computes for them
+        # belong to the edited graph, and reset() must drop them.
         self._cache = ExpansionBlockCache(self._max_cells)
-        # Blocks were dropped wholesale: every name starts clean.
-        self._dirty = set(self._dirty)
-        self._dirty.clear()

@@ -503,6 +503,20 @@ class ExpandedNodeSpace:
     def labels(self) -> Sequence[Hashable]:
         return _ExpandedLabels(self)
 
+    def nodes_of(
+        self, labels: Sequence[Tuple[str, int]]
+    ) -> Optional[List[int]]:
+        """Node ids of ``(task, expanded phase)`` labels (``None`` when
+        one of them is not in this space)."""
+        spans = {name: (start, count) for name, start, count in self.spans()}
+        nodes = []
+        for task, phase in labels:
+            start, count = spans.get(task, (0, 0))
+            if not 1 <= phase <= count:
+                return None
+            nodes.append(start + phase - 1)
+        return nodes
+
     def node_index(self) -> Dict[Tuple[str, int], int]:
         """The dense ``(task, expanded phase) → node id`` dict.
 

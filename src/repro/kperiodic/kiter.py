@@ -34,10 +34,14 @@ from repro.kperiodic.solver import (
     KPeriodicResult,
     MinPeriodPlan,
     PreparedMinPeriod,
+    WarmCertificate,
+    certify_warm,
+    finish_min_period,
     min_period_for_k,
     plan_min_period,
     prepare_min_period,
     solve_prepared_min_period,
+    warm_certificate,
 )
 from repro.mcrp.registry import DEFAULT_ENGINE
 from repro.obs.metrics import REGISTRY as _REGISTRY
@@ -57,7 +61,9 @@ class KIterRound:
     """Trace of one K-Iter round (for reporting and the ablation benches).
 
     ``omega is None`` marks a round whose K admitted *no* K-periodic
-    schedule (infeasible circuit — K was escalated along it).
+    schedule (infeasible circuit — K was escalated along it);
+    ``warm_certified`` one proven by a replayed :class:`WarmCertificate`
+    instead of an engine call.
     """
 
     K: Dict[str, int]
@@ -67,6 +73,21 @@ class KIterRound:
     graph_nodes: int
     graph_arcs: int
     engine_iterations: int = 0
+    warm_certified: bool = False
+
+
+@dataclass(frozen=True)
+class WarmStart:
+    """What a previous solve hands the next (see :class:`repro.dse.DseSession`).
+
+    ``certificate`` is the previous solve's :class:`WarmCertificate`,
+    replayed on the first round before any engine runs; ``seed`` says
+    whether its ``λ̂`` may also seed that round's engine (no edit since
+    could have lowered λ*).
+    """
+
+    certificate: Optional[WarmCertificate] = None
+    seed: bool = False
 
 
 @dataclass
@@ -75,7 +96,9 @@ class KIterResult:
 
     ``throughput`` is the *exact maximal* throughput of the graph
     (Theorem 4 certificate); ``None`` encodes an unbounded throughput
-    (every duration on every critical cycle is 0).
+    (every duration on every critical cycle is 0). ``certificate`` is
+    the final round's :class:`WarmCertificate`, filled only for a solve
+    given a ``warm`` argument.
     """
 
     period: Fraction
@@ -83,6 +106,8 @@ class KIterResult:
     critical_tasks: Set[str]
     rounds: List[KIterRound] = field(default_factory=list)
     schedule: Optional[KPeriodicSchedule] = None
+    certificate: Optional[WarmCertificate] = field(
+        default=None, compare=False, repr=False)
 
     @property
     def throughput(self) -> Optional[Fraction]:
@@ -115,7 +140,9 @@ class KIterMachine:
         machine.plan()                      # optional; may raise
         prepared = machine.prepare()        # may raise SolverError/Budget
         try:
-            result = <solve prepared.bi_graph somehow>
+            # the warm certificate, when one holds; else an engine
+            result = (machine.certify(prepared)
+                      or <solve prepared.bi_graph somehow>)
         except DeadlockError as exc:
             machine.absorb_deadlock(exc)    # escalates K (may re-raise)
         else:
@@ -139,7 +166,7 @@ class KIterMachine:
         pipeline: str = "direct",
         expansion_cache=None,
         repetition: Optional[Dict[str, int]] = None,
-        warm_lambda: Optional[Fraction] = None,
+        warm: Optional[WarmStart] = None,
     ) -> None:
         self.graph = graph
         self.max_rounds = max_rounds
@@ -173,15 +200,22 @@ class KIterMachine:
         self._prev_lambda: Optional[Fraction] = None
         self._prev_lcm: Optional[int] = None
         self._lcm_k: Optional[int] = None
-        # Cross-solve seed (DseSession): consumed by the *first*
-        # prepared round only, in that round's expanded scale — the
-        # caller guarantees it is the certified λ* of a previous solve
-        # at the same initial K whose edits could not lower λ*. An
-        # overshooting seed costs probes, never exactness (the engines
-        # restart from the utilization bound on an uncertified start).
+        # Cross-solve state (DseSession), for the *first* prepared
+        # round only: the certificate is replayed before any engine
+        # runs, and its λ̂ seeds the engine when the caller vouches that
+        # no edit since could have lowered λ*. An overshooting seed
+        # costs probes, never exactness (the engines restart from the
+        # utilization bound on an uncertified start).
+        self._certificate = warm.certificate if warm is not None else None
         self._initial_seed = (
-            Fraction(warm_lambda) if warm_lambda is not None else None
+            self._certificate.lam
+            if self._certificate is not None and warm.seed else None
         )
+        # The certificate replayed on the first round, and the quiet
+        # distances if it held: the next certificate's potentials, or
+        # where computing them starts.
+        self._replayed: Optional[WarmCertificate] = None
+        self._quiet: Optional[List[int]] = None
         # The round plan() opened and its warm-start seed, until
         # prepare() builds it.
         self._plan: Optional[MinPeriodPlan] = None
@@ -247,6 +281,37 @@ class KIterMachine:
             blocks=blocks,
         )
 
+    def certify(self, prepared: PreparedMinPeriod) -> Optional[KPeriodicResult]:
+        """Replay the warm certificate on the first round, if any.
+
+        Returns the round's result when the certificate proves λ* on
+        this graph (no engine call), ``None`` when there is none or it
+        does not hold — the round is then solved by an engine as usual.
+        """
+        certificate, self._certificate = self._certificate, None
+        if certificate is None:
+            return None
+        self._replayed = certificate
+        with _span("dse.certify") as sp:
+            check = certify_warm(prepared, certificate)
+            sp.attrs["outcome"] = check.outcome
+            sp.attrs["sweeps"] = check.sweeps
+        if check.result is None:
+            return None
+        self._quiet = check.potentials
+        result = finish_min_period(prepared, check.result)
+        result.warm_certified = True
+        return result
+
+    def certificate(
+        self, prepared: PreparedMinPeriod
+    ) -> Optional[WarmCertificate]:
+        """The certified final round's certificate, for the next solve."""
+        if self.final is None:
+            raise SolverError("KIterMachine.certificate() before certification")
+        quiet = self._quiet if self.final.warm_certified else None
+        return warm_certificate(prepared, self.final, quiet, self._replayed)
+
     def absorb(self, result: KPeriodicResult) -> bool:
         """Record a solved round; ``True`` when Theorem 4 certified it."""
         if result.omega == 0:
@@ -255,7 +320,8 @@ class KIterMachine:
             self.rounds.append(
                 KIterRound(dict(self.K), result.omega, set(), True,
                            result.graph_nodes, result.graph_arcs,
-                           result.engine_iterations)
+                           result.engine_iterations,
+                           result.warm_certified)
             )
             self.final = result
             return True
@@ -269,6 +335,7 @@ class KIterMachine:
                 graph_nodes=result.graph_nodes,
                 graph_arcs=result.graph_arcs,
                 engine_iterations=result.engine_iterations,
+                warm_certified=result.warm_certified,
             )
         )
         if passed:
@@ -348,7 +415,7 @@ def throughput_kiter(
     pipeline: str = "direct",
     expansion_cache=None,
     repetition: Optional[Dict[str, int]] = None,
-    warm_lambda: Optional[Fraction] = None,
+    warm: Optional[WarmStart] = None,
 ) -> KIterResult:
     """Exact maximum throughput of a consistent CSDFG via K-Iter.
 
@@ -407,12 +474,20 @@ def throughput_kiter(
     repetition:
         Pre-computed repetition vector ``q`` of ``graph`` (skips the
         exact rational propagation — another DseSession memo).
-    warm_lambda:
-        Certified ``λ*`` of a previous solve, seeding the *first*
-        round's engine in that round's expanded scale (meaningful with
-        ``initial_k`` set to that solve's certified K, so the scales
-        match). Exactness never depends on it; an overshooting seed
-        only costs restart probes.
+    warm:
+        A :class:`WarmStart` from a previous solve (meaningful with
+        ``initial_k`` set to that solve's certified K). Its certificate
+        is replayed on the first round: when that round's K is the
+        certificate's, its circuit still has ratio ``λ̂`` and a
+        relaxation at ``λ̂`` from its potentials goes quiet within
+        ``_MAX_JACOBI_SWEEPS`` sweeps, the round is ``λ̂`` with no
+        engine call (:func:`~repro.kperiodic.solver.certify_warm`).
+        Otherwise the engine runs, seeded with ``λ̂`` if ``warm.seed``.
+        Exactness never depends on it: both checks are exact on the
+        current graph, and an overshooting seed only costs restart
+        probes. With ``warm`` set, the result's ``certificate`` is
+        filled for the next solve (one potentials pass after an engine
+        solve; the quiet distances after a replayed one).
 
     Examples
     --------
@@ -427,7 +502,7 @@ def throughput_kiter(
         initial_k=initial_k, update_policy=update_policy,
         warm_start=warm_start, pipeline=pipeline,
         expansion_cache=expansion_cache, repetition=repetition,
-        warm_lambda=warm_lambda,
+        warm=warm,
     )
     while True:
         with _span("kiter.round", engine=engine,
@@ -435,14 +510,18 @@ def throughput_kiter(
             prepared = machine.prepare()
             round_span.attrs["lcm_K"] = machine._lcm_k
             try:
-                result = solve_prepared_min_period(prepared, engine)
+                result = (machine.certify(prepared)
+                          or solve_prepared_min_period(prepared, engine))
             except DeadlockError as exc:
                 machine.absorb_deadlock(exc)
                 continue
             certified = machine.absorb(result)
         if certified:
-            return machine.finalize(build_schedule=build_schedule,
-                                    engine=engine)
+            out = machine.finalize(build_schedule=build_schedule,
+                                   engine=engine)
+            if warm is not None:
+                out.certificate = machine.certificate(prepared)
+            return out
 
 
 def _escalate_infeasible(

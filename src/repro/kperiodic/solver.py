@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, List, Mapping, Optional, Set, Tuple
+from typing import Any, Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
 from repro.analysis.consistency import repetition_vector
 from repro.analysis.constraint_graph import build_constraint_graph
@@ -53,6 +53,9 @@ class KPeriodicResult:
         ``build_schedule=False`` was requested or Ω = 0).
     graph_nodes / graph_arcs:
         Size of the bi-valued constraint graph (for the tables/ablations).
+    warm_certified:
+        λ* was proven by replaying a :class:`WarmCertificate`
+        (:func:`certify_warm`), with no engine call.
     """
 
     K: Dict[str, int]
@@ -64,6 +67,7 @@ class KPeriodicResult:
     graph_nodes: int = 0
     graph_arcs: int = 0
     engine_iterations: int = 0
+    warm_certified: bool = False
 
     @property
     def throughput(self) -> Optional[Fraction]:
@@ -302,6 +306,222 @@ def solve_prepared_min_period(
     return finish_min_period(prepared, result, build_schedule=build_schedule)
 
 
+@dataclass(frozen=True, eq=False)
+class WarmCertificate:
+    """The optimality witness of a solved round, kept for the next solve.
+
+    Cycle-ratio LP duality: a circuit of ratio ``λ̂`` plus potentials
+    under which no arc gains at ``λ̂`` prove ``λ* = λ̂``.
+    :func:`certify_warm` replays both on an edited graph of the same
+    ``K``; neither needs to be right there — each is checked exactly.
+
+    ``lam`` is the round's ``λ*`` in its expanded scale, ``scale`` the
+    compiled scale ``D`` of its graph, ``circuit`` its critical circuit
+    as ``(task, expanded phase)`` labels, and ``potentials`` the
+    longest paths at ``lam`` (an int64 array, in units of ``1/(b·D)``
+    for ``lam = a/b``).
+    """
+
+    K: Dict[str, int]
+    lam: Fraction
+    scale: int
+    circuit: Tuple[Tuple[str, int], ...]
+    potentials: Any
+
+
+@dataclass
+class WarmCheck:
+    """What :func:`certify_warm` found.
+
+    ``outcome`` is ``"certified"`` (then ``result`` is the round's
+    :class:`~repro.mcrp.graph.CycleResult` and ``potentials`` its quiet
+    distances), ``"circuit-broken"`` (the circuit is gone or no longer
+    has ratio ``λ̂``), ``"not-quiet"`` (some cycle is positive at
+    ``λ̂``) or ``"skipped"`` (another K, or the int64 guard). ``sweeps``
+    counts the Jacobi sweeps run, the quiet one included.
+    """
+
+    outcome: str
+    sweeps: int = 0
+    result: Optional[CycleResult] = None
+    potentials: Optional[List[int]] = None
+
+
+def certify_warm(
+    prepared: PreparedMinPeriod, certificate: WarmCertificate
+) -> WarmCheck:
+    """Prove ``λ* = λ̂`` on a prepared round without an engine call.
+
+    Two exact checks on the current graph, valid for any certificate:
+
+    1. the certificate's circuit, mapped to this graph's nodes with the
+       heaviest arc between consecutive nodes, has ratio exactly ``λ̂``
+       with positive transit — so ``λ* ≥ λ̂``;
+    2. a Jacobi relaxation at ``λ̂`` started from the stored potentials
+       (rescaled to this graph's ``D``) has a sweep with no improvement
+       within ``_MAX_JACOBI_SWEEPS`` — every arc then satisfies
+       ``p(v) ≥ p(u) + w(u, v)``, summing to ``0 ≥ w(c)`` on every
+       cycle ``c``, so ``λ* ≤ λ̂``.
+
+    A stale certificate costs at most the sweep budget. Graphs under
+    ``_MIN_VECTOR_NODES`` nodes relax with the queue-based reference
+    from the same start instead.
+    """
+    lam = certificate.lam
+    if prepared.K != certificate.K or lam <= 0:
+        return WarmCheck("skipped")
+    compiled = prepared.bi_graph.compile()
+    n = compiled.node_count
+    if (
+        len(certificate.potentials) != n
+        or not compiled.ensure_numpy()
+        or compiled.np_cost is None
+    ):
+        return WarmCheck("skipped")
+    a, b = lam.numerator, lam.denominator
+    start = _rescaled_potentials(certificate, lam, compiled.scale)
+    if start is None or compiled.parametric_weight_bound(a, b) >= 1 << 62:
+        return WarmCheck("skipped")
+    arcs = _replay_circuit(prepared, compiled, certificate.circuit, a, b)
+    if arcs is None:
+        return WarmCheck("circuit-broken")
+    if n < _MIN_VECTOR_NODES:
+        sweeps = 0
+        try:
+            dist = _potentials_python(
+                compiled, compiled.parametric_weights(a, b),
+                seed=start.tolist())
+        except SolverError:
+            return WarmCheck("not-quiet")
+    else:
+        try:
+            dist, quiet, sweeps = _potentials_numpy(
+                compiled, a, b, start=start)
+        except SolverError:  # budget > n: a positive cycle
+            return WarmCheck("not-quiet", n + 1)
+        if dist is None:  # the int64 guard
+            return WarmCheck("skipped")
+        if not quiet:
+            return WarmCheck("not-quiet", sweeps)
+    result = CycleResult(
+        ratio=lam, cycle_arcs=arcs, cycle_nodes=compiled.arc_sources(arcs))
+    return WarmCheck("certified", sweeps, result, dist)
+
+
+def warm_certificate(
+    prepared: PreparedMinPeriod,
+    result: KPeriodicResult,
+    potentials: Optional[List[int]] = None,
+    previous: Optional[WarmCertificate] = None,
+) -> Optional[WarmCertificate]:
+    """The certificate of a solved round (``None`` when ``λ* = 0``).
+
+    ``potentials`` are the round's quiet distances at ``λ*`` when it
+    was itself warm-certified; otherwise they are computed here, once,
+    starting from the ``previous`` certificate's potentials when it
+    has this round's K (an edit moves few of them; any start converges
+    to a valid certificate).
+    """
+    try:
+        import numpy as np
+    except ImportError:  # pragma: no cover - numpy present in CI
+        return None
+    lam = result.omega_expanded
+    if lam <= 0:
+        return None
+    compiled = prepared.bi_graph.compile()
+    if potentials is None:
+        start = None
+        if (
+            previous is not None
+            and previous.K == prepared.K
+            and len(previous.potentials) == compiled.node_count
+        ):
+            start = _rescaled_potentials(previous, lam, compiled.scale)
+        potentials = _integer_potentials(
+            compiled, lam.numerator, lam.denominator, start,
+            _MAX_CERTIFICATE_SWEEPS)
+    try:
+        potentials = np.array(potentials, dtype=np.int64)
+    except OverflowError:
+        return None
+    return WarmCertificate(
+        K=dict(prepared.K), lam=lam, scale=compiled.scale,
+        circuit=tuple(result.critical_nodes), potentials=potentials,
+    )
+
+
+def _rescaled_potentials(
+    certificate: WarmCertificate, lam: Fraction, scale: int
+):
+    """The stored potentials in units of ``1/(b·scale)`` for
+    ``lam = a/b`` (``None`` if rescaling could overflow; any start
+    vector is sound, so a rescale that does not divide evenly just
+    rounds down)."""
+    start = certificate.potentials
+    unit = lam.denominator * scale
+    stored = certificate.lam.denominator * certificate.scale
+    if unit == stored:
+        return start
+    if int(abs(start).max()) * unit >= 1 << 62:
+        return None
+    return start * unit // stored
+
+
+#: The int64 floor, marking "no arc closes this pair" in the circuit
+#: replay (every real weight is above it by the caller's guard).
+_NO_ARC = -(1 << 63)
+
+
+def _replay_circuit(
+    prepared: PreparedMinPeriod,
+    compiled,
+    labels: Sequence[Tuple[str, int]],
+    lam_num: int,
+    lam_den: int,
+) -> Optional[List[int]]:
+    """Arcs of the circuit ``labels`` in ``compiled`` if its ratio is
+    exactly ``lam_num/lam_den`` with positive transit, else ``None``.
+
+    Between consecutive nodes the arc of largest parametric weight is
+    taken (int64 is safe: the caller checked the weight bound), then
+    the ratio is checked on exact integer sums.
+    """
+    import numpy as np
+
+    if prepared.node_index is not None:
+        index = prepared.node_index
+        nodes = [index.get(label) for label in labels]
+        if None in nodes:
+            return None
+    else:
+        nodes = prepared.space.nodes_of(labels)
+    if not nodes or len(set(nodes)) != len(nodes):
+        return None
+    u = np.asarray(nodes, dtype=np.int64)
+    lo = compiled.np_indptr[u]
+    degree = compiled.np_indptr[u + 1] - lo
+    if not degree.all():
+        return None
+    seg = np.cumsum(degree) - degree
+    total = int(seg[-1] + degree[-1])
+    positions = np.arange(total, dtype=np.int64)
+    out = compiled.np_csr_arcs[positions + np.repeat(lo - seg, degree)]
+    w = lam_den * compiled.np_cost[out] - lam_num * compiled.np_transit[out]
+    closes = compiled.np_dst[out] == np.repeat(np.roll(u, -1), degree)
+    w = np.where(closes, w, _NO_ARC)
+    best = np.maximum.reduceat(w, seg)
+    if (best == _NO_ARC).any():
+        return None
+    first = np.minimum.reduceat(
+        np.where(w == np.repeat(best, degree), positions, total), seg)
+    arcs = out[first].tolist()
+    cost, transit = compiled.cycle_sums(arcs)
+    if transit <= 0 or cost * lam_den != lam_num * transit:
+        return None
+    return arcs
+
+
 def min_period_for_k(
     graph,
     K: Mapping[str, int],
@@ -405,6 +625,11 @@ _MIN_VECTOR_NODES = 64
 #: queue-based relaxation finishes from the partially converged state
 #: instead of paying Θ(depth) reduceat calls.
 _MAX_JACOBI_SWEEPS = 32
+#: The sweep budget of a certificate's potentials pass: from the
+#: previous certificate's potentials a few dozen sweeps usually reach
+#: the new fixpoint, and staying vectorized spares the list forms the
+#: queue-based finish needs.
+_MAX_CERTIFICATE_SWEEPS = 4 * _MAX_JACOBI_SWEEPS
 
 
 def longest_path_potentials(
@@ -427,17 +652,27 @@ def longest_path_potentials(
     """
     compiled = bi_graph.compile()
     a, b = omega_expanded.numerator, omega_expanded.denominator
-    dist, converged = _potentials_numpy(compiled, a, b)
-    if not converged:
-        weights = compiled.parametric_weights(a, b)
-        dist = _potentials_python(compiled, weights, seed=dist)
     denom = b * compiled.scale
-    return [Fraction(d, denom) for d in dist]
+    return [Fraction(d, denom) for d in _integer_potentials(compiled, a, b)]
+
+
+def _integer_potentials(
+    compiled, lam_num: int, lam_den: int, start=None, budget=None
+) -> List[int]:
+    """Longest paths at ``λ`` in units of ``1/(lam_den·scale)``, or —
+    from a ``start`` vector — the least fixpoint above it. ``budget``
+    caps the Jacobi sweeps before the queue-based finish."""
+    dist, converged, _sweeps = _potentials_numpy(
+        compiled, lam_num, lam_den, start, budget)
+    if not converged:
+        weights = compiled.parametric_weights(lam_num, lam_den)
+        dist = _potentials_python(compiled, weights, seed=dist)
+    return dist
 
 
 def _potentials_numpy(
-    compiled, lam_num: int, lam_den: int
-) -> Tuple[Optional[List[int]], bool]:
+    compiled, lam_num: int, lam_den: int, start=None, budget=None,
+) -> Tuple[Optional[List[int]], bool, int]:
     """Jacobi longest-path sweeps over the compiled numpy arrays.
 
     The parametric weights ``b·L' − a·H'`` are formed vectorized from
@@ -445,18 +680,22 @@ def _potentials_numpy(
     sweep ``k`` dominates every ≤k-arc walk value, so with no positive
     cycle the fixpoint is reached within ``n`` sweeps (longest simple
     path has ``n − 1`` arcs) and one extra quiet sweep proves it.
-    Returns ``(dist, True)`` on convergence. ``(None, False)`` means
-    the vectorized pass never engaged (no numpy, too small, or the
-    walk sums could overflow int64); ``(partial, False)`` means the
-    sweep budget ran out first — either way the caller finishes with
-    the queue-based relaxation, seeding it with the partial distances
-    when there are any (every entry is a real walk value, hence a
-    valid intermediate relaxation state).
+    ``start`` (an int64 array, default all zeros) is the vector the
+    sweeps begin from: whatever it holds, a quiet sweep leaves every
+    arc satisfied, which proves that no cycle is positive at ``λ``.
+    ``budget`` caps the sweeps (default ``_MAX_JACOBI_SWEEPS``).
+    Returns ``(dist, True, sweeps)`` on convergence, ``sweeps``
+    counting the quiet one. ``(None, False, 0)`` means the vectorized
+    pass never engaged (no numpy, too small, or the walk sums could
+    overflow int64); ``(partial, False, budget)`` means the sweep
+    budget ran out first — either way the caller finishes with the
+    queue-based relaxation, seeding it with the partial distances
+    when there are any.
     """
     try:
         import numpy as np
     except ImportError:  # pragma: no cover - numpy present in CI
-        return None, False
+        return None, False, 0
     n = compiled.node_count
     if (
         n < _MIN_VECTOR_NODES
@@ -465,27 +704,31 @@ def _potentials_numpy(
         or not compiled.ensure_numpy()
         or compiled.np_cost is None
     ):
-        return None, False
+        return None, False, 0
+    budget = min(n + 1, _MAX_JACOBI_SWEEPS if budget is None else budget)
+    # After k sweeps every entry is ``start[u]`` plus a walk of ≤ k
+    # arcs, so every sum the sweeps form stays inside int64.
+    peak = 0 if start is None else int(np.abs(start).max())
     bound = compiled.parametric_weight_bound(lam_num, lam_den)
-    if bound >= (1 << 62) // (n + 2):  # keep every walk sum inside int64
-        return None, False
+    if peak + (budget + 1) * bound >= 1 << 62:
+        return None, False, 0
     w = lam_den * compiled.np_cost - lam_num * compiled.np_transit
     w_s = w[compiled.dst_order]
     src_s = compiled.src_sorted
     dst_unique = compiled.dst_unique
     seg_starts = compiled.seg_starts
-    dist = np.zeros(n, dtype=np.int64)
-    budget = min(n + 1, _MAX_JACOBI_SWEEPS)
-    for _sweep in range(budget):
+    dist = (np.zeros(n, dtype=np.int64) if start is None
+            else np.array(start, dtype=np.int64))
+    for sweep in range(budget):
         seg_best = np.maximum.reduceat(dist[src_s] + w_s, seg_starts)
         improved = seg_best > dist[dst_unique]
         if not improved.any():
-            return dist.tolist(), True
+            return dist.tolist(), True, sweep + 1
         touched = dst_unique[improved]
         dist[touched] = seg_best[improved]
     if budget > n:
         raise SolverError("positive cycle at certified λ*: engine bug")
-    return dist.tolist(), False
+    return dist.tolist(), False, budget
 
 
 def _potentials_python(
@@ -495,10 +738,11 @@ def _potentials_python(
 ) -> List[int]:
     """Queue-based Bellman–Ford longest paths (exact reference).
 
-    ``seed`` (optional) is an intermediate relaxation state — every
-    entry a genuine walk value from the zero source, component-wise at
-    most the fixpoint — from which the relaxation resumes; the least
-    fixpoint reached is the same either way.
+    ``seed`` (optional) is the vector the relaxation starts from; it
+    reaches the least fixpoint above it — the zero-source fixpoint
+    itself when the seed is an intermediate state of that relaxation
+    (every entry a genuine walk value from the zero source). Any seed
+    converges within the same re-queue bound when no cycle is positive.
     """
     from collections import deque
 

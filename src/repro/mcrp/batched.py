@@ -18,10 +18,10 @@ whole fleet at once:
   (a graph whose segments show no improvement has reached its private
   fixpoint: updates never cross graph boundaries, so quiescence is
   permanent).
-* a **batched Karp table** (`_karp_probe`): each table row is one
-  ``maximum.reduceat`` sweep over the stacked arcs; the exact max–min
-  selection and the critical-cycle recovery then run per graph on that
-  graph's node slice.
+
+Engines without a batched oracle (``karp`` among them: a stacked Karp
+table lost to the per-graph kernel even for a fleet of one) hand each
+graph to :func:`~repro.mcrp.registry.solve_mcrp`.
 
 Exactness contract
 ------------------
@@ -49,25 +49,18 @@ except ImportError:  # pragma: no cover - numpy present in CI
 
 from repro.exceptions import DeadlockError, ReproError, SolverError
 from repro.mcrp.graph import BiValuedGraph, CycleResult
-from repro.mcrp.karp import _NEG, _NEG_HALF, _recover_cycle
 from repro.mcrp.registry import DEFAULT_ENGINE, get_engine, solve_mcrp
 from repro.obs.metrics import REGISTRY as _REGISTRY
 
 _KERNEL_ROUNDS = _REGISTRY.counter("repro_batched_kernel_rounds_total")
 _DELEGATIONS = _REGISTRY.counter("repro_batched_delegations_total")
 
-#: Engine name → batched oracle kind. ``hybrid`` batches as the exact
-#: Jacobi probe (the float Howard prefilter is a per-graph scalar loop
+#: Engines the fleet kernel runs as the batched Jacobi probe. ``hybrid``
+#: is among them: its float Howard prefilter is a per-graph scalar loop
 #: that buys nothing at fleet scale and is skipped — λ* is unchanged,
-#: both paths are exact).
-BATCHED_ORACLES: Dict[str, str] = {
-    "ratio-iteration": "jacobi",
-    "hybrid": "jacobi",
-    "karp": "karp",
-}
+#: both paths are exact.
+BATCHED_ORACLES = frozenset({"ratio-iteration", "hybrid"})
 
-#: Hard cap on the stacked Karp table footprint (values + predecessors).
-_MAX_TABLE_BYTES = 512 * 1024 * 1024
 #: Safety valve matching ``max_cycle_ratio``'s ``max_iterations``.
 _MAX_PROBES = 1_000_000
 
@@ -258,8 +251,6 @@ def batched_solve_mcrp(
     outcomes: List[Optional[BatchedOutcome]] = [None] * len(graphs)
     if not graphs:
         return []
-    oracle = BATCHED_ORACLES.get(engine)
-
     delegations_cell = _DELEGATIONS.labels(engine=engine)
 
     def delegate(index: int, lower: Optional[Fraction]) -> None:
@@ -275,7 +266,7 @@ def batched_solve_mcrp(
     if len(bounds) != len(graphs):
         raise SolverError("lower_bounds must align with graphs")
 
-    if _np is None or oracle is None or not info.batched:
+    if _np is None or engine not in BATCHED_ORACLES or not info.batched:
         for i in range(len(graphs)):
             delegate(i, bounds[i])
         return [o for o in outcomes if o is not None]
@@ -301,8 +292,7 @@ def batched_solve_mcrp(
 
     if member_compiled:
         stack = BatchedCompiledGraph(member_compiled)
-        _iterate_stack(stack, member_index, bounds, oracle,
-                       outcomes, delegate,
+        _iterate_stack(stack, member_index, bounds, outcomes, delegate,
                        rounds_cell=_KERNEL_ROUNDS.labels(engine=engine))
     for i, outcome in enumerate(outcomes):
         if outcome is None:  # pragma: no cover - defensive totality
@@ -310,8 +300,8 @@ def batched_solve_mcrp(
     return [o for o in outcomes if o is not None]
 
 
-def _iterate_stack(stack, member_index, bounds, oracle,
-                   outcomes, delegate, rounds_cell=None) -> None:
+def _iterate_stack(stack, member_index, bounds, outcomes, delegate,
+                   rounds_cell=None) -> None:
     """Ascending λ iteration over the stacked fleet (exact per graph)."""
     states: Dict[int, _GraphState] = {}
     for pos, i in enumerate(member_index):
@@ -351,10 +341,7 @@ def _iterate_stack(stack, member_index, bounds, oracle,
 
         if rounds_cell is not None:
             rounds_cell.inc()
-        if oracle == "jacobi":
-            cycles, quiet, punt = _jacobi_probe(stack, states, probe_set)
-        else:
-            cycles, quiet, punt = _karp_probe(stack, states, probe_set)
+        cycles, quiet, punt = _jacobi_probe(stack, states, probe_set)
 
         next_active: List[int] = []
         for pos in probe_set:
@@ -536,158 +523,3 @@ def _extract_cycle(
     if total <= 0:
         return None
     return cycle
-
-
-# ----------------------------------------------------------------------
-# batched Karp table
-# ----------------------------------------------------------------------
-class _WalkWeights:
-    """:meth:`CompiledGraph.parametric_weights` at ``λ``, read per arc.
-
-    A Karp walk reads the weights of at most ``n`` arcs, so they are
-    formed on access from the numpy mirrors (exact Python ints) rather
-    than for every arc of the graph.
-    """
-
-    __slots__ = ("_cost", "_transit", "_num", "_den")
-
-    def __init__(self, compiled, lam: Fraction):
-        self._cost, self._transit = compiled.np_cost, compiled.np_transit
-        self._num, self._den = lam.numerator, lam.denominator
-
-    def __getitem__(self, arc: int) -> int:
-        return (self._den * int(self._cost[arc])
-                - self._num * int(self._transit[arc]))
-
-
-def _karp_probe(
-    stack: BatchedCompiledGraph,
-    states: Dict[int, _GraphState],
-    positions: List[int],
-) -> Tuple[Dict[int, List[int]], Set[int], Set[int]]:
-    """Fleet-wide Karp-table probe: positive-mean cycles at per-graph λ.
-
-    One stacked table serves every graph: row ``k`` holds the best
-    ``k``-arc walk value ending at each global node, advanced for all
-    graphs by a single ``maximum.reduceat`` per row. Graph ``g`` only
-    ever reads its own rows ``0..n_g`` during the exact max–min
-    selection, so the table height is ``max n_g`` and shorter graphs
-    simply ignore the deeper rows. Gates (per graph): table entries must
-    stay within ±2^61 for ``max n`` rows and the selection cross
-    products within int64 — failures are punted to the per-graph path,
-    as is the whole probe set when the stacked table would not fit
-    ``_MAX_TABLE_BYTES``.
-    """
-    cycles: Dict[int, List[int]] = {}
-    quiet: Set[int] = set()
-    punt: Set[int] = set()
-
-    current: List[int] = []
-    for pos in positions:
-        compiled = stack.graphs[pos]
-        st = states[pos]
-        n = compiled.node_count
-        bound = max(1, compiled.parametric_weight_bound(
-            st.lam.numerator, st.lam.denominator))
-        if 2 * n * n * bound >= (1 << 62):
-            punt.add(pos)
-        else:
-            current.append(pos)
-    if not current:
-        return cycles, quiet, punt
-
-    max_n = max(stack.graphs[pos].node_count for pos in current)
-    while current:
-        table_bytes = (max_n + 1) * stack.total_nodes * 16
-        row_bound_ok = all(
-            (max_n + 1) * max(1, stack.graphs[pos].parametric_weight_bound(
-                states[pos].lam.numerator, states[pos].lam.denominator))
-            < (1 << 61)
-            for pos in current
-        )
-        if table_bytes <= _MAX_TABLE_BYTES and row_bound_ok:
-            break
-        # shed the deepest graph and retry — it dominates both the
-        # memory footprint and the walk-sum bound
-        deepest = max(current, key=lambda p: stack.graphs[p].node_count)
-        punt.add(deepest)
-        current.remove(deepest)
-        if current:
-            max_n = max(stack.graphs[pos].node_count for pos in current)
-    if not current:
-        return cycles, quiet, punt
-
-    view = stack.active_view(current)
-    lam = {pos: states[pos].lam for pos in current}
-    w = view.weights(
-        [lam[p].numerator for p in current],
-        [lam[p].denominator for p in current],
-    )
-    N = stack.total_nodes
-    m = len(w)
-    table = _np.full((max_n + 1, N), _NEG, dtype=_np.int64)
-    preds = _np.full((max_n + 1, N), -1, dtype=_np.int64)
-    table[0] = 0
-    positions_arr = _np.arange(m, dtype=_np.int64)
-    prev = table[0]
-    for k in range(1, max_n + 1):
-        du = prev[view.src]
-        cand = _np.where(du <= _NEG_HALF, _NEG, du + w)
-        seg_best = _np.maximum.reduceat(cand, view.seg_starts)
-        valid = seg_best > _NEG_HALF
-        if not valid.any():
-            break  # every walk died out: all later rows stay -inf
-        touched = view.dst_unique[valid]
-        row = table[k]
-        row[touched] = seg_best[valid]
-        best_rep = _np.repeat(seg_best, view.seg_sizes)
-        hit = _np.where(cand == best_rep, positions_arr, m)
-        first = _np.minimum.reduceat(hit, view.seg_starts)
-        preds[k][touched] = view.orig_arc[first[valid]]
-        prev = row
-
-    for pos in current:
-        compiled = stack.graphs[pos]
-        st = states[pos]
-        n = compiled.node_count
-        noff = stack.node_offset[pos]
-        aoff = stack.arc_offset[pos]
-        sl = slice(noff, noff + n)
-        d_n = table[n][sl]
-        alive = d_n > _NEG_HALF
-        if not alive.any():
-            quiet.add(pos)  # no n-arc walk at all: the graph is acyclic
-            continue
-        # per node v: min over k of (D_n − D_k)/(n − k), exact
-        # cross-multiplied comparisons (the caller's gate proves fit)
-        worst_num = d_n.copy()
-        worst_den = _np.full(n, n, dtype=_np.int64)
-        for k in range(1, n):
-            row = table[k][sl]
-            finite = row > _NEG_HALF
-            if not finite.any():
-                break  # reachability only shrinks as k grows
-            num = _np.where(finite, d_n - row, 0)
-            den = n - k
-            better = finite & (num * worst_den < worst_num * den)
-            worst_num = _np.where(better, num, worst_num)
-            worst_den = _np.where(better, den, worst_den)
-        best_node = -1
-        best_num, best_den = 0, 1
-        for v in _np.nonzero(alive)[0]:
-            cand_num, cand_den = int(worst_num[v]), int(worst_den[v])
-            if best_node < 0 or cand_num * best_den > best_num * cand_den:
-                best_num, best_den, best_node = cand_num, cand_den, int(v)
-        if best_num <= 0:
-            quiet.add(pos)  # best mean ≤ 0: no positive cycle at this λ
-            continue
-        pred_rows = [
-            _np.where(preds[k][sl] >= 0, preds[k][sl] - aoff, -1)
-            for k in range(n + 1)
-        ]
-        cycles[pos] = _recover_cycle(
-            n, pred_rows, compiled.np_src, compiled.np_dst,
-            _WalkWeights(compiled, st.lam), best_node,
-            Fraction(best_num, best_den),
-        )
-    return cycles, quiet, punt

@@ -370,7 +370,6 @@ def _karp_python_oracle(
     supports_lower_bound=True,
     quadratic=True,
     vectorized=True,
-    batched=True,
     summary="ascending iteration on a vectorized Karp-table oracle "
             "(Θ(nm) per probe as one reduceat sweep per table row; "
             "cycle-mean core shared with the HSDF baseline)",

@@ -164,6 +164,8 @@ METRICS: Dict[str, MetricSpec] = {
         "counter", "Session re-solve warm starts, by outcome", ("outcome",)),
     "repro_session_rounds_saved_total": MetricSpec(
         "counter", "K-Iter rounds skipped by reusing the certified K"),
+    "repro_session_certified_total": MetricSpec(
+        "counter", "Session solves proven by the warm certificate, no engine call"),
     # --- benches -----------------------------------------------------
     "repro_bench_value": MetricSpec(
         "gauge", "Latest benchmark gate numbers", ("bench", "name")),
