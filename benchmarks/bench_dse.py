@@ -19,14 +19,17 @@ with **bit-identical certified λ*** on every probe. The duration
 sensitivity sweep rides along as an informational row.
 
 ``test_probe_time_goes_to_the_oracle`` splits one warm probe of the
-same sweep on golden_synthetic2 into its layers: block invalidation,
-the SCC sweep plus the component slice, the warm-certificate replay and
+same sweep on golden_synthetic2 into its layers: the edit
+(``set_capacities``), block invalidation, the K-expansion compile, the
+SCC sweep plus the component slice, the warm-certificate replay and
 the positive-cycle oracle. A probe's one constraint graph is a single
 SCC, so the bookkeeping around the oracle must stay ≤0.10 of the probe
-wall; and a probe whose λ* and critical circuit did not move is proven
-by replaying the previous probe's certificate, so ≥80% of the live
-probes must be certified without an engine call (a count: it does not
-depend on the host).
+wall; a probe edits one buffer or a few, and its compile re-derives
+and splices only those into the last assembly, so the compile plus the
+edit must stay ≤0.30 of the probe wall; and a probe whose λ* and
+critical circuit did not move is proven by replaying the previous
+probe's certificate, so ≥80% of the live probes must be certified
+without an engine call (a count: it does not depend on the host).
 
 Both tests add their rows to ``BENCH_dse.json`` and their lines to
 ``results/ablation_dse.txt``.
@@ -45,7 +48,7 @@ from repro.buffers.capacity import bound_all_buffers, minimal_buffer_capacity
 from repro.dse import DseSession
 from repro.exceptions import DeadlockError
 from repro.io import load_graph
-from repro.kperiodic import kiter
+from repro.kperiodic import kiter, solver
 from repro.kperiodic.expansion import ExpansionBlockCache
 from repro.mcrp import decompose, ratio_iteration
 
@@ -225,7 +228,9 @@ def _sensitivity_sweep():
 # ----------------------------------------------------------------------
 #: The probe layers timed, each as the functions whose calls it sums.
 _LAYERS = {
+    "edit": [(DseSession, "set_capacities")],
     "invalidation": [(ExpansionBlockCache, "invalidate_buffer")],
+    "compile": [(solver, "compile_expansion")],
     "scc_slice": [(decompose, "strongly_connected_node_sets"),
                   (decompose, "_subgraph")],
     "certify": [(kiter, "certify_warm")],
@@ -281,26 +286,34 @@ def test_probe_time_goes_to_the_oracle(results_dir, monkeypatch):
     ms = {layer: 1e3 * seconds / count for layer, seconds in spent.items()}
     probe_ms = 1e3 * wall / count
     share = (ms["invalidation"] + ms["scc_slice"]) / probe_ms
+    patch_share = (ms["compile"] + ms["edit"]) / probe_ms
     text = (
         f"golden_synthetic2.json   per warm probe ({count} probes): "
-        f"wall {probe_ms:7.2f}ms   invalidation {ms['invalidation']:6.3f}ms"
+        f"wall {probe_ms:7.2f}ms   edit {ms['edit']:6.3f}ms"
+        f"   invalidation {ms['invalidation']:6.3f}ms"
+        f"   compile {ms['compile']:6.3f}ms"
         f"   scc+slice {ms['scc_slice']:6.3f}ms"
         f"   certify {ms['certify']:6.3f}ms"
         f"   oracle {ms['oracle']:7.2f}ms   "
         f"(invalidation+scc+slice share {share:.3f}, gate ≤0.10; "
+        f"compile+edit share {patch_share:.3f}, gate ≤0.30; "
         f"certified without an engine call {certified:.3f} of live "
         f"probes, gate ≥0.80)"
     )
     _report(
         "probe_layers", text,
         [{"name": "probe_ms", "value": probe_ms, "unit": "ms"},
+         {"name": "probe_edit_ms", "value": ms["edit"], "unit": "ms"},
          {"name": "probe_invalidation_ms", "value": ms["invalidation"],
           "unit": "ms"},
+         {"name": "probe_compile_ms", "value": ms["compile"], "unit": "ms"},
          {"name": "probe_scc_slice_ms", "value": ms["scc_slice"],
           "unit": "ms"},
          {"name": "probe_certify_ms", "value": ms["certify"], "unit": "ms"},
          {"name": "probe_oracle_ms", "value": ms["oracle"], "unit": "ms"},
          {"name": "probe_bookkeeping_share", "value": share,
+          "unit": "share"},
+         {"name": "probe_compile_edit_share", "value": patch_share,
           "unit": "share"},
          {"name": "probe_certified_share", "value": certified,
           "unit": "share"}],
@@ -308,6 +321,10 @@ def test_probe_time_goes_to_the_oracle(results_dir, monkeypatch):
     assert share <= 0.10, (
         f"invalidation + SCC + slice take {share:.3f} of a warm probe "
         f"(gate ≤0.10):\n{text}"
+    )
+    assert patch_share <= 0.30, (
+        f"compile + edit take {patch_share:.3f} of a warm probe "
+        f"(gate ≤0.30):\n{text}"
     )
     assert certified >= 0.80, (
         f"only {certified:.3f} of the live warm probes were certified "

@@ -45,7 +45,9 @@ NodeKey = Tuple[str, int]  # (task name, 1-based phase)
 _MERGE_INT64_GUARD = 1 << 62
 
 
-def merge_parallel_candidates(srcs, dsts, costs, betas, denoms, node_count):
+def merge_parallel_candidates(
+    srcs, dsts, costs, betas, denoms, node_count, *, only=None
+):
     """Vectorized min-``H`` dedupe of candidate arcs, first-occurrence order.
 
     Inputs are parallel int64 arrays describing candidate arcs whose
@@ -61,16 +63,76 @@ def merge_parallel_candidates(srcs, dsts, costs, betas, denoms, node_count):
     of the distinct denominators (one ``np.lexsort`` groups the pairs,
     one ``minimum.reduceat`` picks each group's minimum rescaled ``H``).
     Returns ``(srcs, dsts, costs, betas, denoms)`` — the output β/den
-    pairs represent the same rationals, possibly unreduced — or ``None``
-    when the rescaled values could overflow int64 (the caller then falls
-    back to the exact dict merge).
+    pairs represent the same rationals, each kept minimum in lowest
+    terms — or ``None`` when the rescaled values could overflow int64
+    (the caller then falls back to the exact dict merge).
+
+    ``only`` (an index array, ascending) restricts the pass to those
+    arcs: the caller vouches that no other arc shares its node pair with
+    any arc — as for the arcs of buffers joining no task pair another
+    buffer joins — so the others pass through unchanged, in place. The
+    result is the same arcs, in the same order, with the same
+    rationals, as the pass over every arc; only the lcm, and so the
+    int64 gate, spans fewer denominators.
+    """
+    if only is None:
+        merged = _merge_groups(srcs, dsts, betas, denoms, node_count)
+        if merged is None:
+            return None
+        firsts, min_betas, min_denoms = merged
+        return (
+            srcs[firsts], dsts[firsts], costs[firsts], min_betas, min_denoms
+        )
+    merged = _merge_groups(
+        srcs[only], dsts[only], betas[only], denoms[only], node_count
+    )
+    if merged is None:
+        return None
+    firsts, min_betas, min_denoms = merged
+    survivors = only[firsts]
+    keep = _np.ones(srcs.shape[0], dtype=bool)
+    keep[only] = False
+    keep[survivors] = True
+    betas = betas.copy()
+    denoms = denoms.copy()
+    betas[survivors] = min_betas
+    denoms[survivors] = min_denoms
+    return srcs[keep], dsts[keep], costs[keep], betas[keep], denoms[keep]
+
+
+def int64_lcm(values) -> Optional[int]:
+    """The lcm of an array of positive int64 values, ``None`` past int64.
+
+    A few values take the exact Python-int lcm: numpy's per-call cost
+    would dominate. Otherwise one sort finds the distinct values and
+    ``np.lcm`` reduces them in int64. Every partial lcm divides the true
+    one, so nothing overflows when the true lcm fits; when it does not,
+    no positive common multiple fits either, so an overflowed result
+    fails the closing divisibility check.
+    """
+    if values.shape[0] <= 64:
+        total = lcm_list(set(values.tolist()))
+        return total if total < 1 << 63 else None
+    ordered = _np.sort(values)
+    distinct = ordered[_np.concatenate(([True], ordered[1:] != ordered[:-1]))]
+    total = _np.lcm.reduce(distinct)
+    if total <= 0 or (total % distinct).any():
+        return None
+    return int(total)
+
+
+def _merge_groups(srcs, dsts, betas, denoms, node_count):
+    """``(firsts, β, den)`` of the merge, or ``None`` past int64.
+
+    ``firsts`` are the ascending input indices of each node pair's first
+    occurrence; ``β / den``, in lowest terms, is that pair's minimal
+    ``H``, negated.
     """
     m = int(srcs.shape[0])
     if m == 0:
-        return srcs, dsts, costs, betas, denoms
-    distinct = [int(d) for d in _np.unique(denoms)]
-    common = lcm_list(distinct)
-    if common >= _MERGE_INT64_GUARD:
+        return _np.empty(0, dtype=_np.int64), betas[:0], denoms[:0]
+    common = int64_lcm(denoms)
+    if common is None or common >= _MERGE_INT64_GUARD:
         return None
     factors = common // denoms  # int64: common < 2**62, denoms ≥ 1
     max_beta = int(_np.abs(betas).max())
@@ -90,14 +152,9 @@ def merge_parallel_candidates(srcs, dsts, costs, betas, denoms, node_count):
     # smallest original index: that is the node pair's first occurrence.
     firsts = order[group_starts]
     emit = _np.argsort(firsts, kind="stable")
-    firsts = firsts[emit]
-    return (
-        srcs[firsts],
-        dsts[firsts],
-        costs[firsts],
-        -min_h[emit],
-        _np.full(firsts.shape[0], common, dtype=_np.int64),
-    )
+    min_betas = -min_h[emit]
+    g = _np.gcd(min_betas, common)
+    return firsts[emit], min_betas // g, common // g
 
 
 def build_constraint_graph(

@@ -14,6 +14,11 @@ state                reuse across edits
 expansion blocks     an edit drops only the touched buffers' blocks
                      (``(buffer, K_src, K_dst)`` keys — everything
                      else stays valid by construction)
+assembled            the pre-merge arcs of the last Ks compiled: an
+constraint graph     edit marks the touched buffers' slots dirty and
+                     patches only their work-plan columns; the next
+                     compile at one of those Ks re-derives and splices
+                     only those slots
 repetition vector    memoized; dropped only by rate edits
 certified K          re-used as ``initial_k`` — always exactness-safe
                      (Theorem 4 certifies at the final K regardless of
@@ -144,6 +149,8 @@ class DseSession:
         # (reset() invalidates exactly these — blocks of never-edited
         # buffers are valid for the base graph by content identity).
         self._dirty: set = set()
+        # (graph, its bounded buffers' capacities) — see _capacities().
+        self._marks: Optional[Tuple[CsdfGraph, Dict[str, int]]] = None
         # Plain-int mirrors of the session.* metric families.
         self.edits: Dict[str, int] = {}
         self.invalidated_blocks = 0
@@ -172,9 +179,12 @@ class DseSession:
 
     def _apply_capacities(self, capacities: Dict[str, int]) -> None:
         graph = self.graph
+        current = self._capacities()
         replacements: Dict[str, Buffer] = {}
         shrink_only = True
         for name, capacity in capacities.items():
+            if current.get(name) == capacity:
+                continue  # no-op: keep blocks, seed, everything
             data = graph.buffer(name)
             space_name = f"__space_{name}"
             if not graph.has_buffer(space_name):
@@ -190,24 +200,41 @@ class DseSession:
                 )
             space = graph.buffer(space_name)
             tokens = capacity - data.initial_tokens
-            if tokens == space.initial_tokens:
-                continue  # no-op: keep blocks, seed, everything
             if tokens > space.initial_tokens:
                 shrink_only = False
-            replacements[space_name] = Buffer(
-                space.name, space.source, space.target, space.production,
-                space.consumption, tokens,
-                serialization=space.serialization,
-            )
-        if replacements:
-            # One shared-reference rebuild for the whole batch — a
-            # uniform-scale step touches every space buffer, and
-            # chaining per-buffer copies would be quadratic.
-            graph = rebuild_graph(graph, buffers=replacements)
+            replacements[space_name] = space.with_initial_tokens(tokens)
+        if not replacements:
+            return
+        # One shared-reference rebuild for the whole batch — a
+        # uniform-scale step touches every space buffer, and chaining
+        # per-buffer copies would be quadratic.
         self._commit(
-            "capacity", graph, list(replacements),
-            seed_safe=shrink_only,
+            "capacity", rebuild_graph(graph, buffers=replacements),
+            list(replacements), seed_safe=shrink_only,
         )
+        current.update(capacities)
+        self._marks = (self.graph, current)
+
+    def _capacities(self) -> Dict[str, int]:
+        """Every bounded data buffer's capacity in the current graph.
+
+        Memoized per graph object, so a batch is diffed against it
+        with one dict lookup per entry.
+        """
+        marks = self._marks
+        if marks is None or marks[0] is not self.graph:
+            graph = self.graph
+            capacities = {}
+            for space in graph.buffers():
+                if not space.name.startswith("__space_"):
+                    continue
+                name = space.name[len("__space_"):]
+                if graph.has_buffer(name):
+                    capacities[name] = (
+                        graph.buffer(name).initial_tokens
+                        + space.initial_tokens)
+            marks = self._marks = (graph, capacities)
+        return marks[1]
 
     def set_initial_tokens(self, buffer_name: str, tokens: int) -> None:
         """Replace one buffer's initial marking.
@@ -366,7 +393,7 @@ class DseSession:
             # edit. The serialization memo keeps its counts under
             # content edits, so it is rebound to the edited graph.
             self._cache.invalidate_compiled()
-            self._cache.patch_serialized(graph)
+            self._cache.patch_serialized(graph, touched)
             if not seed_safe:
                 self._seed_valid = False
             if not k_safe:

@@ -39,7 +39,10 @@ try:  # the direct pipeline is numpy-only; the legacy path is the fallback
 except ImportError:  # pragma: no cover - numpy is present in CI
     _np = None
 
-from repro.analysis.constraint_graph import merge_parallel_candidates
+from repro.analysis.constraint_graph import (
+    int64_lcm,
+    merge_parallel_candidates,
+)
 from repro.analysis.precedence import segmented_useful_pair_arrays
 from repro.exceptions import ModelError
 from repro.mcrp.compiled import CompiledGraph
@@ -226,6 +229,28 @@ class ExpansionBlockCache:
         self._compiled_counts: Optional[Tuple[int, int]] = None
         self.compiled_hits = 0
         self.compiled_misses = 0
+        # The pre-merge arcs of the Ks this cache assembled last (as
+        # many as the assembled-K memo keeps): a compile at one of those
+        # Ks re-derives and splices only the buffers edited since. Kept
+        # only once a buffer was invalidated: without edits, the
+        # assembled-K memo answers every repeat compile.
+        self._assemblies: "OrderedDict[Tuple[int, ...], _Assembly]" = (
+            OrderedDict()
+        )
+        self._edits_seen = False
+        # The buffer names invalidated while assemblies are kept, oldest
+        # first, from log position _edited_from on; an assembly is
+        # current up to its mark, a position in this log.
+        self._edited: List[str] = []
+        self._edited_from = 0
+        self._edit_room = 0  # the log length that calls for a prune
+        # A compile against an assembly counts its clean slots as hits
+        # in bulk and leaves its LRU moves owed: (the keys of every
+        # slot, the slots it derived), keyed by id of the keys list. The
+        # moves run, in order, before anything else reads or reorders
+        # the LRU; a later compile owing the same keys supersedes an
+        # entry, since it moves every one of them again.
+        self._owed: "OrderedDict[int, Tuple[list, list]]" = OrderedDict()
 
     def compiled_for(self, graph, k_key) -> Optional[Tuple[object, object]]:
         """The assembled ``(bi_graph, space)`` for this K, if cached."""
@@ -264,6 +289,77 @@ class ExpansionBlockCache:
     def store_serialized(self, graph, plan: "_WorkPlan") -> None:
         self._serialized = ((graph.task_count, graph.buffer_count), plan)
 
+    def assembly_for(self, plan, K, repetition) -> Optional["_Assembly"]:
+        """The assembly of this K, if it was built from ``plan`` and
+        this ``q̃`` (``K`` validated: in the graph's task order)."""
+        assembly = self._assemblies.get(tuple(K.values()))
+        if (
+            assembly is not None
+            and assembly.plan is plan
+            and assembly.K == K
+            and assembly.repetition == repetition
+        ):
+            return assembly
+        return None
+
+    def edit_mark(self) -> int:
+        """The current position of the invalidation log."""
+        return self._edited_from + len(self._edited)
+
+    def dirty_slots(self, assembly: "_Assembly") -> List[int]:
+        """The slots of ``assembly`` invalidated since it was made,
+        ascending."""
+        slot_of = assembly.plan.slot_of
+        return sorted({
+            slot_of[name]
+            for name in self._edited[assembly.mark - self._edited_from:]
+            if name in slot_of
+        })
+
+    def store_assembly(self, assembly: "_Assembly", evictions: int) -> None:
+        """Keep ``assembly`` as the base of the next compile at its K.
+
+        ``evictions`` is this cache's eviction count when the compile
+        resolved its blocks: an eviction since may have dropped a block
+        the assembly counts as cached, so it is not kept. Neither is it
+        before any buffer was invalidated.
+        """
+        if evictions != self.evictions or not self._edits_seen:
+            return
+        assemblies = self._assemblies
+        key = tuple(assembly.K.values())
+        assemblies[key] = assembly
+        assemblies.move_to_end(key)
+        while len(assemblies) > self.max_compiled:
+            assemblies.popitem(last=False)
+        self._prune()
+
+    def _prune(self) -> None:
+        """Drop the assemblies with more edits pending than they have
+        slots, and the log entries no kept assembly reads.
+
+        Such an assembly is as good as rebuilt by its next compile, and
+        a K compiled once (an escalation step of a cold solve) is never
+        compiled again: pruning bounds both the log and the memory the
+        assemblies pin, not just their count.
+        """
+        head = self.edit_mark()
+        assemblies = self._assemblies
+        for key in [key for key, kept in assemblies.items()
+                    if head - kept.mark > len(kept.plan.names)]:
+            del assemblies[key]
+        oldest = min((kept.mark for kept in assemblies.values()),
+                     default=head)
+        del self._edited[:oldest - self._edited_from]
+        self._edited_from = oldest
+        self._edit_room = max(
+            (len(kept.plan.names) for kept in assemblies.values()),
+            default=0)
+
+    def _drop_assemblies(self) -> None:
+        self._assemblies.clear()
+        self._prune()
+
     def peek(
         self, keys: Sequence[Tuple[str, int, int]]
     ) -> List[Optional[ArcBlock]]:
@@ -280,17 +376,31 @@ class ExpansionBlockCache:
         self,
         hit_keys: Sequence[Tuple[str, int, int]],
         derived: Sequence[Tuple[Tuple[str, int, int], ArcBlock]],
+        *,
+        clean: int = 0,
+        owed: Optional[Tuple[list, list]] = None,
     ) -> None:
         """Count one compile's lookups and store the blocks it derived.
 
         ``hit_keys`` were found — cached, or derived for an earlier
         compile of the same pass — and move to the LRU end; every
         ``(key, block)`` of ``derived`` is one miss, stored here.
+
+        A compile against an assembly passes ``clean``, the slots it
+        did not look up (each a hit), and ``owed``, ``(keys of every
+        slot, slots derived)``: its LRU moves are deferred to the next
+        reader of the LRU, and a later compile at the same K makes them
+        moot by owing the same keys again.
         """
         blocks = self._blocks
-        for key in hit_keys:
-            if key in blocks:  # an eviction may have dropped it since
-                blocks.move_to_end(key)
+        if owed is not None:
+            self._owed.pop(id(owed[0]), None)
+            self._owed[id(owed[0])] = owed
+        else:
+            self._settle()
+            for key in hit_keys:
+                if key in blocks:  # an eviction may have dropped it since
+                    blocks.move_to_end(key)
         # Derived keys were peeked as absent, so nothing is replaced.
         blocks.update(derived)
         keys_of = self._keys_of
@@ -301,14 +411,35 @@ class ExpansionBlockCache:
                 keys_of[key[0]] = {key}
             else:
                 keys.add(key)
-        self.hits += len(hit_keys)
+        self.hits += len(hit_keys) + clean
         self.misses += len(derived)
-        _BLOCK_HIT.inc(len(hit_keys))
+        _BLOCK_HIT.inc(len(hit_keys) + clean)
         _BLOCK_MISS.inc(len(derived))
         self._evict()
 
+    def _settle(self) -> None:
+        """Make the LRU moves that compiles against assemblies owe."""
+        blocks = self._blocks
+        for keys, derived in self._owed.values():
+            fresh = set(derived)
+            for slot, key in enumerate(keys):
+                if slot not in fresh and key in blocks:
+                    blocks.move_to_end(key)
+            for slot in derived:
+                if keys[slot] in blocks:
+                    blocks.move_to_end(keys[slot])
+        self._owed.clear()
+
     def _evict(self) -> None:
-        """Drop least recently used blocks until the cell budget holds."""
+        """Drop least recently used blocks until the cell budget holds.
+
+        The assemblies count their blocks as cached, so any eviction
+        drops them: the next compile looks every block up again.
+        """
+        if self._cells <= self.max_cells or len(self._blocks) <= 1:
+            return
+        self._settle()
+        self._drop_assemblies()
         while self._cells > self.max_cells and len(self._blocks) > 1:
             key, evicted = self._blocks.popitem(last=False)
             self._release(evicted)
@@ -341,6 +472,8 @@ class ExpansionBlockCache:
         self._keys_of.clear()
         self._bases.clear()
         self._cells = 0
+        self._owed.clear()
+        self._drop_assemblies()
 
     def invalidate_buffer(self, name: str) -> int:
         """Drop every cached block of buffer ``name`` (any ``K`` pair).
@@ -350,51 +483,65 @@ class ExpansionBlockCache:
         bounded-buffer transformation — capacity) stales exactly the
         blocks keyed ``(name, *, *)``; everything else remains valid
         because a block depends only on its own buffer plus
-        ``(K_src, K_dst)``. The assembled memos are *not* touched here —
-        they aggregate every buffer, so the caller drops them once per
-        edit batch via :meth:`invalidate_assembled`. Returns the number
-        of blocks dropped (the ``session.*`` invalidation metric). The
-        per-buffer key index makes this O(blocks dropped).
+        ``(K_src, K_dst)``. The name is logged while assemblies are
+        kept, so the next compile at one of their Ks re-derives and
+        splices the buffer's slot alone. The assembled-K memo is *not*
+        touched here — it aggregates every buffer, so the caller drops
+        it once per edit batch via :meth:`invalidate_compiled` and
+        rebinds the work plan via :meth:`patch_serialized`. Returns the
+        number of blocks dropped (the ``session.*`` invalidation
+        metric). The per-buffer key index makes this O(blocks dropped).
         """
+        self._edits_seen = True
+        if self._assemblies:
+            self._edited.append(name)
+            if len(self._edited) > self._edit_room:
+                self._prune()
         stale = self._keys_of.pop(name, ())
         for key in stale:
             self._release(self._blocks.pop(key))
         return len(stale)
 
     def invalidate_assembled(self) -> None:
-        """Drop the assembled-graph memo and the serialization copy.
+        """Drop the assembled-graph memo, the serialization copy and the
+        assemblies.
 
-        Both are aggregates of the whole graph (and validated only by
-        task/buffer *counts*), so any content edit stales them even
-        when the counts are unchanged. Per-buffer blocks survive — the
-        reuse they carry is the point of selective invalidation.
+        All three are aggregates of the whole graph (the first two
+        validated only by task/buffer *counts*), so any content edit
+        stales them even when the counts are unchanged. Per-buffer
+        blocks survive — the reuse they carry is the point of selective
+        invalidation.
         """
         self._compiled.clear()
         self._compiled_counts = None
         self._serialized = None
+        self._drop_assemblies()
 
     def invalidate_compiled(self) -> None:
         """Drop only the assembled-K memo, keeping the serialized copy."""
         self._compiled.clear()
         self._compiled_counts = None
 
-    def patch_serialized(self, graph) -> bool:
+    def patch_serialized(self, graph, names: Sequence[str]) -> bool:
         """Rebind the serialization-loop memo to an edited ``graph``.
 
         A *content* edit (rates, marking, durations — same topology)
         keeps the task and buffer counts the memo is validated by, so
-        the memo is rebuilt from the edited graph right away (one pass
-        over its buffers, no graph copy) — the steady-state path of
-        :class:`repro.dse.DseSession` edits. A count change drops the
-        memo instead: returns ``False`` and the next compile rebuilds.
+        only the slots of the buffers ``names`` are re-read from the
+        edited graph — the steady-state path of
+        :class:`repro.dse.DseSession` edits, which pass the buffers
+        they invalidated. A count change drops the memo and the
+        assemblies instead: returns ``False`` and the next compile
+        rebuilds.
         """
         entry = self._serialized
         if entry is None:
             return False
         if entry[0] != (graph.task_count, graph.buffer_count):
             self._serialized = None
+            self._drop_assemblies()
             return False
-        self._serialized = (entry[0], _WorkPlan(graph, serialize=True))
+        entry[1].patch(graph, names)
         return True
 
     def __len__(self) -> int:
@@ -535,14 +682,16 @@ class _WorkPlan:
 
     Its buffers are those of ``graph.with_serialization_loops()`` (or of
     ``graph`` itself when not serializing), read once into per-buffer
-    columns and memoized on the block cache, so a round's key and
-    denominator computation is a few list comprehensions.
-    ``shared_pairs`` says whether two buffers join the same task pair,
-    i.e. whether parallel arcs need merging.
+    columns (one *slot* per buffer) and memoized on the block cache, so
+    a round's key and denominator computation is a few list
+    comprehensions. ``shared`` flags the slots whose buffer joins the
+    same task pair as another (``None`` when ``shared_pairs`` says none
+    does): only their arcs can be parallel, so only they need merging.
     """
 
     __slots__ = ("tasks", "buffers", "names", "sources", "targets",
-                 "totals", "durations", "shared_pairs", "ends")
+                 "totals", "durations", "shared", "shared_pairs", "ends",
+                 "slot_of")
 
     def __init__(self, graph: CsdfGraph, serialize: bool):
         self.tasks = list(graph.tasks())
@@ -550,14 +699,21 @@ class _WorkPlan:
             graph.serialized_buffers() if serialize else list(graph.buffers())
         )
         self.names = [b.name for b in self.buffers]
+        self.slot_of = {name: slot for slot, name in enumerate(self.names)}
         self.sources = [b.source for b in self.buffers]
         self.targets = [b.target for b in self.buffers]
         self.totals = [b.total_production for b in self.buffers]
         durations = {t.name: t.durations for t in self.tasks}
         self.durations = [durations[t] for t in self.sources]
-        self.shared_pairs = (
-            len(set(zip(self.sources, self.targets))) < len(self.buffers)
-        )
+        pairs = list(zip(self.sources, self.targets))
+        self.shared_pairs = len(set(pairs)) < len(pairs)
+        self.shared = None
+        if self.shared_pairs:
+            count: Dict[Tuple[str, str], int] = {}
+            for pair in pairs:
+                count[pair] = count.get(pair, 0) + 1
+            self.shared = _np.asarray(
+                [count[pair] > 1 for pair in pairs], dtype=bool)
         # Task positions of each buffer's producer and consumer, as
         # numpy rows: node offsets become one gather per round.
         position = {t.name: i for i, t in enumerate(self.tasks)}
@@ -567,20 +723,45 @@ class _WorkPlan:
             dtype=_np.int64,
         ).reshape(2, len(self.buffers))
 
-    def block_keys(self, K, repetition):
-        """``(keys, denominators)`` of this round, or ``None``.
+    def patch(self, graph: CsdfGraph, names: Sequence[str]) -> None:
+        """Re-read the slots of buffers ``names`` from an edited graph.
+
+        The edit kept every name, endpoint and phase count, so only a
+        slot's buffer, total and producer durations can have moved.
+        """
+        self.tasks = list(graph.tasks())
+        for name in names:
+            slot = self.slot_of.get(name)
+            if slot is None:
+                continue
+            if graph.has_buffer(name):  # else a loop the plan added
+                buffer = graph.buffer(name)
+                self.buffers[slot] = buffer
+                self.totals[slot] = buffer.total_production
+            self.durations[slot] = graph.task(self.sources[slot]).durations
+
+    def block_keys(self, K, repetition, slots=None):
+        """``(keys, denominators)`` of this round's ``slots``, or ``None``.
 
         ``keys`` are the ``(buffer, K_src, K_dst)`` block keys and the
-        denominators are ``q̃_t·ĩ_b``; ``None`` when one of them trips
-        the int64 guard, which makes the compile unavailable.
+        denominators are ``q̃_t·ĩ_b``, of every slot when ``slots`` is
+        ``None``; ``None`` when a denominator trips the int64 guard,
+        which makes the compile unavailable.
         """
-        k_src = [K[t] for t in self.sources]
-        k_dst = [K[t] for t in self.targets]
+        names, sources, targets, totals = (
+            self.names, self.sources, self.targets, self.totals)
+        if slots is not None:
+            names = [names[slot] for slot in slots]
+            sources = [sources[slot] for slot in slots]
+            targets = [targets[slot] for slot in slots]
+            totals = [totals[slot] for slot in slots]
+        k_src = [K[t] for t in sources]
+        k_dst = [K[t] for t in targets]
         dens = [repetition[t] * k * total for t, k, total
-                in zip(self.sources, k_src, self.totals)]
+                in zip(sources, k_src, totals)]
         if dens and max(dens) >= _DIRECT_INT64_GUARD:
             return None
-        return list(zip(self.names, k_src, k_dst)), dens
+        return list(zip(names, k_src, k_dst)), dens
 
 
 def _work_plan(graph: CsdfGraph, cache, serialize: bool) -> _WorkPlan:
@@ -616,36 +797,81 @@ def _derive_arcs(requests, durations):
 
 
 class BlockSet:
-    """Every arc block of one compile, resolved ahead of its assembly.
+    """The arc blocks one compile needs, resolved ahead of its assembly.
 
-    ``K`` is the compile's validated periodicity vector, ``keys`` and
-    ``denominators`` are its :meth:`_WorkPlan.block_keys`, and
-    ``found`` its blocks, slot-aligned with them. Made by
+    ``K`` is the compile's validated periodicity vector and
+    ``repetition`` its ``q̃``. ``base`` is the cache's assembly of this
+    K when it was made from the same plan and ``q̃`` — then ``slots``
+    are its dirty slots, the only ones resolved — else ``None`` and
+    ``slots`` is ``None``: every slot. ``keys`` and ``denominators``
+    (:meth:`_WorkPlan.block_keys`) and the blocks ``found`` are aligned
+    with those slots; ``evictions`` and ``mark`` are the cache's
+    eviction count and invalidation-log position before the lookups
+    were recorded. Made by
     :func:`derive_expansion_blocks` and consumed by
     ``compile_expansion(..., blocks=)``.
     """
 
-    __slots__ = ("plan", "K", "keys", "denominators", "found")
+    __slots__ = ("plan", "K", "repetition", "cache", "base", "slots",
+                 "keys", "denominators", "found", "evictions", "mark")
 
-    def __init__(self, plan, K, keys, denominators, found):
+    def __init__(self, plan, K, repetition, cache, base, slots, keys,
+                 denominators, found):
         self.plan = plan
         self.K = K
+        self.repetition = repetition
+        self.cache = cache
+        self.base = base
+        self.slots = slots
         self.keys = keys
         self.denominators = denominators
         self.found = found
+        self.evictions = cache.evictions if cache is not None else 0
+        self.mark = cache.edit_mark() if cache is not None else 0
+
+
+class _Assembly:
+    """The pre-merge constraint arcs of one compile, slot by slot.
+
+    ``arcs`` is a read-only ``(5, m)`` int64 array — global ``src`` and
+    ``dst`` nodes, ``cost``, and ``β`` over the arc's denominator
+    ``q̃_t·ĩ_b``, in lowest terms — holding the arcs of plan slot ``i``
+    at ``bounds[i]:bounds[i+1]``. ``keys`` are every slot's block keys
+    and ``space`` the node layout; ``mark`` is the position of its
+    cache's invalidation log it is current up to. A cache keeps the
+    last few, one per K; a compile from the same plan object, K and
+    ``q̃`` starts from one and splices in only the slots invalidated
+    since.
+    """
+
+    __slots__ = ("plan", "K", "repetition", "keys", "space", "arcs",
+                 "bounds", "mark")
+
+    def __init__(self, plan, K, repetition, keys, space, arcs, bounds,
+                 mark):
+        self.plan = plan
+        self.K = K
+        self.repetition = repetition
+        self.keys = keys
+        self.space = space
+        self.arcs = arcs
+        self.bounds = bounds
+        self.mark = mark
 
 
 def _resolve(compiles, serialize: bool) -> List[Optional[BlockSet]]:
     """Resolve the blocks of many compiles, deriving all misses at once.
 
-    Each compile peeks at its cache; the blocks none of them holds are
-    swept by one :func:`_derive_arcs` pass, and each compile copies its
-    own out as the base of its new blocks, so no block pins the pass
-    or another compile's arcs. A block two compiles on the same cache
-    both miss is derived once: the first counts the miss, the second a
-    hit, as if they had run one after the other. Lookups are counted
-    and derived blocks stored only after the pass succeeded. ``None``
-    marks a compile whose int64 guard trips.
+    Each compile peeks at its cache — for every slot, or only for the
+    dirty slots when the cache keeps an assembly made at the same K,
+    the clean ones counting as hits in bulk; the blocks none of them
+    holds are swept by one :func:`_derive_arcs` pass, and each compile
+    copies its own out as the base of its new blocks, so no block pins
+    the pass or another compile's arcs. A block two compiles on the
+    same cache both miss is derived once: the first counts the miss,
+    the second a hit, as if they had run one after the other. Lookups
+    are counted and derived blocks stored only after the pass
+    succeeded. ``None`` marks a compile whose int64 guard trips.
     """
     resolved: List[Optional[BlockSet]] = []
     pending = []
@@ -663,36 +889,42 @@ def _resolve(compiles, serialize: bool) -> List[Optional[BlockSet]]:
     for graph, K, repetition, cache in compiles:
         K = validate_periodicity(graph, K)
         plan = _work_plan(graph, cache, serialize)
-        keyed = plan.block_keys(K, repetition)
+        base = slots = None
+        if cache is not None:
+            base = cache.assembly_for(plan, K, repetition)
+            if base is not None:
+                slots = cache.dirty_slots(base)
+        keyed = plan.block_keys(K, repetition, slots)
         if keyed is None:
             resolved.append(None)
             continue
         keys, dens = keyed
         if cache is not None and len(cache):
             found = cache.peek(keys)
-            missing = [slot for slot, block in enumerate(found)
-                       if block is None]
+            missing = [i for i, block in enumerate(found) if block is None]
         else:
             found = [None] * len(keys)
             missing = list(range(len(keys)))
-        linked = []  # (slot, request) derived for an earlier compile
+        linked = []  # (position, request) derived for an earlier compile
         taken = claimed.get(id(cache)) if cache is not None else None
         if taken is not None:
             own = []
-            for slot in missing:
-                request = taken.get(keys[slot])
+            for i in missing:
+                request = taken.get(keys[i])
                 if request is None:
-                    taken[keys[slot]] = len(requests) + len(own)
-                    own.append(slot)
+                    taken[keys[i]] = len(requests) + len(own)
+                    own.append(i)
                 else:
-                    linked.append((slot, request))
+                    linked.append((i, request))
             missing = own
         first = len(requests)
+        at = range(len(keys)) if slots is None else slots
         buffers, plan_durations = plan.buffers, plan.durations
-        requests.extend([(buffers[slot], keys[slot][1], keys[slot][2])
-                         for slot in missing])
-        durations.extend([plan_durations[slot] for slot in missing])
-        entry = BlockSet(plan, K, keys, dens, found)
+        requests.extend([(buffers[at[i]], keys[i][1], keys[i][2])
+                         for i in missing])
+        durations.extend([plan_durations[at[i]] for i in missing])
+        entry = BlockSet(plan, K, repetition, cache, base, slots, keys,
+                         dens, found)
         resolved.append(entry)
         pending.append((cache, entry, missing, first, linked))
     arcs, cuts = _derive_arcs(requests, durations) if requests else (None, [])
@@ -710,15 +942,84 @@ def _resolve(compiles, serialize: bool) -> List[Optional[BlockSet]]:
         found, keys = entry.found, entry.keys
         hits = ([key for key, block in zip(keys, found) if block is not None]
                 if cache is not None else [])
-        for request, slot in enumerate(missing, first):
-            found[slot] = blocks[request]
-        for slot, request in linked:
-            found[slot] = blocks[request]
-            hits.append(keys[slot])
-        if cache is not None:
-            cache.record(hits, [(keys[slot], found[slot])
-                                for slot in missing])
+        for request, i in enumerate(missing, first):
+            found[i] = blocks[request]
+        for i, request in linked:
+            found[i] = blocks[request]
+            hits.append(keys[i])
+        if cache is None:
+            continue
+        derived = [(keys[i], found[i]) for i in missing]
+        if entry.base is None:
+            cache.record(hits, derived)
+        else:
+            cache.record(
+                hits, derived,
+                clean=len(entry.plan.names) - len(entry.slots),
+                owed=(entry.base.keys, [entry.slots[i] for i in missing]),
+            )
     return resolved
+
+
+def _assemble(blocks: BlockSet) -> _Assembly:
+    """The pre-merge arcs of a compile: its resolved slots spliced into
+    its base assembly — a cold compile resolved every slot and has no
+    base, so its arcs are the resolved ones alone."""
+    plan, base, found = blocks.plan, blocks.base, blocks.found
+    if base is None:
+        space = ExpandedNodeSpace(
+            [(t.name, blocks.K[t.name] * t.phase_count) for t in plan.tasks]
+        )
+        ends, keys = plan.ends, blocks.keys
+    else:
+        space, keys = base.space, base.keys
+        ends = plan.ends[:, blocks.slots]
+    lens = _np.asarray([block.arc_count for block in found],
+                       dtype=_np.int64)
+    fresh = _np.empty((5, int(lens.sum())), dtype=_np.int64)
+    if found:
+        _np.concatenate([block.arcs for block in found], axis=1,
+                        out=fresh[:4])
+        fresh[:2] += _np.repeat(space.starts()[ends], lens, axis=1)
+        # The per-buffer denominator q̃_t·ĩ_b is constant across a
+        # block's arcs; each β/den is kept in lowest terms.
+        fresh[4] = _np.repeat(
+            _np.asarray(blocks.denominators, dtype=_np.int64), lens)
+        fresh[3:] //= _np.gcd(fresh[3], fresh[4])  # β=0 ⇒ den ⇒ 0/1
+    if base is None:
+        arcs = fresh
+        bounds = _np.concatenate(([0], _np.cumsum(lens)))
+    else:
+        arcs, bounds = _splice(base.arcs, base.bounds, blocks.slots,
+                               fresh, lens)
+    arcs.setflags(write=False)
+    return _Assembly(plan, blocks.K, blocks.repetition, keys, space, arcs,
+                     bounds, blocks.mark)
+
+
+def _splice(arcs, bounds, slots, fresh, lens):
+    """``arcs`` with the segments of ``slots`` (ascending) replaced.
+
+    ``fresh`` holds the new segments, ``lens`` arcs each, in slot
+    order. Returns the spliced arcs and their slot bounds; a run of
+    consecutive slots splices as one piece.
+    """
+    if not slots:
+        return arcs, bounds
+    at = _np.asarray(slots, dtype=_np.int64)
+    breaks = (_np.flatnonzero(_np.diff(at) != 1) + 1).tolist()
+    cuts = [0, *_np.cumsum(lens).tolist()]
+    parts = []
+    done = 0
+    for first, last in zip([0, *breaks], [*breaks, len(slots)]):
+        parts.append(arcs[:, done:bounds[slots[first]]])
+        parts.append(fresh[:, cuts[first]:cuts[last]])
+        done = bounds[slots[last - 1] + 1]
+    parts.append(arcs[:, done:])
+    widths = _np.diff(bounds)
+    widths[at] = lens
+    return (_np.concatenate(parts, axis=1),
+            _np.concatenate(([0], _np.cumsum(widths))))
 
 
 def derive_expansion_blocks(
@@ -767,14 +1068,25 @@ def compile_expansion(
        under ``(buffer, K_src, K_dst)``, and the misses are derived
        together by one segmented affine-tile sweep and cached — unless
        ``blocks`` (:func:`derive_expansion_blocks`) resolved them all
-       ahead for this ``K``, lookups counted;
-    2. blocks are offset into the task-major node space and concatenated
-       as int64 ``(src, dst, cost, β)`` arrays with one shared
-       denominator ``q̃_t·ĩ_b`` per buffer;
-    3. parallel arcs merge through the shared vectorized lexsort pass;
+       ahead for this ``K``, lookups counted. When ``cache`` keeps an
+       assembly of this very K (same work plan and ``q̃``), only the
+       buffers invalidated since — its dirty slots — are looked up; the
+       others count as hits without a lookup;
+    2. the resolved blocks are offset into the task-major node space
+       and concatenated as int64 ``(src, dst, cost, β)`` arrays with one
+       shared denominator ``q̃_t·ĩ_b`` per buffer; against an assembly,
+       they are spliced into its arrays in place of the dirty slots'
+       old segments, and ``cache`` keeps the result as the next
+       compile's base at this K — a cold compile is the same with every
+       slot dirty;
+    3. parallel arcs merge through the shared vectorized lexsort pass,
+       run over the arcs of buffers that share a task pair only (no
+       other arc can be parallel to one); every other arc passes
+       through in place;
     4. the global scale is the lcm of the per-arc *reduced* denominators
        ``den/gcd(β, den)`` (what ``Fraction`` normalization would have
-       produced), and the scaled integer arrays feed
+       produced; arcs are reduced as they are assembled, merged minima
+       as they are kept), and the scaled integer arrays feed
        :meth:`~repro.mcrp.compiled.CompiledGraph.from_int64_arrays`.
 
     ``repetition`` must be the expanded repetition vector ``q̃`` (see
@@ -791,54 +1103,42 @@ def compile_expansion(
         blocks = _resolve([(graph, K, repetition, cache)], serialize)[0]
         if blocks is None:
             return None
-    plan, K = blocks.plan, blocks.K
-    dens, found = blocks.denominators, blocks.found
-    space = ExpandedNodeSpace(
-        [(t.name, K[t.name] * t.phase_count) for t in plan.tasks]
-    )
-
-    if found:
-        lens = _np.asarray([block.arc_count for block in found],
-                           dtype=_np.int64)
-        srcs, dsts, costs, betas = _np.concatenate(
-            [block.arcs for block in found], axis=1)
-        offsets = _np.repeat(space.starts()[plan.ends], lens, axis=1)
-        srcs += offsets[0]
-        dsts += offsets[1]
-        # The per-buffer denominator q̃_t·ĩ_b is constant across a
-        # block's arcs.
-        denoms = _np.repeat(_np.asarray(dens, dtype=_np.int64), lens)
-    else:
-        srcs = dsts = costs = betas = _np.empty(0, dtype=_np.int64)
-        denoms = _np.empty(0, dtype=_np.int64)
+    plan = blocks.plan
+    assembly = _assemble(blocks)
+    if blocks.cache is not None:
+        blocks.cache.store_assembly(assembly, blocks.evictions)
+    space = assembly.space
+    srcs, dsts, costs, betas, denoms = assembly.arcs
 
     if merge_parallel and plan.shared_pairs and srcs.shape[0]:
+        # Only arcs of buffers sharing a task pair can share a node
+        # pair (phase pairs are unique within one buffer).
+        shared = _np.flatnonzero(
+            _np.repeat(plan.shared, _np.diff(assembly.bounds)))
         merged = merge_parallel_candidates(
-            srcs, dsts, costs, betas, denoms, space.node_count
+            srcs, dsts, costs, betas, denoms, space.node_count, only=shared
         )
         if merged is None:
             return None
         srcs, dsts, costs, betas, denoms = merged
 
-    # Global scale = lcm of the reduced per-arc denominators — exactly
-    # the lcm of Fraction(−β, den).denominator the legacy compile
-    # derives, computed without constructing a single Fraction.
+    # Global scale = lcm of the per-arc denominators, which are reduced
+    # (the assembly stores β/den in lowest terms, the merge reduces the
+    # minima it keeps) — exactly the lcm of Fraction(−β, den).denominator
+    # the legacy compile derives, without constructing a single Fraction.
     if srcs.shape[0]:
-        g = _np.gcd(betas, denoms)  # gcd(|β|, den); β=0 ⇒ den ⇒ reduced 1
-        reduced_den = denoms // g
-        scale = lcm_list(int(d) for d in _np.unique(reduced_den))
-        if scale >= _DIRECT_INT64_GUARD:
+        scale = int64_lcm(denoms)
+        if scale is None or scale >= _DIRECT_INT64_GUARD:
             return None
-        beta_red = betas // g  # exact: g divides β
-        factor = scale // reduced_den
-        max_transit = int(_np.abs(beta_red).max()) * int(factor.max())
+        factor = scale // denoms
+        max_transit = int(_np.abs(betas).max()) * int(factor.max())
         max_cost = int(costs.max()) * scale
         if (
             max_transit >= _DIRECT_INT64_GUARD
             or max_cost >= _DIRECT_INT64_GUARD
         ):
             return None
-        transit_scaled = -(beta_red * factor)
+        transit_scaled = -(betas * factor)
         cost_scaled = costs * scale
     else:
         scale = 1

@@ -193,7 +193,7 @@ class CompiledGraph:
         self.src_unique = _np.nonzero(nonempty)[0]
         self.src_seg_starts = self.np_indptr[:-1][nonempty]
         self.src_seg_sizes = degrees[nonempty]
-        order = _np.argsort(self.np_dst, kind="stable")
+        order = _stable_order(self.np_dst, self.node_count)
         self.dst_order = order
         self.src_sorted = self.np_src[order]
         self.arc_ids_sorted = _np.arange(
@@ -318,7 +318,7 @@ class CompiledGraph:
             self.src, self.dst, self.cost, self.transit = [], [], [], []
             self.cost_float, self.transit_float = [], []
 
-        order = _np.argsort(src, kind="stable")
+        order = _stable_order(src, node_count)
         counts = _np.bincount(src, minlength=node_count) if m else (
             _np.zeros(node_count, dtype=_np.int64)
         )
@@ -339,6 +339,19 @@ class CompiledGraph:
         self.dst_order = self.src_sorted = self.arc_ids_sorted = None
         self.dst_unique = self.seg_starts = self.seg_sizes = None
         return self
+
+
+def _stable_order(nodes, node_count: int):
+    """``np.argsort(nodes, kind="stable")`` for node ids below
+    ``node_count``.
+
+    Ids that fit 16 bits are sorted as ``uint16``, for which numpy's
+    stable sort is a linear radix sort — several times faster than the
+    int64 merge sort on a compile's few thousand arcs, same order.
+    """
+    if node_count <= 1 << 16:
+        nodes = nodes.astype(_np.uint16)
+    return _np.argsort(nodes, kind="stable")
 
 
 def compile_graph(graph) -> CompiledGraph:

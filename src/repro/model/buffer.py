@@ -129,6 +129,29 @@ class Buffer:
             initial_tokens=initial_tokens,
         )
 
+    def with_initial_tokens(self, initial_tokens: int) -> "Buffer":
+        """This buffer with another initial marking.
+
+        The rate vectors were validated when this buffer was built and
+        are shared as they are; only the marking is checked. A batch of
+        capacity edits swaps hundreds of markings at once.
+
+        >>> b = Buffer("b", "t", "t2", (2, 3, 1), (2, 5), 0)
+        >>> b.with_initial_tokens(4) == Buffer("b", "t", "t2", (2, 3, 1),
+        ...                                    (2, 5), 4)
+        True
+        """
+        initial_tokens = int(initial_tokens)
+        if initial_tokens < 0:
+            raise ModelError(
+                f"buffer {self.name!r} has negative initial marking "
+                f"{initial_tokens}"
+            )
+        edited = object.__new__(Buffer)
+        edited.__dict__.update(self.__dict__)
+        edited.__dict__["initial_tokens"] = initial_tokens
+        return edited
+
     def _check_producer_phase(self, phase: int) -> None:
         if not 1 <= phase <= len(self.production):
             raise ModelError(
