@@ -46,6 +46,8 @@ from repro.kperiodic.expansion import (
 )
 from repro.kperiodic.kiter import throughput_kiter
 from repro.kperiodic.solver import min_period_for_k
+from repro.mcrp import solve_mcrp
+from repro.utils.rational import lcm_list
 
 DATA = Path(__file__).resolve().parent.parent / "tests" / "data"
 try:
@@ -111,18 +113,17 @@ def test_direct_round_rebuild_beats_legacy(results_dir):
         rows.append((name, size, got.arc_count, legacy_time, cold, warm,
                      legacy_time / max(warm, 1e-12)))
 
-    # identical certified λ* through the full fixed-K solve, both
-    # pipelines, on the largest instance
+    # identical certified λ* through the full fixed-K solve and the
+    # legacy expand+build graph, on the largest instance
     _, name, graph = cases[0]
     q = repetition_vector(graph)
     K = dict(q)
-    direct = min_period_for_k(graph, K, build_schedule=False,
-                              repetition=q, pipeline="direct")
-    legacy = min_period_for_k(graph, K, build_schedule=False,
-                              repetition=q, pipeline="legacy")
+    direct = min_period_for_k(graph, K, build_schedule=False, repetition=q)
+    legacy = solve_mcrp(
+        _legacy_rebuild(graph, K, expanded_repetition_vector(q, K))).ratio
     assert isinstance(direct.omega, Fraction)
-    assert direct.omega == legacy.omega
-    assert direct.omega_expanded == legacy.omega_expanded
+    assert direct.omega_expanded == legacy
+    assert direct.omega == legacy / lcm_list(K.values())
 
     text = "\n".join(
         f"{name:<24} nodes={size:<6} arcs={arcs:<7} "

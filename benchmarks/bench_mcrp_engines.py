@@ -4,15 +4,15 @@ Runs every registered maximum-cycle-ratio engine on the 1-periodic
 constraint graphs of Table-1-style instances, plus Karp's cycle-mean
 core on HSDF-expanded graphs. Engines come from
 :mod:`repro.mcrp.registry`, so a newly registered engine is picked up
-here with zero edits; engines flagged ``quadratic`` (Θ(nm) per oracle
-probe) are kept off the largest instances.
+here with zero edits; ``karp`` (Θ(nm) per oracle probe) is kept off the
+largest instances.
 
-Expected outcome (recorded in EXPERIMENTS.md): the compiled-core
+Expected outcome (recorded in ``results/ablation_*.txt``): the compiled-core
 ``hybrid`` engine wins on large graphs — float Howard lands on the
 optimum and one exact probe certifies it — with plain ratio iteration
-close behind; Lawler's bisection is a constant factor slower (it cannot
-jump); the pure-Python ``bellman`` baseline trails by the vectorization
-factor.
+close behind; the ascending iteration over the pure-Python
+Bellman-Ford oracle (``bellman._python_oracle``) trails by the
+vectorization factor.
 
 ``test_hybrid_beats_default_ratio_iteration`` is the acceptance gate of
 the compiled-core refactor: identical exact ``Fraction`` results, lower
@@ -21,8 +21,8 @@ largest bundled graphs. The seed's pre-refactor implementation
 (per-solve Fraction scaling, per-probe ``argsort``) no longer exists
 in-tree, so the gate compares against today's *default* engine — which
 already runs on the compiled core and is strictly faster than the seed
-path was, making the gate conservative. The pure-Python ``bellman``
-engine rides along in the artifact as the closest in-tree proxy for an
+path was, making the gate conservative. The pure-Python Bellman-Ford
+oracle rides along in the artifact as the closest in-tree proxy for an
 un-vectorized solve.
 """
 
@@ -41,6 +41,8 @@ from repro.mcrp import (
     max_cycle_mean,
     max_cycle_ratio,
 )
+from repro.mcrp.bellman import _python_oracle
+from repro.mcrp.karp import _karp_python_oracle
 
 INSTANCES = {
     "samplerate": samplerate_converter,
@@ -51,13 +53,25 @@ INSTANCES = {
 LARGE = {"lghsdf2"}
 
 ENGINES = {info.name: info for info in all_engines()}
+#: Engines whose oracle is Θ(nm) per probe, kept off ``LARGE``.
+QUADRATIC = {"karp"}
+
+
+def _bellman_python(bi):
+    """Ascending iteration over the pure-Python Bellman-Ford oracle."""
+    return max_cycle_ratio(bi, oracle=_python_oracle)
+
+
+def _karp_python(bi):
+    """Ascending iteration over the pure-Python Karp table."""
+    return max_cycle_ratio(bi, oracle=_karp_python_oracle)
 
 
 @pytest.mark.parametrize("engine", sorted(ENGINES))
 @pytest.mark.parametrize("instance", sorted(INSTANCES))
 def test_engine_on_constraint_graph(benchmark, engine, instance):
     info = ENGINES[engine]
-    if info.quadratic and instance in LARGE:
+    if engine in QUADRATIC and instance in LARGE:
         pytest.skip(f"{engine} is quadratic; skipped on {instance}")
     graph = INSTANCES[instance]()
     bi, _ = build_constraint_graph(graph)
@@ -101,11 +115,11 @@ def test_hybrid_beats_default_ratio_iteration(results_dir):
     compilation runs fresh per timing run via ``invalidate``). The
     baseline is today's default engine, not the (gone) seed
     implementation — a conservative bar, see the module docstring; the
-    pure-Python ``bellman`` row gives the un-vectorized reference.
+    pure-Python Bellman-Ford row gives the un-vectorized reference.
     """
     default = ENGINES["ratio-iteration"].solve
     hybrid = ENGINES["hybrid"].solve
-    bellman = ENGINES["bellman"].solve
+    bellman = _bellman_python
     cases = [
         ("mimicdsp3-K8", lambda: _expanded_constraint_graph(mimic_dsp(3), 8)),
         ("satellite-fullq",
@@ -149,18 +163,19 @@ def test_hybrid_beats_default_ratio_iteration(results_dir):
 def test_vectorized_karp_beats_python_karp(results_dir):
     """The vectorized Karp table vs the pure-Python reference row.
 
-    The two engines share the ascending iteration, the oracle contract
+    The ``karp`` engine and the ascending iteration over
+    ``_karp_python_oracle`` share the iteration, the oracle contract
     and the exact selection — only the table implementation differs —
     so identical ``Fraction`` λ* is a hard assertion and the wall-clock
     ratio isolates the vectorization. Measured on the largest expanded
     constraint graphs the bundle produces (the K-expanded graphs K-Iter
     grinds on in its final rounds); the gate requires ≥2x on the
     largest instance — in practice the gap is an order of magnitude,
-    which is why the generic parametrization above keeps `karp-python`
-    (flagged quadratic) off the LARGE instances entirely.
+    which is why the generic parametrization above keeps the quadratic
+    `karp` off the LARGE instances entirely.
     """
     karp_vec = ENGINES["karp"].solve
-    karp_py = ENGINES["karp-python"].solve
+    karp_py = _karp_python
     cases = [
         ("mimicdsp3-K4", lambda: _expanded_constraint_graph(mimic_dsp(3), 4)),
         ("satellite-fullq",

@@ -13,8 +13,8 @@ Quickstart
 >>> throughput_kiter(g).period is not None
 True
 
-See ``README.md`` for the architecture overview and ``DESIGN.md`` for the
-paper → module map.
+See ``README.md`` for the repository map and ``ARCHITECTURE.md`` for the
+architecture overview.
 """
 
 from repro.analysis import (

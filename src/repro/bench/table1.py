@@ -5,7 +5,7 @@ Paper columns: category statistics (graph count, task/channel counts,
 cycle-induced-subgraph expansion method [6], and symbolic execution [8].
 
 The SDF3 suite is substituted by the seeded generators of
-:mod:`repro.generators` (DESIGN.md §5); ``graphs_per_category`` scales the
+:mod:`repro.generators`; ``graphs_per_category`` scales the
 suite size (the paper used 100 per random category — the default here is
 laptop-friendly and adjustable).
 """

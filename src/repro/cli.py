@@ -17,7 +17,7 @@ Commands
 ``convert``     JSON ↔ SDF3-XML ↔ DOT conversion (by file extension)
 ``gantt``       ASCII Gantt of the ASAP or optimal K-periodic schedule
 ``generate``    emit a benchmark graph (paper figures, apps, categories)
-``engines``     list the registered MCRP engines and their capabilities
+``engines``     list the registered MCRP engines and their fleet kernels
 ``bench``       regenerate Table 1 / Table 2
 
 Graphs are read from ``.json`` (native format) or ``.xml`` (SDF3 subset).
@@ -764,26 +764,14 @@ def cmd_map(args) -> int:
 
 
 def cmd_engines(args) -> int:
+    from repro.mcrp.batched import BATCHED_ORACLES
     from repro.mcrp.registry import all_engines
 
     print("registered MCRP engines (selectable via throughput --engine):")
     print()
     for info in all_engines():
-        flags = []
-        flags.append("exact" if info.exact else "approximate")
-        if info.float_prefilter:
-            flags.append("float-prefilter")
-        if info.supports_scc:
-            flags.append("scc")
-        if info.supports_lower_bound:
-            flags.append("warm-start")
-        if info.quadratic:
-            flags.append("quadratic")
-        if info.vectorized:
-            flags.append("vectorized")
-        if info.batched:
-            flags.append("batched")
-        print(f"  {info.name:<16} [{', '.join(flags)}]")
+        batched = "[batched]" if info.name in BATCHED_ORACLES else ""
+        print(f"  {info.name:<16} {batched}".rstrip())
         if info.summary:
             print(f"  {'':<16} {info.summary}")
     return 0

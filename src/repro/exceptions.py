@@ -72,6 +72,12 @@ class SolverError(ReproError):
     """An internal solver failed to certify its result (should not happen)."""
 
 
+class ConfigurationError(ReproError):
+    """A solver setting is invalid whatever the engine (an unknown K
+    update policy, say); the fleet driver never retries it on a
+    fallback engine."""
+
+
 class SchedulingError(ReproError):
     """A schedule-construction policy could not produce a schedule.
 

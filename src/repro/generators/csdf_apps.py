@@ -3,8 +3,7 @@
 Table 2 evaluates five applications from the Kalray toolchain; the suite
 is proprietary, so each generator reproduces the *published structure* —
 task count, buffer count, and the Σq scale driver — with seeded synthetic
-rate/duration content (see DESIGN.md §5 for why this preserves the
-experiment's behaviour):
+rate/duration content:
 
 | app            | tasks | buffers | paper Σq      |
 |----------------|-------|---------|---------------|

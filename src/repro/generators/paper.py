@@ -1,6 +1,6 @@
 """The paper's own example graphs (Figures 1 and 2).
 
-Figure 2 caveat (documented in ``DESIGN.md``): the extracted rate vectors
+Figure 2 caveat: the extracted rate vectors
 are mutually consistent and give the minimal repetition vector
 ``q = [3, 4, 6, 1]`` for ``A, B, C, D``, while the prose claims
 ``[6, 12, 6, 1]``. All five balance equations hold for the former and none

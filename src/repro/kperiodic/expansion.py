@@ -34,7 +34,7 @@ from typing import (
     Dict, Hashable, List, Mapping, Optional, Sequence, Set, Tuple,
 )
 
-try:  # the direct pipeline is numpy-only; the legacy path is the fallback
+try:  # the direct compile is numpy-only; expand+build is the fallback
     import numpy as _np
 except ImportError:  # pragma: no cover - numpy is present in CI
     _np = None
@@ -67,7 +67,7 @@ _COMPILED_MISS = _COMPILED_EVENTS.labels(event="miss")
 #: int64 head-room guard shared by every overflow gate of the direct
 #: pipeline: whenever an intermediate product could reach this bound the
 #: pipeline reports "unavailable" and the caller falls back to the
-#: arbitrary-precision legacy path.
+#: arbitrary-precision expand+build path.
 _DIRECT_INT64_GUARD = 1 << 62
 
 
@@ -680,24 +680,22 @@ class ExpandedNodeSpace:
 class _WorkPlan:
     """The compile's static view of one graph.
 
-    Its buffers are those of ``graph.with_serialization_loops()`` (or of
-    ``graph`` itself when not serializing), read once into per-buffer
-    columns (one *slot* per buffer) and memoized on the block cache, so
-    a round's key and denominator computation is a few list
-    comprehensions. ``shared`` flags the slots whose buffer joins the
-    same task pair as another (``None`` when ``shared_pairs`` says none
-    does): only their arcs can be parallel, so only they need merging.
+    Its buffers are those of ``graph.with_serialization_loops()``, read
+    once into per-buffer columns (one *slot* per buffer) and memoized
+    on the block cache, so a round's key and denominator computation is
+    a few list comprehensions. ``shared`` flags the slots whose buffer
+    joins the same task pair as another (``None`` when ``shared_pairs``
+    says none does): only their arcs can be parallel, so only they need
+    merging.
     """
 
     __slots__ = ("tasks", "buffers", "names", "sources", "targets",
                  "totals", "durations", "shared", "shared_pairs", "ends",
                  "slot_of")
 
-    def __init__(self, graph: CsdfGraph, serialize: bool):
+    def __init__(self, graph: CsdfGraph):
         self.tasks = list(graph.tasks())
-        self.buffers = (
-            graph.serialized_buffers() if serialize else list(graph.buffers())
-        )
+        self.buffers = graph.serialized_buffers()
         self.names = [b.name for b in self.buffers]
         self.slot_of = {name: slot for slot, name in enumerate(self.names)}
         self.sources = [b.source for b in self.buffers]
@@ -764,14 +762,14 @@ class _WorkPlan:
         return list(zip(names, k_src, k_dst)), dens
 
 
-def _work_plan(graph: CsdfGraph, cache, serialize: bool) -> _WorkPlan:
+def _work_plan(graph: CsdfGraph, cache) -> _WorkPlan:
     """The :class:`_WorkPlan` of ``graph``, memoized on ``cache``."""
-    if serialize and cache is not None:
+    if cache is not None:
         plan = cache.serialized_for(graph)
         if plan is not None:
             return plan
-    plan = _WorkPlan(graph, serialize)
-    if serialize and cache is not None:
+    plan = _WorkPlan(graph)
+    if cache is not None:
         cache.store_serialized(graph, plan)
     return plan
 
@@ -859,7 +857,7 @@ class _Assembly:
         self.mark = mark
 
 
-def _resolve(compiles, serialize: bool) -> List[Optional[BlockSet]]:
+def _resolve(compiles) -> List[Optional[BlockSet]]:
     """Resolve the blocks of many compiles, deriving all misses at once.
 
     Each compile peeks at its cache — for every slot, or only for the
@@ -888,7 +886,7 @@ def _resolve(compiles, serialize: bool) -> List[Optional[BlockSet]]:
             seen.add(id(cache))
     for graph, K, repetition, cache in compiles:
         K = validate_periodicity(graph, K)
-        plan = _work_plan(graph, cache, serialize)
+        plan = _work_plan(graph, cache)
         base = slots = None
         if cache is not None:
             base = cache.assembly_for(plan, K, repetition)
@@ -1029,9 +1027,9 @@ def derive_expansion_blocks(
     """Resolve the blocks of many compiles in one segmented pass.
 
     ``compiles`` lists the ``(graph, K, repetition, cache)`` arguments
-    of :func:`compile_expansion` calls (serializing, as K-Iter compiles)
-    about to run — one K-Iter round of a whole fleet. Every block those
-    calls would miss in their caches is swept by one
+    of :func:`compile_expansion` calls about to run — one K-Iter round
+    of a whole fleet. Every block those calls would miss in their
+    caches is swept by one
     :func:`~repro.analysis.precedence.segmented_useful_pair_arrays`
     pass and stored; each lookup counts one hit or one miss, exactly as
     the compile itself would count it.
@@ -1044,7 +1042,7 @@ def derive_expansion_blocks(
     """
     if _np is None:
         return [None] * len(compiles)
-    return _resolve(compiles, serialize=True)
+    return _resolve(compiles)
 
 
 def compile_expansion(
@@ -1053,8 +1051,6 @@ def compile_expansion(
     repetition: Mapping[str, int],
     *,
     cache: Optional[ExpansionBlockCache] = None,
-    serialize: bool = True,
-    merge_parallel: bool = True,
     blocks: Optional[BlockSet] = None,
 ) -> Optional[Tuple[FrozenBiValuedGraph, ExpandedNodeSpace]]:
     """Compile the constraint graph of ``G̃`` directly from ``(G, K)``.
@@ -1090,17 +1086,17 @@ def compile_expansion(
        :meth:`~repro.mcrp.compiled.CompiledGraph.from_int64_arrays`.
 
     ``repetition`` must be the expanded repetition vector ``q̃`` (see
-    :func:`expanded_repetition_vector`) — the same one the legacy path
-    receives.
+    :func:`expanded_repetition_vector`) — the same one the expand+build
+    path receives.
 
     Returns ``None`` when the pipeline is unavailable — no numpy, or an
     int64 overflow gate tripped — in which case the caller runs the
-    legacy expand+build path, which is exact at any magnitude.
+    expand+build path, which is exact at any magnitude.
     """
     if _np is None:
         return None
     if blocks is None:
-        blocks = _resolve([(graph, K, repetition, cache)], serialize)[0]
+        blocks = _resolve([(graph, K, repetition, cache)])[0]
         if blocks is None:
             return None
     plan = blocks.plan
@@ -1110,7 +1106,7 @@ def compile_expansion(
     space = assembly.space
     srcs, dsts, costs, betas, denoms = assembly.arcs
 
-    if merge_parallel and plan.shared_pairs and srcs.shape[0]:
+    if plan.shared_pairs and srcs.shape[0]:
         # Only arcs of buffers sharing a task pair can share a node
         # pair (phase pairs are unique within one buffer).
         shared = _np.flatnonzero(

@@ -18,7 +18,10 @@ Engine fallback lives here too. A :class:`~repro.exceptions.SolverError`
 (an unknown engine name, a failed ``prepare`` such as the round cap, a
 certification failure) moves that job alone to the next engine of its
 ``fallback_engines`` chain with a fresh machine; the other jobs of the
-chunk are not disturbed and nothing is solved twice.
+chunk are not disturbed and nothing is solved twice. A
+:class:`~repro.exceptions.ConfigurationError` (an unknown
+``update_policy``) fails on every engine alike, so it ends the job at
+once, attributed to no engine.
 
 Every outcome dict carries a ``"batched"`` key: ``True`` when at least
 one round of that payload's solve went through the batched kernel.
@@ -32,6 +35,7 @@ from typing import Any, Dict, List, Mapping, Optional, Sequence
 
 from repro.exceptions import (
     BudgetExceededError,
+    ConfigurationError,
     DeadlockError,
     ReproError,
     SolverError,
@@ -85,10 +89,10 @@ def solve_fleet_payloads(
     Payload keys (all optional except ``graph``): ``engine``,
     ``fallback_engines``, ``update_policy`` (``"lcm"``/``"full-q"``),
     ``initial_k``, ``max_rounds``, ``time_budget``, ``warm_start``,
-    ``pipeline`` (``"direct"``/``"legacy"``), plus the pass-through
-    ``digest`` and ``trace`` context. ``graphs`` optionally injects
-    already-deserialized :class:`~repro.model.graph.CsdfGraph` objects
-    aligned with ``payloads`` (entries may be ``None``); a worker's
+    plus the pass-through ``digest`` and ``trace`` context. ``graphs``
+    optionally injects already-deserialized
+    :class:`~repro.model.graph.CsdfGraph` objects aligned with
+    ``payloads`` (entries may be ``None``); a worker's
     reused graph object carries its expansion block cache across jobs
     (see :func:`repro.kperiodic.expansion.expansion_cache_for`).
 
@@ -111,13 +115,6 @@ def solve_fleet_payloads(
             graph = CsdfGraph.from_dict(payload["graph"])
         job = _FleetJob(payload, graph)
         jobs.append(job)
-        config_error = _config_error(payload)
-        if config_error is not None:
-            # Engine-independent: fail once, attributed to the caller,
-            # instead of running the doomed solve per fallback engine.
-            _finish(job, started, "ERROR", error=config_error,
-                    engine_used="")
-            continue
         try:
             job.machine = _machine(job)
         except ReproError as exc:
@@ -137,31 +134,23 @@ def solve_fleet_payloads(
     return [job.outcome for job in jobs]  # type: ignore[misc]
 
 
-def _config_error(payload: Mapping[str, Any]) -> Optional[str]:
-    update_policy = payload.get("update_policy", "lcm")
-    pipeline = payload.get("pipeline", "direct")
-    if update_policy not in ("lcm", "full-q"):
-        return (f"unknown update_policy {update_policy!r} "
-                "(choose 'lcm' or 'full-q')")
-    if pipeline not in ("direct", "legacy"):
-        return (f"unknown pipeline {pipeline!r} "
-                "(choose 'direct' or 'legacy')")
-    return None
-
-
 def _machine(job: _FleetJob) -> KIterMachine:
-    """A fresh machine for the job's current engine."""
-    get_engine(job.engine)  # an unknown name is a SolverError: fall back
+    """A fresh machine for the job's current engine.
+
+    The machine is built first, so a :class:`ConfigurationError` ends
+    the job whatever its engine names.
+    """
     payload = job.payload
-    return KIterMachine(
+    machine = KIterMachine(
         job.graph,
         max_rounds=payload.get("max_rounds", 100_000),
         time_budget=payload.get("time_budget"),
         initial_k=payload.get("initial_k"),
         update_policy=payload.get("update_policy", "lcm"),
         warm_start=payload.get("warm_start", True),
-        pipeline=payload.get("pipeline", "direct"),
     )
+    get_engine(job.engine)  # an unknown name is a SolverError: fall back
+    return machine
 
 
 def _advance(
@@ -247,7 +236,8 @@ def _recover(job: _FleetJob, started: float, exc: ReproError) -> bool:
 
     A :class:`SolverError` moves the job down its engine chain with a
     fresh machine (``True``: the job is live again); any other error,
-    or a SolverError on the last engine, is terminal (``False``).
+    or a SolverError on the last engine, is terminal (``False``). A
+    :class:`ConfigurationError` is attributed to no engine.
     """
     while isinstance(exc, SolverError):
         error = f"{job.engine}: {exc}"
@@ -266,7 +256,8 @@ def _recover(job: _FleetJob, started: float, exc: ReproError) -> bool:
         status = "TIMEOUT"
     else:
         status = "ERROR"
-    _finish(job, started, status, error=str(exc))
+    engine_used = "" if isinstance(exc, ConfigurationError) else None
+    _finish(job, started, status, error=str(exc), engine_used=engine_used)
     return False
 
 

@@ -22,7 +22,7 @@ from repro.analysis.consistency import (
     cached_repetition_vector,
     repetition_vector,
 )
-from repro.exceptions import DeadlockError, SolverError
+from repro.exceptions import ConfigurationError, DeadlockError, SolverError
 from repro.kperiodic.expansion import expansion_cache_for
 from repro.kperiodic.optimality import (
     critical_qbar,
@@ -163,16 +163,19 @@ class KIterMachine:
         initial_k: Optional[Dict[str, int]] = None,
         update_policy: str = "lcm",
         warm_start: bool = True,
-        pipeline: str = "direct",
         expansion_cache=None,
         repetition: Optional[Dict[str, int]] = None,
         warm: Optional[WarmStart] = None,
     ) -> None:
+        if update_policy not in ("lcm", "full-q"):
+            raise ConfigurationError(
+                f"unknown update_policy {update_policy!r} "
+                "(choose 'lcm' or 'full-q')"
+            )
         self.graph = graph
         self.max_rounds = max_rounds
         self.update_policy = update_policy
         self.warm_start = warm_start
-        self.pipeline = pipeline
         self.q = (
             dict(repetition) if repetition is not None
             else cached_repetition_vector(graph)
@@ -187,12 +190,10 @@ class KIterMachine:
         # A DseSession passes its own cache instead: the session owns
         # the invalidation bookkeeping across graph edits, which the
         # weak-key per-object binding cannot express.
-        if expansion_cache is not None and pipeline == "direct":
-            self.cache = expansion_cache
-        else:
-            self.cache = (
-                expansion_cache_for(graph) if pipeline == "direct" else None
-            )
+        self.cache = (
+            expansion_cache if expansion_cache is not None
+            else expansion_cache_for(graph)
+        )
         self.rounds: List[KIterRound] = []
         self.final: Optional[KPeriodicResult] = None
         self._rounds_left = max_rounds
@@ -239,7 +240,7 @@ class KIterMachine:
         self.budget.check()
         _ROUNDS_TOTAL.inc()
         plan = plan_min_period(
-            self.graph, self.K, repetition=self.q, pipeline=self.pipeline,
+            self.graph, self.K, repetition=self.q,
             expansion_cache=self.cache,
         )
         self._lcm_k = plan.lcm_k
@@ -346,16 +347,11 @@ class KIterMachine:
         self._prev_lcm = self._lcm_k
         if self.update_policy == "lcm":
             self.K = update_periodicity(self.K, qbar)
-        elif self.update_policy == "full-q":
+        else:  # "full-q"
             K = dict(self.K)
             for t in result.critical_tasks:
                 K[t] = self.q[t]
             self.K = K
-        else:
-            raise SolverError(
-                f"unknown update_policy {self.update_policy!r} "
-                "(choose 'lcm' or 'full-q')"
-            )
         return False
 
     def absorb_deadlock(self, exc: DeadlockError) -> None:
@@ -398,7 +394,7 @@ class KIterMachine:
             raise SolverError("KIterMachine.finalize() before certification")
         return _finalize(
             self.graph, self.q, self.K, self.final, self.rounds,
-            build_schedule, engine, self.pipeline, self.cache,
+            build_schedule, engine, self.cache,
         )
 
 
@@ -412,7 +408,6 @@ def throughput_kiter(
     initial_k: Optional[Dict[str, int]] = None,
     update_policy: str = "lcm",
     warm_start: bool = True,
-    pipeline: str = "direct",
     expansion_cache=None,
     repetition: Optional[Dict[str, int]] = None,
     warm: Optional[WarmStart] = None,
@@ -427,9 +422,8 @@ def throughput_kiter(
         at the first round).
     engine:
         Registered MCRP engine name passed through to the fixed-K
-        solver (see :func:`repro.mcrp.registry.engine_names`; any of
-        ``ratio-iteration``, ``hybrid``, ``howard``, ``lawler``,
-        ``karp``, ``bellman`` out of the box).
+        solver (see :func:`repro.mcrp.registry.engine_names`;
+        ``ratio-iteration``, ``hybrid`` and ``karp`` out of the box).
     build_schedule:
         Extract the certified K-periodic schedule of the final round
         (costs one extra longest-path pass).
@@ -447,8 +441,11 @@ def throughput_kiter(
     update_policy:
         ``"lcm"`` — Algorithm 1's update ``K_t ← lcm(K_t, q̄_t)``
         (default); ``"full-q"`` — jump critical-circuit tasks straight to
-        ``q_t`` (fewer rounds, bigger expansions; ablation A2 in
-        DESIGN.md quantifies the trade).
+        ``q_t`` (fewer rounds, bigger expansions; ablation A2,
+        ``benchmarks/bench_kiter_policies.py``, measures the trade).
+        Any other value raises
+        :class:`~repro.exceptions.ConfigurationError` before the first
+        round.
     warm_start:
         Seed each round's engine with the previous round's certified
         ``λ*`` in addition to the utilization bound (the constraint
@@ -458,14 +455,6 @@ def throughput_kiter(
         the seed below the new ``λ*``; a hypothetical overshoot would
         cost extra probes, never exactness (see
         :func:`repro.kperiodic.solver.min_period_for_k`).
-    pipeline:
-        Constraint-graph pipeline per round, passed through to
-        :func:`~repro.kperiodic.solver.min_period_for_k`: ``"direct"``
-        (default) compiles straight from ``(G, K)`` and reuses the
-        graph's per-buffer block cache across rounds — a round whose
-        escalation leaves a task's K unchanged recomputes nothing for
-        that task — while ``"legacy"`` rebuilds the materialized
-        expansion every round (the reference path).
     expansion_cache:
         Explicit :class:`~repro.kperiodic.expansion.ExpansionBlockCache`
         to use instead of the graph's weak-key-bound one — the
@@ -500,9 +489,8 @@ def throughput_kiter(
     machine = KIterMachine(
         graph, max_rounds=max_rounds, time_budget=time_budget,
         initial_k=initial_k, update_policy=update_policy,
-        warm_start=warm_start, pipeline=pipeline,
-        expansion_cache=expansion_cache, repetition=repetition,
-        warm=warm,
+        warm_start=warm_start, expansion_cache=expansion_cache,
+        repetition=repetition, warm=warm,
     )
     while True:
         with _span("kiter.round", engine=engine,
@@ -572,7 +560,6 @@ def _finalize(
     rounds: List[KIterRound],
     build_schedule: bool,
     engine: str,
-    pipeline: str = "direct",
     cache=None,
 ) -> KIterResult:
     schedule = None
@@ -581,7 +568,7 @@ def _finalize(
         # rebuild pays only assembly and the longest-path pass.
         final = min_period_for_k(
             graph, K, engine=engine, build_schedule=True, repetition=q,
-            pipeline=pipeline, expansion_cache=cache,
+            expansion_cache=cache,
         )
         schedule = final.schedule
     return KIterResult(

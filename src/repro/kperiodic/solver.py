@@ -119,7 +119,6 @@ class MinPeriodPlan:
     repetition: Dict[str, int]
     q_tilde: Dict[str, int]
     lcm_k: int
-    pipeline: str
     expansion_cache: Optional[ExpansionBlockCache]
     k_key: Optional[Tuple[Tuple[str, int], ...]]
     built: Optional[Tuple[BiValuedGraph, object]]
@@ -127,8 +126,8 @@ class MinPeriodPlan:
     @property
     def compile_args(self):
         """``(graph, K, q̃, cache)`` of the direct compile this round
-        runs, or ``None`` (legacy pipeline, or the memo answered)."""
-        if self.pipeline != "direct" or self.built is not None:
+        runs, or ``None`` when the memo answered."""
+        if self.built is not None:
             return None
         return self.graph, self.K, self.q_tilde, self.expansion_cache
 
@@ -138,19 +137,14 @@ def plan_min_period(
     K: Mapping[str, int],
     *,
     repetition: Optional[Dict[str, int]] = None,
-    pipeline: str = "direct",
     expansion_cache: Optional[ExpansionBlockCache] = None,
 ) -> MinPeriodPlan:
     """Validate a fixed-K round and look it up in the assembled-K memo."""
-    if pipeline not in ("direct", "legacy"):
-        raise SolverError(
-            f"unknown pipeline {pipeline!r} (choose 'direct' or 'legacy')"
-        )
     K = validate_periodicity(graph, K)
     if repetition is None:
         repetition = repetition_vector(graph)
     k_key = built = None
-    if pipeline == "direct" and expansion_cache is not None:
+    if expansion_cache is not None:
         # Assembled-graph memo: a warm worker replays the same
         # deterministic K sequence on every repeat solve of a graph,
         # so the frozen compiled form is reused outright — the block
@@ -160,7 +154,7 @@ def plan_min_period(
     return MinPeriodPlan(
         graph=graph, K=K, repetition=repetition,
         q_tilde=expanded_repetition_vector(repetition, K),
-        lcm_k=lcm_list(K.values()), pipeline=pipeline,
+        lcm_k=lcm_list(K.values()),
         expansion_cache=expansion_cache, k_key=k_key, built=built,
     )
 
@@ -171,7 +165,6 @@ def prepare_min_period(
     *,
     repetition: Optional[Dict[str, int]] = None,
     warm_start: Optional[Fraction] = None,
-    pipeline: str = "direct",
     expansion_cache: Optional[ExpansionBlockCache] = None,
     plan: Optional[MinPeriodPlan] = None,
     blocks=None,
@@ -185,7 +178,7 @@ def prepare_min_period(
     """
     if plan is None:
         plan = plan_min_period(
-            graph, K, repetition=repetition, pipeline=pipeline,
+            graph, K, repetition=repetition,
             expansion_cache=expansion_cache,
         )
     graph, K, repetition = plan.graph, plan.K, plan.repetition
@@ -202,6 +195,8 @@ def prepare_min_period(
     if built is not None:
         bi_graph, space = built
     if space is None:
+        # No numpy, or an int64 guard tripped: materialize G̃ and build
+        # its graph with Python ints, exact at any magnitude.
         expanded = expand_graph(graph, K)
         bi_graph, node_index = build_constraint_graph(
             expanded, q_tilde, serialize=True
@@ -270,7 +265,7 @@ def finish_min_period(
     if build_schedule and omega > 0:
         node_index = prepared.node_index
         if node_index is None:
-            # Direct pipeline: the dense (task, phase) → node map is
+            # Direct compile: the dense (task, phase) → node map is
             # only materialized when a schedule actually needs it.
             node_index = prepared.space.node_index()
         out.schedule = _extract_schedule(
@@ -290,10 +285,10 @@ def solve_prepared_min_period(
     info = get_engine(engine)
     try:
         # The registry pipeline solves per strongly connected component
-        # with champion pruning when the engine supports it (acyclic
-        # regions cost nothing, components that cannot beat the best
-        # ratio are rejected by one oracle probe); the utilization bound
-        # seeds the champion, and warm-starts engines that take bounds.
+        # with champion pruning (acyclic regions cost nothing, components
+        # that cannot beat the best ratio are rejected by one oracle
+        # probe); the utilization bound seeds the champion and
+        # warm-starts the engine.
         result = solve_mcrp(
             prepared.bi_graph, info, lower_bound=prepared.lower
         )
@@ -530,7 +525,6 @@ def min_period_for_k(
     build_schedule: bool = True,
     repetition: Optional[Dict[str, int]] = None,
     warm_start: Optional[Fraction] = None,
-    pipeline: str = "direct",
     expansion_cache: Optional[ExpansionBlockCache] = None,
 ) -> KPeriodicResult:
     """Exact minimum period of a K-periodic schedule of ``graph``.
@@ -547,9 +541,9 @@ def min_period_for_k(
         Registered MCRP engine name (see
         :func:`repro.mcrp.registry.engine_names`): ``"ratio-iteration"``
         (exact, default), ``"hybrid"`` (float prefilter + exact
-        certification — the fast path on large graphs), ``"howard"``,
-        ``"lawler"``, ``"karp"``, ``"bellman"``, or any engine
-        registered by the embedding application.
+        certification — the fast path on large graphs), ``"karp"``
+        (Karp-table oracle), or any engine registered by the embedding
+        application.
     build_schedule:
         Also extract start times (longest-path potentials at λ*).
     warm_start:
@@ -561,26 +555,20 @@ def min_period_for_k(
         start) and the search restarts, and the SCC champion used for
         pruning is replaced by the first component's certified ratio
         before any probe relies on it.
-    pipeline:
-        ``"direct"`` (default) compiles the constraint graph of ``G̃``
-        straight from ``(G, K)`` with zero per-arc ``Fraction``
-        allocation (:func:`repro.kperiodic.expansion.compile_expansion`)
-        and falls back automatically when that pipeline is unavailable
-        (no numpy, int64 overflow gates); ``"legacy"`` always
-        materializes ``G̃`` and builds the graph through
-        :func:`~repro.analysis.constraint_graph.build_constraint_graph`
-        — the reference oracle the parity suite pins the direct path
-        against. Both produce identical compiled arrays and λ*.
     expansion_cache:
         Optional :class:`~repro.kperiodic.expansion.ExpansionBlockCache`
-        for the direct pipeline — K-Iter passes the graph's cache so
-        rounds recompute only the blocks whose tasks escalated.
+        for the direct compile
+        (:func:`repro.kperiodic.expansion.compile_expansion`) — K-Iter
+        passes the graph's cache so rounds recompute only the blocks
+        whose tasks escalated. Without numpy, or when an int64 guard
+        trips, the graph is built from the materialized ``G̃`` instead
+        (:func:`~repro.analysis.constraint_graph.build_constraint_graph`);
+        both give identical compiled arrays and λ*.
 
     Raises
     ------
     SolverError
-        If ``engine`` names no registered engine, or ``pipeline`` is
-        neither ``"direct"`` nor ``"legacy"``.
+        If ``engine`` names no registered engine.
     DeadlockError
         If no feasible period exists (the graph deadlocks).
     InconsistentGraphError
@@ -588,7 +576,7 @@ def min_period_for_k(
     """
     prepared = prepare_min_period(
         graph, K, repetition=repetition, warm_start=warm_start,
-        pipeline=pipeline, expansion_cache=expansion_cache,
+        expansion_cache=expansion_cache,
     )
     return solve_prepared_min_period(
         prepared, engine, build_schedule=build_schedule

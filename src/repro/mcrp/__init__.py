@@ -23,17 +23,16 @@ Engines (registry names)
   cycle-ratio iteration with arbitrary-precision rationals; always
   returns a critical circuit and detects infeasibility (deadlock).
 * ``hybrid`` — float Howard prefilter + single-probe exact
-  certification; the compiled-core fast path for large graphs.
-* ``howard`` — Howard policy iteration in floats with a full exact
-  certification phase.
-* ``lawler`` — Lawler binary search (independent cross-check).
+  certification; the compiled-core fast path for large graphs and the
+  service default.
 * ``karp`` — ascending iteration on a numpy-vectorized Karp-table
-  oracle; the cycle-mean core also serves the HSDF expansion baseline
-  (:func:`max_cycle_mean`).
-* ``karp-python`` — the same iteration pinned to the pure-Python Karp
-  table (the vectorization ablation baseline).
-* ``bellman`` — ascending iteration pinned to the pure-Python
-  Bellman-Ford oracle (reference baseline).
+  oracle, structurally independent of the other two; the cycle-mean
+  core also serves the HSDF expansion baseline (:func:`max_cycle_mean`).
+
+The pure-Python oracles (``bellman._python_oracle``,
+``karp._karp_python_oracle``) drive the same ascending iteration through
+``max_cycle_ratio(graph, oracle=...)``; they are the small-graph and
+no-numpy fallbacks and the reference rows of the engine benchmarks.
 """
 
 from repro.mcrp.graph import (
@@ -52,20 +51,13 @@ from repro.mcrp.registry import (
     solve_mcrp,
 )
 from repro.mcrp.ratio_iteration import max_cycle_ratio
-from repro.mcrp.bellman import max_cycle_ratio_bellman
 from repro.mcrp.batched import (
     BatchedCompiledGraph,
     BatchedOutcome,
     batched_solve_mcrp,
 )
-from repro.mcrp.karp import (
-    max_cycle_mean,
-    max_cycle_ratio_karp,
-    max_cycle_ratio_karp_python,
-)
-from repro.mcrp.howard import max_cycle_ratio_howard
+from repro.mcrp.karp import max_cycle_mean, max_cycle_ratio_karp
 from repro.mcrp.hybrid import max_cycle_ratio_hybrid
-from repro.mcrp.lawler import max_cycle_ratio_lawler
 from repro.mcrp.decompose import max_cycle_ratio_sccs
 
 __all__ = [
@@ -84,12 +76,8 @@ __all__ = [
     "get_engine",
     "max_cycle_mean",
     "max_cycle_ratio",
-    "max_cycle_ratio_bellman",
-    "max_cycle_ratio_howard",
     "max_cycle_ratio_hybrid",
     "max_cycle_ratio_karp",
-    "max_cycle_ratio_karp_python",
-    "max_cycle_ratio_lawler",
     "max_cycle_ratio_sccs",
     "register_engine",
     "solve_mcrp",

@@ -49,6 +49,7 @@ except ImportError:  # pragma: no cover - numpy present in CI
 
 from repro.exceptions import DeadlockError, ReproError, SolverError
 from repro.mcrp.graph import BiValuedGraph, CycleResult
+from repro.mcrp.ratio_iteration import MAX_ITERATIONS
 from repro.mcrp.registry import DEFAULT_ENGINE, get_engine, solve_mcrp
 from repro.obs.metrics import REGISTRY as _REGISTRY
 
@@ -60,9 +61,6 @@ _DELEGATIONS = _REGISTRY.counter("repro_batched_delegations_total")
 #: that buys nothing at fleet scale and is skipped — λ* is unchanged,
 #: both paths are exact.
 BATCHED_ORACLES = frozenset({"ratio-iteration", "hybrid"})
-
-#: Safety valve matching ``max_cycle_ratio``'s ``max_iterations``.
-_MAX_PROBES = 1_000_000
 
 
 @dataclass
@@ -266,7 +264,7 @@ def batched_solve_mcrp(
     if len(bounds) != len(graphs):
         raise SolverError("lower_bounds must align with graphs")
 
-    if _np is None or engine not in BATCHED_ORACLES or not info.batched:
+    if _np is None or engine not in BATCHED_ORACLES:
         for i in range(len(graphs)):
             delegate(i, bounds[i])
         return [o for o in outcomes if o is not None]
@@ -324,7 +322,7 @@ def _iterate_stack(stack, member_index, bounds, outcomes, delegate,
                 and den < (1 << 62)
                 and compiled.parametric_weight_bound(num, den)
                 < (1 << 62) // (3 * n + 4)
-                and st.iterations < _MAX_PROBES
+                and st.iterations < MAX_ITERATIONS
             )
             if ok:
                 probe_set.append(pos)

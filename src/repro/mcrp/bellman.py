@@ -18,15 +18,15 @@ from an implicit super-source (all distances start at 0): a node relaxed
 more than ``n`` times certifies a positive cycle, which is extracted from
 the predecessor chain.
 
-The module also hosts the ``bellman`` registry engine: ascending ratio
-iteration driven purely by the reference Python relaxation — the
-slow-but-transparent baseline every fast path is validated against.
+The module also hosts :func:`_python_oracle`, the finder pinned to the
+reference Python relaxation: ``max_cycle_ratio(graph,
+oracle=_python_oracle)`` is the slow-but-transparent baseline every
+fast path is validated against.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from fractions import Fraction
 from typing import List, Optional, Tuple
 
 try:  # optional numpy fast path for the Jacobi relaxation sweeps
@@ -34,8 +34,7 @@ try:  # optional numpy fast path for the Jacobi relaxation sweeps
 except ImportError:  # pragma: no cover - numpy present in CI
     _np = None
 
-from repro.mcrp.graph import BiValuedGraph, CycleResult
-from repro.mcrp.registry import register_engine
+from repro.mcrp.graph import BiValuedGraph
 
 
 class ScaledGraph:
@@ -47,9 +46,9 @@ class ScaledGraph:
     ``graph.compile()`` — construction is O(1) after the first compile of
     the same graph. The list forms (``cost``, ``transit``, ``arc_src``,
     ``arc_dst``, ``out_arcs``) are read from the compiled graph only
-    when a consumer asks: the pure-Python oracle and the ``lawler`` and
-    ``bellman`` engines do, the numpy Jacobi path never does, so a
-    Jacobi solve of an array-built graph derives none of them.
+    when a consumer asks: the pure-Python oracle does, the numpy Jacobi
+    path never does, so a Jacobi solve of an array-built graph derives
+    none of them.
     """
 
     def __init__(self, graph: BiValuedGraph):
@@ -349,11 +348,6 @@ def _extract_pred_cycle(
     return cycle_arcs
 
 
-def has_positive_cycle(scaled: ScaledGraph, lam: Fraction) -> bool:
-    """Convenience wrapper taking the candidate ratio as a Fraction."""
-    return find_positive_cycle(scaled, lam.numerator, lam.denominator) is not None
-
-
 def certify_zero_ratio(scaled: ScaledGraph) -> Optional[List[int]]:
     """Certificate handling for a converged ratio ``λ* ≤ 0`` (costs ≥ 0).
 
@@ -389,55 +383,6 @@ def certify_zero_ratio(scaled: ScaledGraph) -> Optional[List[int]]:
     return None
 
 
-def find_any_cycle(scaled: ScaledGraph) -> Optional[List[int]]:
-    """Any elementary cycle of the digraph (arc indices), or None.
-
-    Iterative DFS with colouring; used as a fallback certificate when the
-    maximum cycle ratio is 0 (every cycle is then critical).
-    """
-    n = scaled.node_count
-    out_arcs, arc_src, arc_dst = scaled.out_arcs, scaled.arc_src, scaled.arc_dst
-    WHITE, GREY, BLACK = 0, 1, 2
-    colour = [WHITE] * n
-    entered_by: List[Optional[int]] = [None] * n
-    for root in range(n):
-        if colour[root] != WHITE:
-            continue
-        stack: List[Tuple[int, int]] = [(root, 0)]
-        colour[root] = GREY
-        while stack:
-            node, arc_pos = stack[-1]
-            arcs = out_arcs[node]
-            moved = False
-            while arc_pos < len(arcs):
-                arc = arcs[arc_pos]
-                arc_pos += 1
-                nxt = arc_dst[arc]
-                if colour[nxt] == GREY:
-                    # Found a back arc: unwind the grey stack into a cycle.
-                    cycle = [arc]
-                    cursor = node
-                    while cursor != nxt:
-                        incoming = entered_by[cursor]
-                        assert incoming is not None
-                        cycle.append(incoming)
-                        cursor = arc_src[incoming]
-                    cycle.reverse()
-                    return cycle
-                if colour[nxt] == WHITE:
-                    stack[-1] = (node, arc_pos)
-                    colour[nxt] = GREY
-                    entered_by[nxt] = arc
-                    stack.append((nxt, 0))
-                    moved = True
-                    break
-            if moved:
-                continue
-            stack.pop()
-            colour[node] = BLACK
-    return None
-
-
 # ----------------------------------------------------------------------
 def _python_oracle(
     scaled: ScaledGraph, lam_num: int, lam_den: int
@@ -445,30 +390,3 @@ def _python_oracle(
     """Positive-cycle oracle pinned to the reference Python relaxation."""
     weights = scaled.compiled.parametric_weights(lam_num, lam_den)
     return _find_positive_weight_cycle_python(scaled, weights)
-
-
-@register_engine(
-    "bellman",
-    supports_lower_bound=True,
-    summary="ascending iteration on the pure-Python Bellman-Ford oracle "
-            "(reference baseline, no vectorized fast paths)",
-)
-def max_cycle_ratio_bellman(
-    graph: BiValuedGraph,
-    *,
-    lower_bound: Optional[Fraction] = None,
-) -> CycleResult:
-    """Exact λ* via ratio iteration over the queue-based Python oracle.
-
-    Identical contract (and results) to
-    :func:`repro.mcrp.max_cycle_ratio`; only the oracle implementation
-    differs — this engine never touches the numpy Jacobi sweep, which
-    makes it the ground truth the vectorized paths are validated
-    against, and a sane choice on tiny graphs where array setup
-    dominates.
-    """
-    from repro.mcrp.ratio_iteration import max_cycle_ratio
-
-    return max_cycle_ratio(
-        graph, lower_bound=lower_bound, oracle=_python_oracle
-    )

@@ -16,7 +16,7 @@ oracle call, engine, SCC sweep and longest-path pass on that graph:
   numpy mirrors ``np_cost``/``np_transit`` let the positive-cycle
   oracle form the parametric weights ``b·L − a·H`` vectorized;
 * **float shadow weights** ``cost_float``/``transit_float`` computed
-  once for the float prefilter engines (Howard, hybrid);
+  once for the float prefilter engine (hybrid);
 * the destination-sorted segment structure the numpy Jacobi relaxation
   needs (previously re-``argsort``-ed on every oracle call).
 

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from typing import (
-    Callable, Dict, List, Optional, Sequence, Set, Tuple, Union,
+    Callable, Dict, List, Optional, Sequence, Set, Tuple,
 )
 
 try:  # numpy accelerates the certificate and slicing; optional
@@ -273,31 +273,17 @@ def _subgraph_compiled(compiled, graph, nodes):
 def max_cycle_ratio_sccs(
     graph: BiValuedGraph,
     *,
-    engine: Union[Callable[..., CycleResult], "EngineInfo"] = max_cycle_ratio,
+    engine: Callable[..., CycleResult] = max_cycle_ratio,
     lower_bound: Optional[Fraction] = None,
-    seed_lower_bound: Optional[bool] = None,
 ) -> CycleResult:
     """λ* by per-SCC solving with champion pruning.
 
     Same contract as :func:`repro.mcrp.max_cycle_ratio`; node/arc ids of
-    the returned circuit refer to the *input* graph. ``engine`` may be a
-    bare solve callable or a registry :class:`EngineInfo` — with an
-    info, the per-component dispatch reads the engine's capabilities
-    directly (today: whether to warm-start it with the champion).
-    ``lower_bound`` (certified) seeds the champion used for probe
-    pruning — which is sound for every engine — and, when
-    ``seed_lower_bound`` resolves true (explicitly, from the info's
-    ``supports_lower_bound`` capability, or by default for bare
-    callables), also warm-starts each component's engine call.
+    the returned circuit refer to the *input* graph. ``engine`` is an
+    engine's solve callable. ``lower_bound`` (certified) seeds the
+    champion used for probe pruning and warm-starts each component's
+    engine call.
     """
-    from repro.mcrp.registry import EngineInfo
-
-    if isinstance(engine, EngineInfo):
-        if seed_lower_bound is None:
-            seed_lower_bound = engine.supports_lower_bound
-        engine = engine.solve
-    elif seed_lower_bound is None:
-        seed_lower_bound = True
     components = strongly_connected_node_sets(graph)
     if components and len(components[-1]) == 1:  # cyclic iff self-arc
         looped = _self_arc_nodes(graph.compile())
@@ -313,10 +299,7 @@ def max_cycle_ratio_sccs(
         nonlocal best, champion, iterations
         sub, node_map, arc_map = _subgraph(graph, nodes)
         try:
-            if seed_lower_bound:
-                result = engine(sub, lower_bound=champion)
-            else:
-                result = engine(sub)
+            result = engine(sub, lower_bound=champion)
         except DeadlockError as exc:
             if exc.cycle_nodes is not None:
                 exc.cycle_nodes = [node_map[v] for v in exc.cycle_nodes]

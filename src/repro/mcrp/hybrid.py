@@ -41,7 +41,6 @@ except ImportError:  # pragma: no cover - numpy present in CI
 from repro.exceptions import DeadlockError, SolverError
 from repro.mcrp.bellman import ScaledGraph, find_positive_cycle
 from repro.mcrp.graph import BiValuedGraph, CycleResult
-from repro.mcrp.howard import policy_cycles, policy_values
 from repro.mcrp.ratio_iteration import max_cycle_ratio
 from repro.mcrp.registry import register_engine
 
@@ -49,14 +48,13 @@ _EPS = 1e-9
 #: Below this node count the prefilter's array set-up costs more than
 #: the handful of pure-python oracle probes it would save.
 _MIN_PREFILTER_NODES = 64
+#: Cap on float policy-improvement steps (the prefilter also stops
+#: once its candidate stalls).
+_MAX_POLICY_ITERATIONS = 200
 
 
 @register_engine(
     "hybrid",
-    float_prefilter=True,
-    supports_lower_bound=True,
-    vectorized=True,
-    batched=True,
     summary="vectorized float Howard prefilter + single-probe exact "
             "certification (compiled-core fast path)",
 )
@@ -64,7 +62,6 @@ def max_cycle_ratio_hybrid(
     graph: BiValuedGraph,
     *,
     lower_bound: Optional[Fraction] = None,
-    max_policy_iterations: int = 200,
 ) -> CycleResult:
     """Exact maximum cycle ratio via the float-prefilter/exact-certify
     pipeline.
@@ -87,9 +84,7 @@ def max_cycle_ratio_hybrid(
     ):
         return max_cycle_ratio(graph, lower_bound=lower_bound)
 
-    candidate, candidate_cycle = _vectorized_howard_candidate(
-        compiled, max_policy_iterations
-    )
+    candidate, candidate_cycle = _vectorized_howard_candidate(compiled)
     if lower_bound is not None and (
         candidate is None or lower_bound > candidate
     ):
@@ -131,7 +126,6 @@ def max_cycle_ratio_hybrid(
 
 def _vectorized_howard_candidate(
     compiled,
-    max_policy_iterations: int,
 ) -> Tuple[Optional[Fraction], Optional[List[int]]]:
     """Float Howard over the compiled arrays: ``(exact ratio, cycle)``.
 
@@ -167,7 +161,7 @@ def _vectorized_howard_candidate(
     best_exact: Optional[Fraction] = None
     best_cycle: Optional[List[int]] = None
     stale = 0
-    for _ in range(max_policy_iterations):
+    for _ in range(_MAX_POLICY_ITERATIONS):
         # Rate every cycle of the functional policy graph exactly and
         # take the best as the reference (multi-chain policies are the
         # norm on SCC-decomposed constraint graphs). The pointer chases
@@ -227,3 +221,100 @@ def _vectorized_howard_candidate(
         switched = src_unique[improving]
         policy[switched] = csr[first[improving]]
     return best_exact, best_cycle
+
+
+def policy_cycles(arc_dst, policy) -> List[List[int]]:
+    """Every cycle of a functional policy graph (arc-index lists).
+
+    ``policy[v]`` is the chosen out-arc of ``v`` (``None`` or a negative
+    value marks "no arc"). A functional graph has at most one cycle per
+    weakly connected component; one chase per unvisited node finds them
+    all in O(n).
+    """
+    n = len(policy)
+    state = [0] * n  # 0 unvisited, 1 in current chain, 2 done
+    cycles: List[List[int]] = []
+    for root in range(n):
+        if state[root] != 0:
+            continue
+        chain: List[int] = []
+        node = root
+        while True:
+            if state[node] == 1:
+                # Found a cycle: trim the chain prefix before `node`.
+                idx = chain.index(node)
+                cycles.append([policy[v] for v in chain[idx:]])
+                break
+            arc = policy[node]
+            if state[node] == 2 or arc is None or arc < 0:
+                break
+            state[node] = 1
+            chain.append(node)
+            node = arc_dst[arc]
+        for v in chain:
+            state[v] = 2
+    return cycles
+
+
+def policy_values(
+    arc_src,
+    arc_dst,
+    policy,
+    cycle: List[int],
+    lam: float,
+    cost_f,
+    transit_f,
+) -> List[float]:
+    """Float node potentials for a policy at ratio ``lam``.
+
+    Nodes on the reference cycle get value 0 at the cycle entry and are
+    propagated along the cycle; every node whose policy path reaches the
+    evaluated region is solved by reverse topological relaxation
+    (iterative, bounded passes — floats only need to be good enough to
+    steer the policy, exactness comes later). ``policy`` marks "no arc"
+    with ``None`` or a negative value.
+    """
+    n = len(policy)
+    values = [0.0] * n
+    known = [False] * n
+    node = arc_src[cycle[0]]
+    values[node] = 0.0
+    known[node] = True
+    acc = 0.0
+    for arc in cycle[:-1]:
+        acc += cost_f[arc] - lam * transit_f[arc]
+        nxt = arc_dst[arc]
+        values[nxt] = acc
+        known[nxt] = True
+    # Propagate to the rest of the policy tree by chasing each node's
+    # successor chain once (the policy graph is functional, so this is
+    # O(n) total): unwind the visited chain when a known value — or a
+    # foreign cycle, valued 0 as a neutral anchor — is reached.
+    def has_arc(v):
+        arc = policy[v]
+        return arc is not None and arc >= 0
+
+    for start in range(n):
+        if known[start] or not has_arc(start):
+            continue
+        chain = []
+        on_chain = set()
+        v = start
+        while not known[v] and has_arc(v) and v not in on_chain:
+            chain.append(v)
+            on_chain.add(v)
+            v = arc_dst[policy[v]]
+        if not known[v]:
+            # dead end or a second policy cycle: anchor at 0.
+            values[v] = 0.0
+            known[v] = True
+            if chain and chain[-1] == v:
+                chain.pop()
+        for u in reversed(chain):
+            arc = policy[u]
+            values[u] = (
+                cost_f[arc] - lam * transit_f[arc]
+                + values[arc_dst[arc]]
+            )
+            known[u] = True
+    return values

@@ -34,9 +34,10 @@ Three consumers share the core:
   positive-cycle oracle is a Karp table over the parametric weights
   ``b·L − a·H`` (the maximum cycle mean is positive iff some cycle is
   positive, and the recovered critical-mean cycle *is* such a cycle);
-* the ``karp-python`` registry engine — the same iteration pinned to
-  the pure-Python table; the reference row vectorization claims are
-  benchmarked against (`benchmarks/bench_mcrp_engines.py`).
+* :func:`_karp_python_oracle` — the same oracle pinned to the
+  pure-Python table; ``max_cycle_ratio(graph,
+  oracle=_karp_python_oracle)`` is the reference row the vectorization
+  claim is benchmarked against (`benchmarks/bench_mcrp_engines.py`).
 
 Examples
 --------
@@ -367,9 +368,6 @@ def _karp_python_oracle(
 
 @register_engine(
     "karp",
-    supports_lower_bound=True,
-    quadratic=True,
-    vectorized=True,
     summary="ascending iteration on a vectorized Karp-table oracle "
             "(Θ(nm) per probe as one reduceat sweep per table row; "
             "cycle-mean core shared with the HSDF baseline)",
@@ -393,28 +391,3 @@ def max_cycle_ratio_karp(
 
     return max_cycle_ratio(graph, lower_bound=lower_bound,
                            oracle=_karp_oracle)
-
-
-@register_engine(
-    "karp-python",
-    supports_lower_bound=True,
-    quadratic=True,
-    summary="ascending iteration on the pure-Python Karp table "
-            "(reference row for the vectorized `karp` engine)",
-)
-def max_cycle_ratio_karp_python(
-    graph: BiValuedGraph,
-    *,
-    lower_bound: Optional[Fraction] = None,
-) -> CycleResult:
-    """Exact maximum cycle ratio over the un-vectorized Karp table.
-
-    Bit-identical results to the ``karp`` engine by construction — the
-    two share everything but the table implementation — which makes
-    this the ablation baseline for the vectorization claim and the
-    fallback of record on platforms without numpy.
-    """
-    from repro.mcrp.ratio_iteration import max_cycle_ratio
-
-    return max_cycle_ratio(graph, lower_bound=lower_bound,
-                           oracle=_karp_python_oracle)

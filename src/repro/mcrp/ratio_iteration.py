@@ -36,12 +36,13 @@ from repro.mcrp.registry import register_engine
 #: A positive-cycle oracle: ``(scaled, lam_num, lam_den) -> cycle | None``.
 Oracle = Callable[[ScaledGraph, int, int], Optional[List[int]]]
 
+#: Safety valve on oracle probes per solve (each jump moves to a
+#: distinct cycle ratio, so the iteration terminates long before).
+MAX_ITERATIONS = 1_000_000
+
 
 @register_engine(
     "ratio-iteration",
-    supports_lower_bound=True,
-    vectorized=True,
-    batched=True,
     summary="ascending exact cycle-ratio iteration (default engine; "
             "numpy Jacobi oracle when the int64 fast path applies)",
 )
@@ -49,7 +50,6 @@ def max_cycle_ratio(
     graph: BiValuedGraph,
     *,
     lower_bound: Optional[Fraction] = None,
-    max_iterations: int = 1_000_000,
     oracle: Optional[Oracle] = None,
     _retried: bool = False,
 ) -> CycleResult:
@@ -70,8 +70,10 @@ def max_cycle_ratio(
     oracle:
         Positive-cycle oracle to drive the iteration with (defaults to
         the dispatching :func:`repro.mcrp.bellman.find_positive_cycle`).
-        The ``bellman`` and ``karp`` registry engines are this very
-        iteration running alternative oracles.
+        The ``karp`` registry engine is this very iteration running the
+        Karp-table oracle; ``repro.mcrp.bellman._python_oracle`` and
+        ``repro.mcrp.karp._karp_python_oracle`` pin it to the
+        pure-Python reference kernels.
 
     Returns
     -------
@@ -100,9 +102,9 @@ def max_cycle_ratio(
 
     while True:
         iterations += 1
-        if iterations > max_iterations:  # pragma: no cover - safety valve
+        if iterations > MAX_ITERATIONS:  # pragma: no cover - safety valve
             raise SolverError(
-                f"ratio iteration did not converge in {max_iterations} steps"
+                f"ratio iteration did not converge in {MAX_ITERATIONS} steps"
             )
         cycle = oracle(scaled, lam.numerator, lam.denominator)
         if cycle is None:
@@ -129,13 +131,10 @@ def max_cycle_ratio(
                 return max_cycle_ratio(
                     graph,
                     lower_bound=lam - Fraction(1, 2),
-                    max_iterations=max_iterations,
                     oracle=oracle,
                     _retried=True,
                 )
-            return max_cycle_ratio(
-                graph, max_iterations=max_iterations, oracle=oracle
-            )
+            return max_cycle_ratio(graph, oracle=oracle)
         # λ* ≤ 0 with non-negative costs: every cycle has zero total cost.
         # certify_zero_ratio returns an H>0 cycle (ratio 0), None when the
         # graph imposes no period bound, or raises DeadlockError on a

@@ -2,48 +2,23 @@
 
 Engines register themselves with :func:`register_engine` at module
 import; the k-periodic solver, the CLI, the bench harness and the
-ablation benchmarks all enumerate the same table instead of wiring up
-private engine dicts. Each entry carries capability metadata so the
-shared solve pipeline (:func:`solve_mcrp`) knows how to drive the
-engine:
-
-``exact``
-    The returned ``CycleResult.ratio`` is the exact ``λ*`` (every
-    built-in engine is exact; float phases are prefilters only).
-``float_prefilter``
-    The engine runs a float phase before exact certification (Howard,
-    hybrid) — useful for benchmark grouping.
-``supports_scc``
-    The engine may be run per strongly connected component by
-    :func:`repro.mcrp.decompose.max_cycle_ratio_sccs`.
-``supports_lower_bound``
-    The engine accepts a certified ``lower_bound=`` keyword to warm
-    start from.
-``quadratic``
-    The engine's oracle is Θ(nm) per probe (Karp) — benchmark drivers
-    keep such engines off the largest instances.
-``vectorized``
-    The engine's hot path runs over the compiled core's numpy arrays
-    when they are available (``hybrid``, ``karp``, ``ratio-iteration``);
-    engines without the flag are pinned to pure-Python loops and serve
-    as ablation baselines (``bellman``, ``karp-python``).
-``batched``
-    The engine has a fleet kernel in :mod:`repro.mcrp.batched`: whole
-    chunks of compiled graphs are stacked into one super-CSR and every
-    ``maximum.reduceat`` sweep advances all of them at once. The service
-    pool routes eligible chunks through it; engines without the flag
-    always solve one graph at a time.
+benchmarks all enumerate the same table instead of wiring up private
+engine dicts. Three engines ship: ``ratio-iteration`` (the default),
+``hybrid`` (the service default) and ``karp`` (the structurally
+different oracle the corpus tools cross-check with). Which of them
+have a fleet kernel is :data:`repro.mcrp.batched.BATCHED_ORACLES`.
 
 Adding an engine
 ----------------
 Write a function with the :func:`repro.mcrp.max_cycle_ratio` contract
-(takes a ``BiValuedGraph``, returns a ``CycleResult``, raises
-``DeadlockError`` on infeasible constraint cycles) and decorate it::
+(takes a ``BiValuedGraph`` and a certified ``lower_bound=`` keyword,
+which may be ``None``, to warm-start from; returns an exact
+``CycleResult``; raises ``DeadlockError`` on infeasible constraint
+cycles) and decorate it::
 
     from repro.mcrp.registry import register_engine
 
-    @register_engine("my-engine", supports_lower_bound=True,
-                     summary="one-line description")
+    @register_engine("my-engine", summary="one-line description")
     def max_cycle_ratio_mine(graph, *, lower_bound=None):
         ...
 
@@ -71,27 +46,18 @@ from repro.mcrp.graph import BiValuedGraph, CycleResult
 
 @dataclass(frozen=True)
 class EngineInfo:
-    """Registry entry: the solve callable plus capability metadata.
+    """Registry entry: the engine's name, solve callable and summary.
 
     Examples
     --------
     >>> from repro.mcrp.registry import get_engine
     >>> info = get_engine("karp")
-    >>> info.name, info.exact, info.quadratic, info.vectorized
-    ('karp', True, True, True)
-    >>> get_engine("karp-python").vectorized
-    False
+    >>> info.name, info.solve.__name__
+    ('karp', 'max_cycle_ratio_karp')
     """
 
     name: str
     solve: Callable[..., CycleResult]
-    exact: bool = True
-    float_prefilter: bool = False
-    supports_scc: bool = True
-    supports_lower_bound: bool = False
-    quadratic: bool = False
-    vectorized: bool = False
-    batched: bool = False
     summary: str = ""
 
 
@@ -109,35 +75,13 @@ PLUGIN_ENTRY_POINT_GROUP = "repro.engines"
 PLUGIN_ENV_VAR = "REPRO_ENGINE_MODULES"
 
 
-def register_engine(
-    name: str,
-    *,
-    exact: bool = True,
-    float_prefilter: bool = False,
-    supports_scc: bool = True,
-    supports_lower_bound: bool = False,
-    quadratic: bool = False,
-    vectorized: bool = False,
-    batched: bool = False,
-    summary: str = "",
-):
+def register_engine(name: str, *, summary: str = ""):
     """Class-of-service decorator registering an MCRP engine by name."""
 
     def decorator(fn: Callable[..., CycleResult]) -> Callable[..., CycleResult]:
         if name in _REGISTRY:
             raise ValueError(f"duplicate MCRP engine name {name!r}")
-        _REGISTRY[name] = EngineInfo(
-            name=name,
-            solve=fn,
-            exact=exact,
-            float_prefilter=float_prefilter,
-            supports_scc=supports_scc,
-            supports_lower_bound=supports_lower_bound,
-            quadratic=quadratic,
-            vectorized=vectorized,
-            batched=batched,
-            summary=summary,
-        )
+        _REGISTRY[name] = EngineInfo(name=name, solve=fn, summary=summary)
         return fn
 
     return decorator
@@ -210,10 +154,8 @@ def engine_names() -> List[str]:
     Examples
     --------
     >>> from repro.mcrp.registry import engine_names
-    >>> [n for n in engine_names() if n.startswith("karp")]
-    ['karp', 'karp-python']
-    >>> "hybrid" in engine_names()
-    True
+    >>> engine_names()
+    ['hybrid', 'karp', 'ratio-iteration']
     """
     _ensure_builtins()
     return sorted(_REGISTRY)
@@ -241,14 +183,12 @@ def solve_mcrp(
     engine: Union[str, EngineInfo] = DEFAULT_ENGINE,
     *,
     lower_bound: Optional[Fraction] = None,
-    decompose: bool = True,
 ) -> CycleResult:
     """Solve the MCRP with a named engine through the shared pipeline.
 
-    Applies the SCC sweep with champion pruning when the engine supports
-    it; ``lower_bound`` (a certified lower bound on ``λ*``) always seeds
-    the pruning champion, and additionally warm-starts the engine when
-    it accepts bounds.
+    Runs the SCC sweep with champion pruning; ``lower_bound`` (a
+    certified lower bound on ``λ*``) seeds the pruning champion and
+    warm-starts the engine.
 
     Examples
     --------
@@ -260,16 +200,12 @@ def solve_mcrp(
     >>> _ = g.add_arc(1, 0, 1, 1)     # cycle ratio (3+1)/(1+1) = 2
     >>> solve_mcrp(g, "karp").ratio
     Fraction(2, 1)
-    >>> solve_mcrp(g, "hybrid").ratio == solve_mcrp(g, "bellman").ratio
+    >>> solve_mcrp(g, "hybrid").ratio == solve_mcrp(g).ratio
     True
     """
-    info = get_engine(engine) if isinstance(engine, str) else engine
-    if decompose and info.supports_scc:
-        from repro.mcrp.decompose import max_cycle_ratio_sccs
+    from repro.mcrp.decompose import max_cycle_ratio_sccs
 
-        return max_cycle_ratio_sccs(
-            graph, engine=info, lower_bound=lower_bound
-        )
-    if info.supports_lower_bound and lower_bound is not None:
-        return info.solve(graph, lower_bound=lower_bound)
-    return info.solve(graph)
+    info = get_engine(engine) if isinstance(engine, str) else engine
+    return max_cycle_ratio_sccs(
+        graph, engine=info.solve, lower_bound=lower_bound
+    )

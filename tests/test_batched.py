@@ -160,14 +160,14 @@ def two_cycle():
 def test_fleet_payload_schema_and_routing():
     payloads = [
         {"graph": two_cycle().to_dict(), "engine": "ratio-iteration"},
-        {"graph": two_cycle().to_dict(), "engine": "bellman"},
+        {"graph": two_cycle().to_dict(), "engine": "karp"},
     ]
     outcomes = solve_fleet_payloads(payloads)
     for outcome in outcomes:
         assert outcome["status"] == "OK"
         assert outcome["period"] == [2, 1]
         assert not outcome["fallback"]
-    # The flag reports the route: bellman has no batched oracle, so the
+    # The flag reports the route: karp has no batched oracle, so the
     # kernel call hands its graph to the per-graph engine.
     assert outcomes[0]["batched"] is True
     assert outcomes[1]["batched"] is False
@@ -182,6 +182,17 @@ def test_config_error_counts_as_a_failed_solver_job():
     assert outcome["engine_used"] == ""
     assert REGISTRY.value("repro_solver_jobs_total",
                           status="ERROR") == before + 1
+
+
+def test_config_error_skips_the_fallback_chain():
+    for engine in ("ratio-iteration", "no-such-engine"):
+        outcome = solve_kiter_payload(
+            {"graph": two_cycle().to_dict(), "update_policy": "typo",
+             "engine": engine, "fallback_engines": ["hybrid"]})
+        assert outcome["status"] == "ERROR"
+        assert "update_policy" in outcome["error"]
+        assert outcome["engine_used"] == ""
+        assert outcome["fallback"] is False
 
 
 def test_fallback_restarts_only_the_failing_job(monkeypatch):
@@ -250,8 +261,7 @@ def fleet_fixture_cases():
     return json.loads(index.read_text())
 
 
-@pytest.mark.parametrize("engine",
-                         ["ratio-iteration", "hybrid", "karp", "bellman"])
+@pytest.mark.parametrize("engine", ["ratio-iteration", "hybrid", "karp"])
 def test_fleet_of_one_matches_the_whole_fleet(engine):
     """Route independence: a payload's outcome does not depend on the
     chunk it rides in (only timing and the process id may differ)."""

@@ -44,10 +44,10 @@ class TestRunner:
         from repro.exceptions import SolverError
 
         with pytest.raises(SolverError, match="conflicting"):
-            run_method("kiter@howard", cycle, budget=1, engine="lawler")
+            run_method("kiter@hybrid", cycle, budget=1, engine="karp")
         # agreeing spellings are fine
         assert run_method(
-            "kiter@howard", cycle, budget=10, engine="howard"
+            "kiter@hybrid", cycle, budget=10, engine="hybrid"
         ).period == 2
 
     def test_deadlock_status(self, deadlocked_cycle):

@@ -77,7 +77,8 @@ class TestCsdfRepetition:
         assert repetition_vector(g) == {"t": 7, "u": 6}
 
     def test_figure2_derived_vector(self):
-        # DESIGN.md documents why this is [3,4,6,1] (not the prose's value)
+        # repro.generators.paper documents why this is [3,4,6,1] (not
+        # the prose's value)
         assert repetition_vector(figure2_graph()) == {
             "A": 3, "B": 4, "C": 6, "D": 1,
         }

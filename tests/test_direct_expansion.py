@@ -5,11 +5,15 @@ must be indistinguishable from the legacy ``expand_graph`` +
 ``build_constraint_graph`` reference: identical compiled
 ``scale``/``cost``/``transit``/``src``/``dst`` arrays (not just equal
 λ*), identical labels and node index, identical certified periods and
-schedules. The block cache must hit exactly when ``(buffer, K_src,
-K_dst)`` is unchanged and respect its LRU cell budget.
+schedules. The legacy path is also the solver's automatic fallback when
+the direct compile is unavailable (no numpy, an int64 guard); the
+``legacy_fallback`` helper forces it. The block cache must hit
+exactly when ``(buffer, K_src, K_dst)`` is unchanged and respect its
+LRU cell budget.
 """
 
 import random
+from contextlib import contextmanager
 from fractions import Fraction
 from pathlib import Path
 
@@ -24,7 +28,6 @@ from repro.analysis.precedence import (
     expanded_useful_pair_arrays,
     useful_pair_arrays,
 )
-from repro.exceptions import SolverError
 from repro.kperiodic.expansion import (
     ExpansionBlockCache,
     _duplicate,
@@ -33,10 +36,14 @@ from repro.kperiodic.expansion import (
     expanded_repetition_vector,
     expansion_cache_for,
 )
+import repro.kperiodic.solver as solver_mod
+from repro.kperiodic.fleet import solve_fleet_payloads
 from repro.kperiodic.kiter import solve_kiter_payload, throughput_kiter
 from repro.kperiodic.solver import min_period_for_k
+from repro.mcrp import solve_mcrp
 from repro.mcrp.graph import FrozenBiValuedGraph, ScaledFractionView
 from repro.model import Buffer, CsdfGraph, Task
+from repro.utils.rational import lcm_list
 
 from tests.conftest import golden_corpus_cases, make_random_live_graph
 
@@ -70,6 +77,27 @@ def assert_compiled_parity(graph, K):
     assert list(direct.labels) == list(legacy.labels)
     assert space.node_index() == legacy_index
     return direct, legacy
+
+
+def reference_period(graph, K):
+    """``λ*/lcm(K)`` through ``expand_graph`` + ``build_constraint_graph``
+    + ``solve_mcrp``: the legacy path, called directly."""
+    q = repetition_vector(graph)
+    bi, _ = build_constraint_graph(
+        expand_graph(graph, K), expanded_repetition_vector(q, K))
+    result = solve_mcrp(bi)
+    if result.ratio is None:
+        return Fraction(0)
+    return result.ratio / lcm_list(K.values())
+
+
+@contextmanager
+def legacy_fallback(monkeypatch):
+    """Make every fixed-K solve inside take the legacy fallback path."""
+    with monkeypatch.context() as patch:
+        patch.setattr(solver_mod, "compile_expansion",
+                      lambda *args, **kwargs: None)
+        yield
 
 
 def random_k_vectors(graph, rng):
@@ -163,14 +191,15 @@ def test_parity_along_kiter_escalation_sequence():
         assert_compiled_parity(graph, rnd.K)
 
 
-def test_min_period_direct_matches_legacy_including_schedule():
+def test_min_period_direct_matches_legacy_including_schedule(monkeypatch):
     for seed in (0, 4, 9):
         graph = make_random_live_graph(seed)
         q = repetition_vector(graph)
         K = {t: min(q[t], 2) for t in q}
-        direct = min_period_for_k(graph, K, pipeline="direct")
-        legacy = min_period_for_k(graph, K, pipeline="legacy")
-        assert direct.omega == legacy.omega
+        direct = min_period_for_k(graph, K)
+        with legacy_fallback(monkeypatch):
+            legacy = min_period_for_k(graph, K)
+        assert direct.omega == legacy.omega == reference_period(graph, K)
         assert direct.omega_expanded == legacy.omega_expanded
         assert direct.graph_nodes == legacy.graph_nodes
         assert direct.graph_arcs == legacy.graph_arcs
@@ -180,20 +209,15 @@ def test_min_period_direct_matches_legacy_including_schedule():
             direct.schedule.verify(graph)
 
 
-def test_kiter_periods_identical_across_pipelines():
+def test_kiter_periods_identical_across_pipelines(monkeypatch):
     for seed in (1, 3, 7):
         graph = make_random_live_graph(seed)
-        direct = throughput_kiter(graph, pipeline="direct")
-        legacy = throughput_kiter(graph, pipeline="legacy")
+        direct = throughput_kiter(graph)
+        with legacy_fallback(monkeypatch):
+            legacy = throughput_kiter(make_random_live_graph(seed))
         assert direct.period == legacy.period
         assert direct.K == legacy.K
-
-
-def test_invalid_pipeline_rejected():
-    graph = make_random_live_graph(0)
-    q = repetition_vector(graph)
-    with pytest.raises(SolverError, match="pipeline"):
-        min_period_for_k(graph, {t: 1 for t in q}, pipeline="warp")
+        assert direct.period == reference_period(graph, direct.K)
 
 
 def test_direct_pipeline_falls_back_without_numpy(monkeypatch):
@@ -202,13 +226,55 @@ def test_direct_pipeline_falls_back_without_numpy(monkeypatch):
     graph = make_random_live_graph(2)
     q = repetition_vector(graph)
     K = {t: 1 for t in q}
-    reference = min_period_for_k(graph, K, pipeline="legacy")
     monkeypatch.setattr(expansion, "_np", None)
     assert compile_expansion(
         graph, K, expanded_repetition_vector(q, K)
     ) is None
-    fallback = min_period_for_k(graph, K, pipeline="direct")
-    assert fallback.omega == reference.omega
+    fallback = min_period_for_k(graph, K)
+    assert fallback.omega == reference_period(graph, K)
+
+
+def _overflow_graph():
+    """Rates of 2**62: the direct compile's int64 guard trips at K = 1."""
+    big = 1 << 62
+    graph = CsdfGraph("overflow")
+    graph.add_task(Task("A", (3,)))
+    graph.add_task(Task("B", (4,)))
+    graph.add_buffer(Buffer("ab", "A", "B", (big,), (big,), 0))
+    graph.add_buffer(Buffer("ba", "B", "A", (big,), (big,), big))
+    return graph
+
+
+def test_int64_overflow_graph_certifies_exactly_through_the_fallback(
+    monkeypatch,
+):
+    from repro.io import load_graph
+
+    overflow = _overflow_graph()
+    q = repetition_vector(overflow)
+    K = {t: 1 for t in q}
+    assert compile_expansion(
+        overflow, K, expanded_repetition_vector(q, K)) is None
+    solved = throughput_kiter(overflow)
+    assert solved.K == K
+    assert solved.period == reference_period(overflow, K) == 7
+
+    # A two-payload fleet: the overflow graph takes the fallback, its
+    # chunk-mate the direct compile; each matches the legacy reference.
+    figure2 = load_graph(DATA / "golden_figure2.json")
+    graphs = [overflow, figure2]
+    outcomes = solve_fleet_payloads(
+        [{"graph": g.to_dict(), "engine": "hybrid"} for g in graphs])
+    with legacy_fallback(monkeypatch):
+        legacy = [throughput_kiter(CsdfGraph.from_dict(g.to_dict()))
+                  for g in graphs]
+    for graph, outcome, reference in zip(graphs, outcomes, legacy):
+        assert outcome["status"] == "OK"
+        period = Fraction(*outcome["period"])
+        assert outcome["K"] == reference.K
+        assert period == reference.period
+        assert period == reference_period(graph, outcome["K"])
+    assert len(legacy[1].rounds) >= 2  # the chunk-mate escalates K
 
 
 # ----------------------------------------------------------------------
@@ -287,25 +353,6 @@ def test_payload_worker_path_shares_blocks_per_graph_object():
     # the per-buffer block layer (hits stay flat, compiled memo hits).
     assert cache.hits == hits_before
     assert cache.compiled_hits > 0
-
-
-def test_payload_rejects_unknown_pipeline():
-    graph = make_random_live_graph(0)
-    outcome = solve_kiter_payload(
-        {"graph": graph.to_dict(), "pipeline": "warp"}
-    )
-    assert outcome["status"] == "ERROR"
-    assert "pipeline" in outcome["error"]
-
-
-def test_payload_legacy_pipeline_runs():
-    graph = make_random_live_graph(0)
-    direct = solve_kiter_payload({"graph": graph.to_dict()})
-    legacy = solve_kiter_payload(
-        {"graph": graph.to_dict(), "pipeline": "legacy"}
-    )
-    assert direct["status"] == legacy["status"] == "OK"
-    assert direct["period"] == legacy["period"]
 
 
 # ----------------------------------------------------------------------

@@ -146,37 +146,31 @@ def test_cli_distributed_verbs_exist():
 
 
 def test_architecture_engine_table_matches_registry():
-    from repro.mcrp import all_engines
+    from repro.mcrp import engine_names
+    from repro.mcrp.batched import BATCHED_ORACLES
 
     text = (ROOT / "ARCHITECTURE.md").read_text()
-    for info in all_engines():
-        row = re.search(rf"^\| `{re.escape(info.name)}` \|.*$", text,
+    for name in engine_names():
+        row = re.search(rf"^\| `{re.escape(name)}` \|.*$", text,
                         re.MULTILINE)
-        assert row, f"ARCHITECTURE.md engine table must list {info.name}"
-        assert ("vectorized" in row.group(0)) == info.vectorized, (
-            f"ARCHITECTURE.md row for {info.name} disagrees with the "
-            f"registry's vectorized={info.vectorized} capability"
-        )
-        assert ("batched" in row.group(0)) == info.batched, (
-            f"ARCHITECTURE.md row for {info.name} disagrees with the "
-            f"registry's batched={info.batched} capability"
+        assert row, f"ARCHITECTURE.md engine table must list {name}"
+        assert ("batched" in row.group(0)) == (name in BATCHED_ORACLES), (
+            f"ARCHITECTURE.md row for {name} disagrees with "
+            "BATCHED_ORACLES"
         )
 
 
 def test_engine_guide_batched_section_matches_registry():
     """docs/engines.md's batched-solving claims are pinned to the live
     registry and the fleet kernel's oracle table — an engine gaining or
-    losing the `batched` capability must break this test."""
-    from repro.mcrp import all_engines
+    losing a batched oracle must break this test."""
+    from repro.mcrp import engine_names
     from repro.mcrp.batched import BATCHED_ORACLES
 
     guide = (ROOT / "docs" / "engines.md").read_text()
     assert "## Batched solving" in guide
-    batched = {info.name for info in all_engines() if info.batched}
-    assert batched == set(BATCHED_ORACLES), (
-        "registry batched flags disagree with BATCHED_ORACLES"
-    )
-    for name in batched:
+    assert BATCHED_ORACLES <= set(engine_names())
+    for name in BATCHED_ORACLES:
         assert f"`{name}`" in guide
     # the per-graph hand-off inside the kernel call is documented
     assert "`solve_mcrp` per-graph inside the kernel call" in guide
@@ -307,15 +301,40 @@ def test_check_links_flags_breakage(tmp_path):
     assert any("missing anchor" in row for row in broken)
 
 
+def test_check_links_flags_missing_docs_named_in_docstrings(tmp_path):
+    (tmp_path / "docs").mkdir()
+    (tmp_path / "src" / "pkg").mkdir(parents=True)
+    (tmp_path / "tests").mkdir()
+    (tmp_path / "README.md").write_text("# Readme\n")
+    (tmp_path / "docs" / "real.md").write_text("# Real\n")
+    (tmp_path / "src" / "pkg" / "mod.py").write_text(
+        '"""See README.md, docs/real.md and real.md."""\n'
+        "\n"
+        "def f():\n"
+        '    """Documented in DESIGN.md §6, see https://x.org/GONE.md."""\n'
+        '    return "docs/gone.md"  # not a docstring\n'
+    )
+    (tmp_path / "tests" / "test_x.py").write_text(
+        '"""Line one.\n\nThe invariant lives in docs/missing.md."""\n'
+    )
+    broken = check_links(tmp_path)
+    assert broken == [
+        "src/pkg/mod.py:4: docstring names missing DESIGN.md",
+        "tests/test_x.py:3: docstring names missing docs/missing.md",
+    ]
+
+
 def test_cli_engines_output_matches_docs_claims(capsys):
     from repro.cli import main
     from repro.mcrp import engine_names
+    from repro.mcrp.batched import BATCHED_ORACLES
 
     assert main(["engines"]) == 0
     out = capsys.readouterr().out
     for name in engine_names():
-        assert name in out
-    assert "vectorized" in out
+        line = re.search(rf"^  {re.escape(name)}\b.*$", out, re.MULTILINE)
+        assert line, f"repro engines must list {name}"
+        assert ("[batched]" in line.group(0)) == (name in BATCHED_ORACLES)
 
 
 @pytest.mark.parametrize("snippet_graph_period", [2])

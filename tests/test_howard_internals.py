@@ -1,12 +1,15 @@
-"""Targeted tests for Howard policy-iteration internals."""
+"""Targeted tests for the pure-Python Howard reference in ``oracles``.
+
+It is the reference for the ``hybrid`` engine's vectorized prefilter.
+"""
 
 import random
 from fractions import Fraction
 
 import pytest
 
-from repro.mcrp import BiValuedGraph, max_cycle_ratio, max_cycle_ratio_howard
-from repro.mcrp.howard import _howard_float_hint, _policy_cycle
+from oracles import _howard_float_hint, _policy_cycle, max_cycle_ratio_howard
+from repro.mcrp import BiValuedGraph, max_cycle_ratio
 
 
 class TestPolicyCycle:

@@ -7,8 +7,9 @@ the oracle:
   pure-Python reference (``_best_mean_cycle_python``) return identical
   exact ``Fraction`` means and verified critical cycles on random
   graphs, the golden corpus, and the edge cases (acyclic, single-node
-  SCC, dead walks, int64 overflow fallback); the ``karp`` and
-  ``karp-python`` engines certify identical λ* everywhere.
+  SCC, dead walks, int64 overflow fallback); the ``karp`` engine and
+  the ascending iteration over the pure-Python Karp oracle certify
+  identical λ* everywhere.
 * **Longest-path potentials** — the Jacobi numpy pass and the
   queue-based reference produce identical exact potentials, agree on
   the seeded partial-convergence handoff, and both reject uncertified
@@ -29,8 +30,10 @@ from repro.kperiodic import min_period_for_k, throughput_kiter
 from repro.kperiodic.solver import longest_path_potentials
 from repro.mcrp import (
     BiValuedGraph,
+    EngineInfo,
     get_engine,
     max_cycle_mean,
+    max_cycle_ratio,
     solve_mcrp,
 )
 from tests.conftest import golden_corpus_cases, make_random_live_graph
@@ -46,6 +49,23 @@ def force_vectorized(monkeypatch):
     """Engage the numpy fast paths regardless of instance size."""
     monkeypatch.setattr(karp_mod, "_MIN_VECTOR_NODES", 1)
     monkeypatch.setattr(solver_mod, "_MIN_VECTOR_NODES", 1)
+
+
+def _karp_python(graph, *, lower_bound=None):
+    """The ``karp`` engine's iteration pinned to the pure-Python table."""
+    return max_cycle_ratio(graph, lower_bound=lower_bound,
+                           oracle=karp_mod._karp_python_oracle)
+
+
+@pytest.fixture
+def karp_python_engine(monkeypatch):
+    """Register :func:`_karp_python` as engine ``karp-python`` for a test."""
+    from repro.mcrp import registry
+
+    registry.engine_names()  # built-ins and plugins first
+    monkeypatch.setitem(registry._REGISTRY, "karp-python",
+                        EngineInfo("karp-python", _karp_python))
+    return "karp-python"
 
 
 # ----------------------------------------------------------------------
@@ -129,7 +149,7 @@ def test_karp_engines_agree_on_constraint_graphs(seed, force_vectorized):
     g = make_random_live_graph(seed, tasks=4 + seed % 3)
     bi, _ = build_constraint_graph(g)
     vec = solve_mcrp(bi, "karp")
-    ref = solve_mcrp(bi, "karp-python")
+    ref = solve_mcrp(bi, EngineInfo("karp-python", _karp_python))
     assert vec.ratio == ref.ratio
     if vec.ratio is not None:
         bi.check_cycle(vec.cycle_arcs)
@@ -143,10 +163,11 @@ def test_karp_engines_agree_on_constraint_graphs(seed, force_vectorized):
 @pytest.mark.skipif(not GOLDEN, reason="golden corpus not present")
 @pytest.mark.parametrize("filename,period", GOLDEN,
                          ids=[c[0] for c in GOLDEN])
-def test_karp_golden_corpus_parity(filename, period, force_vectorized):
+def test_karp_golden_corpus_parity(filename, period, force_vectorized,
+                                   karp_python_engine):
     graph = load_graph(DATA_DIR / filename)
     assert throughput_kiter(graph, engine="karp").period == period
-    assert throughput_kiter(graph, engine="karp-python").period == period
+    assert throughput_kiter(graph, engine=karp_python_engine).period == period
 
 
 # ----------------------------------------------------------------------

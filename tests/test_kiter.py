@@ -5,7 +5,12 @@ from fractions import Fraction
 import pytest
 
 from repro.analysis import repetition_vector
-from repro.exceptions import BudgetExceededError, DeadlockError
+from repro.exceptions import (
+    BudgetExceededError,
+    ConfigurationError,
+    DeadlockError,
+    SolverError,
+)
 from repro.generators.paper import figure2_graph
 from repro.kperiodic import min_period_for_k, throughput_kiter
 from repro.kperiodic.kiter import throughput_via_full_expansion
@@ -18,6 +23,15 @@ class TestBasics:
         assert r.period == 2
         assert r.throughput == Fraction(1, 2)
         assert r.iteration_count == 1  # HSDF: 1-periodic already optimal
+
+    def test_unknown_update_policy_raises_before_round_one(
+        self, two_task_cycle
+    ):
+        # Round 1 certifies this graph, so a check made only when K
+        # escalates would never run.
+        with pytest.raises(ConfigurationError, match="update_policy") as err:
+            throughput_kiter(two_task_cycle, update_policy="bogus")
+        assert not isinstance(err.value, SolverError)
 
     def test_deadlock_detected(self, deadlocked_cycle):
         with pytest.raises(DeadlockError):

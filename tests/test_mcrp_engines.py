@@ -1,7 +1,8 @@
 """Unit + agreement tests for the MCRP engines.
 
-The three general engines (ratio iteration, Howard-accelerated, Lawler)
-and Karp (unit transit) are independent implementations; disagreement on
+The default ratio-iteration engine, the test-only Howard and Lawler
+references (``oracles.py``) and Karp (unit transit) are independent
+implementations; disagreement on
 any input is a bug by construction, which makes agreement a powerful
 oracle (also exercised with random graphs in test_properties.py).
 """
@@ -12,13 +13,8 @@ from fractions import Fraction
 import pytest
 
 from repro.exceptions import DeadlockError, SolverError
-from repro.mcrp import (
-    BiValuedGraph,
-    max_cycle_mean,
-    max_cycle_ratio,
-    max_cycle_ratio_howard,
-    max_cycle_ratio_lawler,
-)
+from oracles import max_cycle_ratio_howard, max_cycle_ratio_lawler
+from repro.mcrp import BiValuedGraph, max_cycle_mean, max_cycle_ratio
 
 ENGINES = [max_cycle_ratio, max_cycle_ratio_howard, max_cycle_ratio_lawler]
 

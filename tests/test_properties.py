@@ -1,6 +1,6 @@
 """Property-based tests (hypothesis) on the core data structures.
 
-Each property is an invariant documented in DESIGN.md §6:
+Each property is an invariant of the model or the solvers:
 
 * Theorem 2 soundness: the earliest K-periodic schedule produced from
   the constraint graph replays over the token semantics without a
@@ -23,12 +23,8 @@ from repro.analysis import is_live, repetition_vector
 from repro.baselines import throughput_symbolic
 from repro.exceptions import DeadlockError
 from repro.kperiodic import expand_graph, min_period_for_k, throughput_kiter
-from repro.mcrp import (
-    BiValuedGraph,
-    max_cycle_ratio,
-    max_cycle_ratio_howard,
-    max_cycle_ratio_lawler,
-)
+from oracles import max_cycle_ratio_howard, max_cycle_ratio_lawler
+from repro.mcrp import BiValuedGraph, all_engines
 from repro.model import Buffer, CsdfGraph, Task
 from repro.utils.rational import ceil_to_multiple, floor_to_multiple
 from tests.conftest import make_random_live_graph
@@ -160,13 +156,14 @@ def test_mcrp_engines_agree(seed):
             Fraction(rng.randint(-2, 6), rng.randint(1, 3)),
         )
     outcomes = []
-    for engine in (max_cycle_ratio, max_cycle_ratio_howard,
-                   max_cycle_ratio_lawler):
+    engines = [max_cycle_ratio_howard, max_cycle_ratio_lawler,
+               *(info.solve for info in all_engines())]
+    for engine in engines:
         try:
             outcomes.append(engine(g).ratio)
         except DeadlockError:
             outcomes.append("deadlock")
-    assert outcomes[0] == outcomes[1] == outcomes[2]
+    assert outcomes == [outcomes[0]] * len(engines)
 
 
 # ----------------------------------------------------------------------

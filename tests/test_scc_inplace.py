@@ -185,8 +185,7 @@ def _verified(graph, cycle_arcs, ratio):
 
 
 @pytest.mark.parametrize(
-    "engine", [e for e in all_engines() if e.supports_scc],
-    ids=lambda e: e.name)
+    "engine", all_engines(), ids=lambda e: e.name)
 def test_in_place_solve_matches_the_sliced_copy(engine, monkeypatch):
     in_place = 0
     for name, bi in _constraint_graphs():
@@ -197,7 +196,8 @@ def test_in_place_solve_matches_the_sliced_copy(engine, monkeypatch):
             components = decompose.strongly_connected_node_sets(bi)
             in_place += components == [range(bi.node_count)]
             try:
-                result = decompose.max_cycle_ratio_sccs(bi, engine=engine)
+                result = decompose.max_cycle_ratio_sccs(
+                    bi, engine=engine.solve)
             except DeadlockError as exc:
                 cycle = exc.cycle_nodes
                 assert len(set(cycle)) == len(cycle)

@@ -14,9 +14,9 @@ Three layers of coverage:
 * **Honest counters** — a block derived ahead by the fleet pass is one
   miss, and its use at assembly is not counted again: one fleet over
   the corpus counts exactly what one fleet per graph counts.
-* **Fault isolation** — legacy payloads, round caps, int64-guard
-  fallbacks and a failing shared pass leave every chunk-mate's outcome
-  exactly what it is when solved alone.
+* **Fault isolation** — round caps, int64-guard fallbacks to the
+  expand+build path and a failing shared pass leave every chunk-mate's
+  outcome exactly what it is when solved alone.
 """
 
 import json
@@ -244,7 +244,6 @@ def _mixed_chunk():
 
     figure2 = load_graph(DATA / "golden_figure2.json").to_dict()
     payloads = _corpus_payloads()[:6]
-    payloads[1] = dict(payloads[1], pipeline="legacy")
     payloads[3] = {"graph": figure2, "engine": "hybrid", "max_rounds": 1}
     payloads.insert(4, {"graph": _overflow_graph().to_dict(),
                         "engine": "hybrid"})

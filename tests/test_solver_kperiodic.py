@@ -104,7 +104,7 @@ class TestResultMetadata:
         with pytest.raises(SolverError):
             min_period_for_k(two_task_cycle, {"A": 1, "B": 1}, engine="nope")
 
-    @pytest.mark.parametrize("engine", ["ratio-iteration", "howard", "lawler"])
+    @pytest.mark.parametrize("engine", ["ratio-iteration", "hybrid", "karp"])
     def test_engines_agree(self, multirate_cycle, engine):
         r = min_period_for_k(multirate_cycle, {"A": 1, "B": 1}, engine=engine)
         assert r.omega == min_period_for_k(

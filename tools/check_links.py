@@ -7,25 +7,33 @@ inline Markdown links ``[text](target)`` and checks that each
 ``scheme://`` links and pure in-page ``#anchor`` links are skipped;
 a ``file#anchor`` target is checked for the file part, and when the
 target file is itself one of the scanned Markdown sources the anchor
-must match one of its headings). Exits non-zero listing every broken
-link — the CI ``docs`` job and ``tests/test_docs.py`` both run this,
-so a doc rename cannot silently orphan its references.
+must match one of its headings). It also reads the docstrings of every
+Python file under ``src/`` and ``tests/`` and checks that each Markdown
+file they name (``ARCHITECTURE.md``, ``docs/engines.md``) exists at the
+repository root, under ``docs/`` or next to the Python file. Exits
+non-zero listing every broken link — the CI ``docs`` job and
+``tests/test_docs.py`` both run this, so a doc rename cannot silently
+orphan its references.
 
 Usage: ``python tools/check_links.py [root]`` (default: repo root).
 """
 
 from __future__ import annotations
 
+import ast
 import re
 import sys
 from pathlib import Path
-from typing import Dict, List, Set, Tuple
+from typing import Dict, Iterator, List, Set, Tuple
 
 #: ``[text](target)`` inline links; images ``![alt](target)`` match too
 #: (the leading ``!`` simply isn't captured). Nested parens are not
 #: supported — none of our docs use them.
 _LINK = re.compile(r"\[[^\]]*\]\(([^)\s]+)\)")
 _HEADING = re.compile(r"^#{1,6}\s+(.*)$", re.MULTILINE)
+#: A Markdown file name, bare or with a relative path, as a docstring
+#: cites it; names inside URLs are skipped.
+_MD_NAME = re.compile(r"(?<![\w./:-])([\w./-]*\w\.md)\b")
 
 
 def _doc_files(root: Path) -> List[Path]:
@@ -70,6 +78,38 @@ def check_links(root: Path) -> List[str]:
                     broken.append(
                         f"{where}: missing anchor -> {target}"
                     )
+    return broken + _check_docstrings(root)
+
+
+def _docstrings(source: str) -> Iterator[Tuple[int, str]]:
+    """``(line, text)`` of every module, class and function docstring."""
+    kinds = (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, kinds) and node.body:
+            first = node.body[0]
+            if (
+                isinstance(first, ast.Expr)
+                and isinstance(first.value, ast.Constant)
+                and isinstance(first.value.value, str)
+            ):
+                yield first.lineno, first.value.value
+
+
+def _check_docstrings(root: Path) -> List[str]:
+    """Markdown files named in ``src/``/``tests/`` docstrings that do
+    not exist."""
+    broken: List[str] = []
+    for top in ("src", "tests"):
+        for source in sorted((root / top).rglob("*.py")):
+            for lineno, text in _docstrings(source.read_text()):
+                for match in _MD_NAME.finditer(text):
+                    name = match.group(1)
+                    bases = (root, root / "docs", source.parent)
+                    if any((base / name).exists() for base in bases):
+                        continue
+                    line = lineno + text.count("\n", 0, match.start())
+                    broken.append(f"{source.relative_to(root)}:{line}: "
+                                  f"docstring names missing {name}")
     return broken
 
 
