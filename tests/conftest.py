@@ -49,6 +49,27 @@ def deadlocked_cycle() -> CsdfGraph:
     )
 
 
+@pytest.fixture
+def reference_engines(monkeypatch):
+    """Register the test-only reference MCRP solvers for one test.
+
+    Each entry of ``oracles.REFERENCE_ENGINES`` becomes a registry
+    engine (the plugin contract: a registered name is selectable
+    everywhere), so a test parametrized over built-in and reference
+    names drives independent code through the same lookup. Returns the
+    reference names.
+    """
+    from oracles import REFERENCE_ENGINES
+
+    from repro.mcrp import registry
+
+    registry.engine_names()  # load the built-ins and plugins first
+    for name, (solve, summary) in REFERENCE_ENGINES.items():
+        monkeypatch.setitem(registry._REGISTRY, name, registry.EngineInfo(
+            name=name, solve=solve, summary=summary))
+    return sorted(REFERENCE_ENGINES)
+
+
 def golden_corpus_cases():
     """``(filename, exact period)`` rows of ``tests/data/golden_index.json``.
 

@@ -1,7 +1,7 @@
 """Test-only MCRP reference implementations.
 
-Neither is a registered engine; both exist so the test suite can check
-the registered ones against independent code:
+None is a built-in engine; they exist so the test suite can check the
+registered ones against independent code:
 
 * :func:`max_cycle_ratio_howard` — Howard policy iteration in floats,
   as a pure-Python loop (:func:`_howard_float_hint`), certified by the
@@ -15,6 +15,14 @@ the registered ones against independent code:
   (``B`` bounds cycle transit numerators), then snaps to the certified
   lower bound. A disagreement with the ascending iteration on any input
   is a bug by construction.
+* :func:`max_cycle_ratio_bellman` and :func:`max_cycle_ratio_karp_python`
+  — the ascending iteration pinned to the pure-Python Bellman-Ford and
+  Karp-table oracles (no vectorized fast paths).
+
+:data:`REFERENCE_ENGINES` maps an engine name to each of the four; the
+``reference_engines`` fixture (``conftest.py``) registers them for one
+test, so the engine-reach tests drive them through every layer that
+looks an engine up by name.
 """
 
 from __future__ import annotations
@@ -25,11 +33,13 @@ from typing import List, Optional
 from repro.exceptions import DeadlockError, SolverError
 from repro.mcrp.bellman import (
     ScaledGraph,
+    _python_oracle,
     certify_zero_ratio,
     find_positive_cycle,
 )
 from repro.mcrp.graph import BiValuedGraph, CycleResult
 from repro.mcrp.hybrid import policy_cycles, policy_values
+from repro.mcrp.karp import _karp_python_oracle
 from repro.mcrp.ratio_iteration import max_cycle_ratio
 
 _EPS = 1e-9
@@ -145,11 +155,17 @@ def _policy_values(
     )
 
 
-def max_cycle_ratio_lawler(graph: BiValuedGraph) -> CycleResult:
+def max_cycle_ratio_lawler(
+    graph: BiValuedGraph,
+    *,
+    lower_bound: Optional[Fraction] = None,
+) -> CycleResult:
     """Exact maximum cycle ratio by rational binary search.
 
     Same contract as :func:`repro.mcrp.max_cycle_ratio` (including
-    :class:`DeadlockError` on infeasible constraint cycles).
+    :class:`DeadlockError` on infeasible constraint cycles). The search
+    always starts from 0: ``lower_bound`` is accepted, as every engine
+    takes one, and ignored.
     """
     if any(c < 0 for c in graph.arc_cost):
         raise SolverError("Lawler search requires non-negative arc costs")
@@ -227,3 +243,36 @@ def max_cycle_ratio_lawler(graph: BiValuedGraph) -> CycleResult:
         cycle_nodes=[graph.arc_src[a] for a in lo_cycle],
         iterations=iterations,
     )
+
+
+def max_cycle_ratio_bellman(
+    graph: BiValuedGraph,
+    *,
+    lower_bound: Optional[Fraction] = None,
+) -> CycleResult:
+    """The ascending iteration on the pure-Python Bellman-Ford oracle."""
+    return max_cycle_ratio(
+        graph, lower_bound=lower_bound, oracle=_python_oracle)
+
+
+def max_cycle_ratio_karp_python(
+    graph: BiValuedGraph,
+    *,
+    lower_bound: Optional[Fraction] = None,
+) -> CycleResult:
+    """The ascending iteration on the pure-Python Karp-table oracle."""
+    return max_cycle_ratio(
+        graph, lower_bound=lower_bound, oracle=_karp_python_oracle)
+
+
+#: name → (solve, summary) of the reference implementations.
+REFERENCE_ENGINES = {
+    "bellman": (max_cycle_ratio_bellman,
+                "ascending iteration, pure-Python Bellman-Ford oracle"),
+    "howard": (max_cycle_ratio_howard,
+               "float Howard loop, certified by the ascending iteration"),
+    "karp-python": (max_cycle_ratio_karp_python,
+                    "ascending iteration, pure-Python Karp-table oracle"),
+    "lawler": (max_cycle_ratio_lawler,
+               "Lawler's rational binary search"),
+}

@@ -261,8 +261,9 @@ def fleet_fixture_cases():
     return json.loads(index.read_text())
 
 
-@pytest.mark.parametrize("engine", ["ratio-iteration", "hybrid", "karp"])
-def test_fleet_of_one_matches_the_whole_fleet(engine):
+@pytest.mark.parametrize(
+    "engine", ["ratio-iteration", "hybrid", "karp", "bellman"])
+def test_fleet_of_one_matches_the_whole_fleet(engine, reference_engines):
     """Route independence: a payload's outcome does not depend on the
     chunk it rides in (only timing and the process id may differ)."""
     payloads = [{"graph": graph, "engine": engine}

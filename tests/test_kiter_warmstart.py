@@ -74,8 +74,9 @@ def test_min_period_warm_start_with_own_lambda_certifies_fast():
     assert reseeded.engine_iterations <= base.engine_iterations
 
 
-@pytest.mark.parametrize("engine", ["ratio-iteration", "hybrid", "karp"])
-def test_min_period_warm_start_overshoot_is_sound(engine):
+@pytest.mark.parametrize(
+    "engine", ["ratio-iteration", "hybrid", "karp", "howard"])
+def test_min_period_warm_start_overshoot_is_sound(engine, reference_engines):
     graph = make_random_live_graph(7)
     q = repetition_vector(graph)
     K = {t: 1 for t in q}

@@ -33,6 +33,9 @@ from repro.mcrp import (
 from tests.conftest import make_random_live_graph
 
 BUILTIN_ENGINES = {"hybrid", "karp", "ratio-iteration"}
+#: The built-ins plus the ``oracles.py`` solvers that the
+#: ``reference_engines`` fixture registers.
+REACH_ENGINES = sorted(BUILTIN_ENGINES | {"bellman", "howard", "lawler"})
 
 
 # ----------------------------------------------------------------------
@@ -117,24 +120,28 @@ def test_solve_mcrp_pipeline_agrees(seed):
 # ----------------------------------------------------------------------
 # engine parity through the solver layers
 # ----------------------------------------------------------------------
-@pytest.mark.parametrize("engine", sorted(BUILTIN_ENGINES))
-def test_min_period_reachable_for_every_engine(engine, multirate_cycle):
+@pytest.mark.parametrize("engine", REACH_ENGINES)
+def test_min_period_reachable_for_every_engine(
+    engine, multirate_cycle, reference_engines,
+):
     result = min_period_for_k(
         multirate_cycle, {"A": 1, "B": 1}, engine=engine
     )
     assert result.omega == Fraction(6, 1)
 
 
-@pytest.mark.parametrize("engine", sorted(BUILTIN_ENGINES))
+@pytest.mark.parametrize("engine", REACH_ENGINES)
 @pytest.mark.parametrize("seed", [3, 11])
-def test_kiter_reachable_for_every_engine(engine, seed):
+def test_kiter_reachable_for_every_engine(engine, seed, reference_engines):
     g = make_random_live_graph(seed, tasks=4)
     reference = throughput_kiter(g).period
     assert throughput_kiter(g, engine=engine).period == reference
 
 
-@pytest.mark.parametrize("engine", sorted(BUILTIN_ENGINES))
-def test_bench_runner_enumerates_registry(engine, two_task_cycle):
+@pytest.mark.parametrize("engine", REACH_ENGINES)
+def test_bench_runner_enumerates_registry(
+    engine, two_task_cycle, reference_engines,
+):
     from repro.bench.runner import method_names, run_method
 
     assert f"kiter@{engine}" in method_names()

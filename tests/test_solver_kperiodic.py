@@ -104,8 +104,9 @@ class TestResultMetadata:
         with pytest.raises(SolverError):
             min_period_for_k(two_task_cycle, {"A": 1, "B": 1}, engine="nope")
 
-    @pytest.mark.parametrize("engine", ["ratio-iteration", "hybrid", "karp"])
-    def test_engines_agree(self, multirate_cycle, engine):
+    @pytest.mark.parametrize(
+        "engine", ["ratio-iteration", "hybrid", "karp", "howard", "lawler"])
+    def test_engines_agree(self, multirate_cycle, engine, reference_engines):
         r = min_period_for_k(multirate_cycle, {"A": 1, "B": 1}, engine=engine)
         assert r.omega == min_period_for_k(
             multirate_cycle, {"A": 1, "B": 1}
