@@ -74,7 +74,7 @@ def _corpus_by_expanded_size():
 
 def _legacy_rebuild(graph, K, q_tilde):
     expanded = expand_graph(graph, K)
-    bi, _ = build_constraint_graph(expanded, q_tilde, serialize=True)
+    bi, _ = build_constraint_graph(expanded, q_tilde)
     return bi
 
 

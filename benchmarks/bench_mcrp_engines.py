@@ -100,7 +100,7 @@ def _expanded_constraint_graph(graph, cap=None):
     K = {t: (q[t] if cap is None else min(q[t], cap)) for t in q}
     expanded = expand_graph(graph, K)
     q_tilde = expanded_repetition_vector(q, K)
-    bi, _ = build_constraint_graph(expanded, q_tilde, serialize=True)
+    bi, _ = build_constraint_graph(expanded, q_tilde)
     return bi
 
 

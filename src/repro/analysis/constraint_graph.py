@@ -161,10 +161,14 @@ def build_constraint_graph(
     graph: CsdfGraph,
     repetition: Optional[Dict[str, int]] = None,
     *,
-    serialize: bool = True,
     merge_parallel: bool = True,
 ) -> Tuple[BiValuedGraph, Dict[NodeKey, int]]:
     """The bi-valued graph of Theorem 2 for ``graph``.
+
+    The implicit all-ones self-loop buffers that forbid auto-concurrency
+    are added before generating constraints (the paper's schedules
+    assume serialized tasks — Figure 5 contains the corresponding
+    ``A1→A2`` arcs).
 
     Parameters
     ----------
@@ -172,11 +176,6 @@ def build_constraint_graph(
         A consistent CSDFG (typically the K-expansion ``G̃``).
     repetition:
         Its repetition vector; computed when omitted.
-    serialize:
-        Add the implicit all-ones self-loop buffers that forbid
-        auto-concurrency before generating constraints (the paper's
-        schedules assume serialized tasks — Figure 5 contains the
-        corresponding ``A1→A2`` arcs).
     merge_parallel:
         Keep only the dominant arc between each node pair.
 
@@ -185,7 +184,7 @@ def build_constraint_graph(
     (bi-valued graph, node index) where the node index maps
     ``(task, phase)`` to the dense node id.
     """
-    work = graph.with_serialization_loops() if serialize else graph
+    work = graph.with_serialization_loops()
     if repetition is None:
         repetition = repetition_vector(work)
 

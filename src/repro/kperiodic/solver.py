@@ -198,9 +198,7 @@ def prepare_min_period(
         # No numpy, or an int64 guard tripped: materialize G̃ and build
         # its graph with Python ints, exact at any magnitude.
         expanded = expand_graph(graph, K)
-        bi_graph, node_index = build_constraint_graph(
-            expanded, q_tilde, serialize=True
-        )
+        bi_graph, node_index = build_constraint_graph(expanded, q_tilde)
     # Warm start: the serialization self-loop of task t is a real cycle of
     # the constraint graph with exact ratio lcm(K)·q_t·Σ_p d(t_p), so the
     # max over tasks is a certified lower bound on λ* (huge head start —

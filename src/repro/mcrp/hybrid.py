@@ -147,7 +147,6 @@ def _vectorized_howard_candidate(
     seg_starts = compiled.src_seg_starts
     seg_sizes = compiled.src_seg_sizes
     positions = _np.arange(m, dtype=_np.int64)
-    node_ids = _np.arange(n, dtype=_np.int64)
 
     # Initial policy: per source, the arc of maximum cost.
     policy = _np.full(n, -1, dtype=_np.int64)
@@ -165,17 +164,15 @@ def _vectorized_howard_candidate(
         # Rate every cycle of the functional policy graph exactly and
         # take the best as the reference (multi-chain policies are the
         # norm on SCC-decomposed constraint graphs). The pointer chases
-        # number each policy arc by its source node (node v's arc is
-        # local arc v), so they run over O(n) lists gathered from the
+        # run over the policy's O(n) successor list gathered from the
         # arrays each iteration, never the graph's O(m) list forms.
         exact = None
         cycle = None
-        local_cycle = None
+        node_cycle = None
         pol = policy.tolist()
-        local_policy = _np.where(policy >= 0, node_ids, -1).tolist()
-        succ = dst[policy].tolist()  # unread where policy is -1
-        for cand_local in policy_cycles(succ, local_policy):
-            cand_cycle = [pol[v] for v in cand_local]
+        succ = _np.where(policy >= 0, dst[policy], -1).tolist()
+        for cand_nodes in policy_cycles(succ):
+            cand_cycle = [pol[v] for v in cand_nodes]
             num, den = compiled.cycle_sums(cand_cycle)
             if den <= 0:
                 # Deadlock-shaped policy cycle: leave it to the exact
@@ -185,7 +182,7 @@ def _vectorized_howard_candidate(
             if exact is None or ratio > exact:
                 exact = ratio
                 cycle = cand_cycle
-                local_cycle = cand_local
+                node_cycle = cand_nodes
         if exact is None:
             break
         if best_exact is None or exact > best_exact:
@@ -199,13 +196,9 @@ def _vectorized_howard_candidate(
             if stale >= 12:
                 break
         lam = float(exact)
+        weight = (cost_f[policy] - lam * transit_f[policy]).tolist()
         values = _np.array(
-            policy_values(
-                range(n), succ, local_policy, local_cycle, lam,
-                cost_f[policy].tolist(), transit_f[policy].tolist(),
-            ),
-            dtype=_np.float64,
-        )
+            policy_values(succ, node_cycle, weight), dtype=_np.float64)
         # Vectorized improvement: best per-source arc under the current
         # potentials, switched only on a strict (+EPS) gain.
         val_arc = cost_f - lam * transit_f + values[dst]
@@ -223,87 +216,66 @@ def _vectorized_howard_candidate(
     return best_exact, best_cycle
 
 
-def policy_cycles(arc_dst, policy) -> List[List[int]]:
-    """Every cycle of a functional policy graph (arc-index lists).
+def policy_cycles(succ) -> List[List[int]]:
+    """Every cycle of a functional policy graph (node lists).
 
-    ``policy[v]`` is the chosen out-arc of ``v`` (``None`` or a negative
-    value marks "no arc"). A functional graph has at most one cycle per
-    weakly connected component; one chase per unvisited node finds them
-    all in O(n).
+    ``succ[v]`` is the head of ``v``'s policy arc, negative when ``v``
+    has none. A functional graph has at most one cycle per weakly
+    connected component; one chase per unvisited node finds them all in
+    O(n).
     """
-    n = len(policy)
+    n = len(succ)
     state = [0] * n  # 0 unvisited, 1 in current chain, 2 done
     cycles: List[List[int]] = []
     for root in range(n):
-        if state[root] != 0:
-            continue
         chain: List[int] = []
         node = root
-        while True:
-            if state[node] == 1:
-                # Found a cycle: trim the chain prefix before `node`.
-                idx = chain.index(node)
-                cycles.append([policy[v] for v in chain[idx:]])
-                break
-            arc = policy[node]
-            if state[node] == 2 or arc is None or arc < 0:
-                break
+        while node >= 0 and state[node] == 0:
             state[node] = 1
             chain.append(node)
-            node = arc_dst[arc]
+            node = succ[node]
+        if node >= 0 and state[node] == 1:
+            # Found a cycle: trim the chain prefix before `node`.
+            cycles.append(chain[chain.index(node):])
         for v in chain:
             state[v] = 2
     return cycles
 
 
-def policy_values(
-    arc_src,
-    arc_dst,
-    policy,
-    cycle: List[int],
-    lam: float,
-    cost_f,
-    transit_f,
-) -> List[float]:
-    """Float node potentials for a policy at ratio ``lam``.
+def policy_values(succ, cycle: List[int], weight) -> List[float]:
+    """Float node potentials of a policy at the current ratio.
 
-    Nodes on the reference cycle get value 0 at the cycle entry and are
-    propagated along the cycle; every node whose policy path reaches the
-    evaluated region is solved by reverse topological relaxation
-    (iterative, bounded passes — floats only need to be good enough to
-    steer the policy, exactness comes later). ``policy`` marks "no arc"
-    with ``None`` or a negative value.
+    ``succ`` is as for :func:`policy_cycles`, ``weight[v]`` the float
+    weight ``L − λ·H`` of ``v``'s policy arc and ``cycle`` the reference
+    cycle's nodes. Nodes on the reference cycle get value 0 at the cycle
+    entry and are propagated along the cycle; every node whose policy
+    path reaches the evaluated region is solved by reverse topological
+    relaxation (floats only need to be good enough to steer the policy,
+    exactness comes later).
     """
-    n = len(policy)
+    n = len(succ)
     values = [0.0] * n
     known = [False] * n
-    node = arc_src[cycle[0]]
-    values[node] = 0.0
-    known[node] = True
+    known[cycle[0]] = True
     acc = 0.0
-    for arc in cycle[:-1]:
-        acc += cost_f[arc] - lam * transit_f[arc]
-        nxt = arc_dst[arc]
-        values[nxt] = acc
-        known[nxt] = True
+    for v in cycle[:-1]:
+        acc += weight[v]
+        values[succ[v]] = acc
+        known[succ[v]] = True
     # Propagate to the rest of the policy tree by chasing each node's
     # successor chain once (the policy graph is functional, so this is
     # O(n) total): unwind the visited chain when a known value — or a
     # foreign cycle, valued 0 as a neutral anchor — is reached.
-    def has_arc(v):
-        arc = policy[v]
-        return arc is not None and arc >= 0
-
     for start in range(n):
-        if known[start] or not has_arc(start):
+        if known[start] or succ[start] < 0:
             continue
         chain = []
         on_chain = set()
         v = start
-        while not known[v] and has_arc(v) and v not in on_chain:
+        while not known[v] and succ[v] >= 0 and v not in on_chain:
             chain.append(v)
             on_chain.add(v)
-            v = arc_dst[policy[v]]
+            v = succ[v]
         if not known[v]:
             # dead end or a second policy cycle: anchor at 0.
             values[v] = 0.0
@@ -311,10 +283,6 @@ def policy_values(
             if chain and chain[-1] == v:
                 chain.pop()
         for u in reversed(chain):
-            arc = policy[u]
-            values[u] = (
-                cost_f[arc] - lam * transit_f[arc]
-                + values[arc_dst[arc]]
-            )
+            values[u] = weight[u] + values[succ[u]]
             known[u] = True
     return values

@@ -1,16 +1,14 @@
 """Sampling profiler: low-overhead stack attribution for spans.
 
-While some thread has a profiled span open (``span(...,
-profile=True)``), a single daemon thread wakes every ``interval``
-seconds (5 ms by default), grabs that thread's Python stack via
-``sys._current_frames`` and counts it under the innermost open span;
-with no profiled span open it sleeps until one opens.  A sample is one
-stack walk and one dict increment: the per-span table of ``frame →
-(self samples, cumulative samples)`` is folded from the stack counts
-only when the profile is read.  Nothing is paid on the solve path
-itself beyond one list append/pop per profiled span, so the overhead
-budget (≤5 % CPU, λ* bit-identical — see ``tests/test_observatory.py``)
-holds even on micro-solves.
+A single daemon thread wakes every ``interval`` seconds (5 ms by
+default), and for every thread that currently has a profiled span open
+(``span(..., profile=True)``) grabs its Python stack via
+``sys._current_frames`` and folds it into a per-span table of
+``frame → (self samples, cumulative samples)``; while no profiled span
+is open it waits on an event instead of waking.  Nothing is paid on
+the solve path itself beyond one list append/pop per profiled span, so
+the overhead budget (≤5 % CPU, λ* bit-identical — see
+``tests/test_observatory.py``) holds even on micro-solves.
 
 Profiling is off unless ``REPRO_PROFILE`` is set (``1``/``true`` → a
 ``profile.jsonl`` in the current directory, anything else → that path)
@@ -40,7 +38,7 @@ import sys
 import threading
 import time
 from pathlib import Path
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 from .metrics import REGISTRY
 
@@ -57,9 +55,6 @@ _ENV = "REPRO_PROFILE"
 PROFILE_SCHEMA = "repro-profile/1"
 _MAX_DEPTH = 64
 _MAX_KEYS = 16384
-_DEPTH_RANGE = range(_MAX_DEPTH)
-#: Distinct pending stacks that trigger an early fold into the tables.
-_MAX_PENDING = 4096
 _DEFAULT_INTERVAL = 0.005
 
 
@@ -76,13 +71,6 @@ class _Profiler:
         #: Set while ``_active`` is non-empty (or to release the sampler
         #: on disable): the sampler waits on it instead of polling.
         self._busy = threading.Event()
-        #: span name → stack (tuple of code object ids, innermost
-        #: first) → samples not yet folded into ``_stats``.
-        self._pending: Dict[str, Dict[Tuple[int, ...], int]] = {}
-        self._pending_size = 0
-        #: id → code object of every frame in ``_pending``: holding the
-        #: code keeps its id unique until the fold.
-        self._codes: Dict[int, object] = {}
         #: span name → frame key → [self samples, cumulative samples].
         self._stats: Dict[str, Dict[str, List[int]]] = {}
         #: span name → total samples attributed.
@@ -153,8 +141,9 @@ class _Profiler:
     def _frame_key(self, code) -> str:
         """``<module-stem>.<function>`` of a code object, memoized.
 
-        The fold names every frame of every distinct stack; the memo
-        formats each code object's key once.
+        A sample walks up to ``_MAX_DEPTH`` frames while holding the
+        GIL; formatting each key afresh made that walk the profiler's
+        main cost on the profiled thread.
         """
         key = self._keys.get(code)
         if key is None:
@@ -176,62 +165,35 @@ class _Profiler:
             self._sample(my_ident, samples_total)
 
     def _sample(self, my_ident: int, samples_total) -> None:
-        """Count each profiled thread's stack under its innermost span.
-
-        Runs with the GIL held, so the profiled threads wait for it.
-        The stack is counted as a tuple of code object ids: hashing a
-        code object walks its contents, an int's hash is itself, and
-        naming the frames waits for the fold.
-        """
-        frames = sys._current_frames()
-        sampled: List[str] = []
         with self._lock:
-            for ident, stack in self._active.items():
+            targets = {ident: stack[-1]
+                       for ident, stack in self._active.items()
+                       if stack and ident != my_ident}
+        if not targets:
+            return
+        frames = sys._current_frames()
+        with self._lock:
+            for ident, span_name in targets.items():
                 frame = frames.get(ident)
-                if frame is None or not stack or ident == my_ident:
+                if frame is None:
                     continue
-                codes = []
-                for _ in _DEPTH_RANGE:
-                    codes.append(frame.f_code)
+                keys: List[str] = []
+                depth = 0
+                while frame is not None and depth < _MAX_DEPTH:
+                    keys.append(self._frame_key(frame.f_code))
                     frame = frame.f_back
-                    if frame is None:
-                        break
-                walk = tuple(map(id, codes))
-                span_name = stack[-1]
-                counts = self._pending.setdefault(span_name, {})
-                seen = counts.get(walk)
-                if seen is None:
-                    self._codes.update(zip(walk, codes))
-                    counts[walk] = 1
-                    self._pending_size += 1
-                else:
-                    counts[walk] = seen + 1
-                sampled.append(span_name)
-            if self._pending_size > _MAX_PENDING:
-                self._fold()
-        for span_name in sampled:
-            samples_total.labels(span=span_name).inc()
-
-    def _fold(self) -> None:
-        """Fold the pending stack counts into ``_stats`` (lock held)."""
-        for span_name, counts in self._pending.items():
-            table = self._stats.setdefault(span_name, {})
-            total = 0
-            for walk, count in counts.items():
-                keys = [self._frame_key(self._codes[i]) for i in walk]
-                table.setdefault(keys[0], [0, 0])[0] += count
+                    depth += 1
+                table = self._stats.setdefault(span_name, {})
+                table.setdefault(keys[0], [0, 0])[0] += 1
                 for key in set(keys):
-                    table.setdefault(key, [0, 0])[1] += count
-                total += count
-            self._counts[span_name] = self._counts.get(span_name, 0) + total
-        self._pending.clear()
-        self._pending_size = 0
-        self._codes.clear()
+                    table.setdefault(key, [0, 0])[1] += 1
+                self._counts[span_name] = self._counts.get(span_name, 0) + 1
+        for span_name in targets.values():
+            samples_total.labels(span=span_name).inc()
 
     # -- reading back -------------------------------------------------
     def take(self, clear: bool = False) -> Dict[str, object]:
         with self._lock:
-            self._fold()
             spans: Dict[str, object] = {}
             for name, table in self._stats.items():
                 rows = sorted(

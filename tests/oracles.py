@@ -132,13 +132,21 @@ def _howard_float_hint(
     return best_exact
 
 
+def _successors(
+    graph: BiValuedGraph, policy: List[Optional[int]],
+) -> List[int]:
+    """Head of each node's policy arc, ``-1`` where it has none."""
+    arc_dst = graph.compile().dst
+    return [-1 if a is None else arc_dst[a] for a in policy]
+
+
 def _policy_cycle(
     graph: BiValuedGraph,
     policy: List[Optional[int]],
 ) -> Optional[List[int]]:
     """Any cycle of the functional policy graph (arc indices), or None."""
-    cycles = policy_cycles(graph.compile().dst, policy)
-    return cycles[0] if cycles else None
+    cycles = policy_cycles(_successors(graph, policy))
+    return [policy[v] for v in cycles[0]] if cycles else None
 
 
 def _policy_values(
@@ -149,10 +157,11 @@ def _policy_values(
     cost_f: List[float],
     transit_f: List[float],
 ) -> List[float]:
-    compiled = graph.compile()
+    weight = [0.0 if a is None else cost_f[a] - lam * transit_f[a]
+              for a in policy]
+    arc_src = graph.compile().src
     return policy_values(
-        compiled.src, compiled.dst, policy, cycle, lam, cost_f, transit_f
-    )
+        _successors(graph, policy), [arc_src[a] for a in cycle], weight)
 
 
 def max_cycle_ratio_lawler(

@@ -54,11 +54,11 @@ def test_certified_schedule_replays(seed):
 
 
 @pytest.mark.parametrize("seed", range(12))
-def test_mcrp_engine_choice_is_irrelevant(seed):
+def test_mcrp_engine_choice_is_irrelevant(seed, reference_engines):
     g = make_random_live_graph(seed + 100, tasks=5)
     base = throughput_kiter(g, engine="ratio-iteration").period
-    assert throughput_kiter(g, engine="hybrid").period == base
-    assert throughput_kiter(g, engine="karp").period == base
+    for engine in ("hybrid", "karp", "howard", "lawler"):
+        assert throughput_kiter(g, engine=engine).period == base, engine
 
 
 @pytest.mark.parametrize("seed", range(15))

@@ -60,9 +60,7 @@ def assert_compiled_parity(graph, K):
     q = repetition_vector(graph)
     q_tilde = expanded_repetition_vector(q, K)
     expanded = expand_graph(graph, K)
-    legacy, legacy_index = build_constraint_graph(
-        expanded, q_tilde, serialize=True
-    )
+    legacy, legacy_index = build_constraint_graph(expanded, q_tilde)
     built = compile_expansion(graph, K, q_tilde)
     assert built is not None
     direct, space = built

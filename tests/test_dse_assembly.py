@@ -355,7 +355,7 @@ def test_corpus_compiles_match_the_legacy_build(index):
     got = compile_expansion(graph, K, q_tilde, cache=ExpansionBlockCache())
     assert got is not None
     legacy, _ = build_constraint_graph(
-        expand_graph(graph, K), q_tilde, serialize=True)
+        expand_graph(graph, K), q_tilde)
     ref, direct = legacy.compile(), got[0].compile()
     assert (direct.scale, direct.src, direct.dst, direct.cost,
             direct.transit) == (ref.scale, ref.src, ref.dst, ref.cost,

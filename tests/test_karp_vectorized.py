@@ -20,6 +20,7 @@ the oracle:
 from fractions import Fraction
 
 import pytest
+from oracles import max_cycle_ratio_karp_python
 
 import repro.kperiodic.solver as solver_mod
 import repro.mcrp.karp as karp_mod
@@ -33,7 +34,6 @@ from repro.mcrp import (
     EngineInfo,
     get_engine,
     max_cycle_mean,
-    max_cycle_ratio,
     solve_mcrp,
 )
 from tests.conftest import golden_corpus_cases, make_random_live_graph
@@ -49,23 +49,6 @@ def force_vectorized(monkeypatch):
     """Engage the numpy fast paths regardless of instance size."""
     monkeypatch.setattr(karp_mod, "_MIN_VECTOR_NODES", 1)
     monkeypatch.setattr(solver_mod, "_MIN_VECTOR_NODES", 1)
-
-
-def _karp_python(graph, *, lower_bound=None):
-    """The ``karp`` engine's iteration pinned to the pure-Python table."""
-    return max_cycle_ratio(graph, lower_bound=lower_bound,
-                           oracle=karp_mod._karp_python_oracle)
-
-
-@pytest.fixture
-def karp_python_engine(monkeypatch):
-    """Register :func:`_karp_python` as engine ``karp-python`` for a test."""
-    from repro.mcrp import registry
-
-    registry.engine_names()  # built-ins and plugins first
-    monkeypatch.setitem(registry._REGISTRY, "karp-python",
-                        EngineInfo("karp-python", _karp_python))
-    return "karp-python"
 
 
 # ----------------------------------------------------------------------
@@ -149,7 +132,8 @@ def test_karp_engines_agree_on_constraint_graphs(seed, force_vectorized):
     g = make_random_live_graph(seed, tasks=4 + seed % 3)
     bi, _ = build_constraint_graph(g)
     vec = solve_mcrp(bi, "karp")
-    ref = solve_mcrp(bi, EngineInfo("karp-python", _karp_python))
+    ref = solve_mcrp(
+        bi, EngineInfo("karp-python", max_cycle_ratio_karp_python))
     assert vec.ratio == ref.ratio
     if vec.ratio is not None:
         bi.check_cycle(vec.cycle_arcs)
@@ -164,10 +148,10 @@ def test_karp_engines_agree_on_constraint_graphs(seed, force_vectorized):
 @pytest.mark.parametrize("filename,period", GOLDEN,
                          ids=[c[0] for c in GOLDEN])
 def test_karp_golden_corpus_parity(filename, period, force_vectorized,
-                                   karp_python_engine):
+                                   reference_engines):
     graph = load_graph(DATA_DIR / filename)
     assert throughput_kiter(graph, engine="karp").period == period
-    assert throughput_kiter(graph, engine=karp_python_engine).period == period
+    assert throughput_kiter(graph, engine="karp-python").period == period
 
 
 # ----------------------------------------------------------------------
@@ -183,7 +167,7 @@ def _expanded_bi_graph(graph):
     q = repetition_vector(graph)
     expanded = expand_graph(graph, q)
     q_tilde = expanded_repetition_vector(q, q)
-    bi, _ = build_constraint_graph(expanded, q_tilde, serialize=True)
+    bi, _ = build_constraint_graph(expanded, q_tilde)
     return bi
 
 
