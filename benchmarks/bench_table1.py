@@ -19,7 +19,8 @@ of magnitude on MimicDSP/LgHSDF/LgTransient and is slower only on
 ActualDSP (the H263 decoder instance). Our stand-in for [6] is the
 classical expansion with arc reduction — unlike de Groote's
 cycle-induced-subgraph method it materializes all Σq copies, so it is
-slow on large-Σq categories (documented deviation, EXPERIMENTS.md).
+slow on large-Σq categories (a deviation documented in
+:mod:`repro.baselines.expansion`).
 """
 
 import pytest

@@ -43,6 +43,7 @@ from repro.kperiodic.solver import (
     solve_prepared_min_period,
     warm_certificate,
 )
+from repro.mcrp.bellman import StartHint
 from repro.mcrp.registry import DEFAULT_ENGINE
 from repro.obs.metrics import REGISTRY as _REGISTRY
 from repro.obs.trace import span as _span
@@ -217,6 +218,9 @@ class KIterMachine:
         # where computing them starts.
         self._replayed: Optional[WarmCertificate] = None
         self._quiet: Optional[List[int]] = None
+        # A failed replay's potentials, until that round's engine takes
+        # them as its start (see start_hint).
+        self._start: Optional[StartHint] = None
         # The round plan() opened and its warm-start seed, until
         # prepare() builds it.
         self._plan: Optional[MinPeriodPlan] = None
@@ -287,7 +291,8 @@ class KIterMachine:
 
         Returns the round's result when the certificate proves λ* on
         this graph (no engine call), ``None`` when there is none or it
-        does not hold — the round is then solved by an engine as usual.
+        does not hold — the round is then solved by an engine as usual,
+        which may start from :meth:`start_hint`.
         """
         certificate, self._certificate = self._certificate, None
         if certificate is None:
@@ -298,11 +303,22 @@ class KIterMachine:
             sp.attrs["outcome"] = check.outcome
             sp.attrs["sweeps"] = check.sweeps
         if check.result is None:
+            if check.outcome in ("circuit-broken", "not-quiet"):
+                # Same K and node space: the old schedule is a start
+                # the engine's sweeps need not rebuild from zero.
+                self._start = certificate.hint
             return None
         self._quiet = check.potentials
         result = finish_min_period(prepared, check.result)
         result.warm_certified = True
         return result
+
+    def start_hint(self) -> Optional[StartHint]:
+        """The potentials a failed replay left for this round's engine
+        (``None`` when it was not replayed, held, or was skipped);
+        handed out once, since a later round has another K."""
+        start, self._start = self._start, None
+        return start
 
     def certificate(
         self, prepared: PreparedMinPeriod
@@ -471,10 +487,13 @@ def throughput_kiter(
         relaxation at ``λ̂`` from its potentials goes quiet within
         ``_MAX_JACOBI_SWEEPS`` sweeps, the round is ``λ̂`` with no
         engine call (:func:`~repro.kperiodic.solver.certify_warm`).
-        Otherwise the engine runs, seeded with ``λ̂`` if ``warm.seed``.
-        Exactness never depends on it: both checks are exact on the
-        current graph, and an overshooting seed only costs restart
-        probes. With ``warm`` set, the result's ``certificate`` is
+        Otherwise the engine runs, seeded with ``λ̂`` if ``warm.seed``;
+        when the replay got as far as this graph (same K and node
+        space), its exact probes also start from the certificate's
+        potentials instead of zero. Exactness never depends on it:
+        both checks are exact on the current graph, an overshooting
+        seed only costs restart probes, and any start vector is sound.
+        With ``warm`` set, the result's ``certificate`` is
         filled for the next solve (one potentials pass after an engine
         solve; the quiet distances after a replayed one).
 
@@ -499,7 +518,8 @@ def throughput_kiter(
             round_span.attrs["lcm_K"] = machine._lcm_k
             try:
                 result = (machine.certify(prepared)
-                          or solve_prepared_min_period(prepared, engine))
+                          or solve_prepared_min_period(
+                              prepared, engine, start=machine.start_hint()))
             except DeadlockError as exc:
                 machine.absorb_deadlock(exc)
                 continue

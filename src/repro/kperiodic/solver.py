@@ -25,6 +25,7 @@ from repro.kperiodic.expansion import (
     validate_periodicity,
 )
 from repro.kperiodic.schedule import KPeriodicSchedule
+from repro.mcrp.bellman import StartHint
 from repro.mcrp.graph import BiValuedGraph, CycleResult
 from repro.mcrp.registry import DEFAULT_ENGINE, get_engine, solve_mcrp
 from repro.obs.metrics import REGISTRY as _REGISTRY
@@ -278,8 +279,13 @@ def solve_prepared_min_period(
     engine: str = DEFAULT_ENGINE,
     *,
     build_schedule: bool = False,
+    start: Optional[StartHint] = None,
 ) -> KPeriodicResult:
-    """Run one per-graph engine solve over an already prepared instance."""
+    """Run one per-graph engine solve over an already prepared instance.
+
+    ``start`` (potentials over the prepared graph's nodes, e.g. a
+    failed :class:`WarmCertificate`'s) starts the engine's exact probes.
+    """
     info = get_engine(engine)
     try:
         # The registry pipeline solves per strongly connected component
@@ -288,7 +294,8 @@ def solve_prepared_min_period(
         # probe); the utilization bound seeds the champion and
         # warm-starts the engine.
         result = solve_mcrp(
-            prepared.bi_graph, info, lower_bound=prepared.lower
+            prepared.bi_graph, info, lower_bound=prepared.lower,
+            start=start,
         )
     except DeadlockError as exc:
         # Annotate the infeasible circuit with task names so K-Iter can
@@ -320,6 +327,11 @@ class WarmCertificate:
     scale: int
     circuit: Tuple[Tuple[str, int], ...]
     potentials: Any
+
+    @property
+    def hint(self) -> StartHint:
+        """The potentials with their unit ``b·D``, as an engine start."""
+        return StartHint(self.potentials, self.lam.denominator * self.scale)
 
 
 @dataclass
@@ -365,14 +377,10 @@ def certify_warm(
         return WarmCheck("skipped")
     compiled = prepared.bi_graph.compile()
     n = compiled.node_count
-    if (
-        len(certificate.potentials) != n
-        or not compiled.ensure_numpy()
-        or compiled.np_cost is None
-    ):
+    if not compiled.ensure_numpy() or compiled.np_cost is None:
         return WarmCheck("skipped")
     a, b = lam.numerator, lam.denominator
-    start = _rescaled_potentials(certificate, lam, compiled.scale)
+    start = certificate.hint.at(b, compiled)
     if start is None or compiled.parametric_weight_bound(a, b) >= 1 << 62:
         return WarmCheck("skipped")
     arcs = _replay_circuit(prepared, compiled, certificate.circuit, a, b)
@@ -425,12 +433,8 @@ def warm_certificate(
     compiled = prepared.bi_graph.compile()
     if potentials is None:
         start = None
-        if (
-            previous is not None
-            and previous.K == prepared.K
-            and len(previous.potentials) == compiled.node_count
-        ):
-            start = _rescaled_potentials(previous, lam, compiled.scale)
+        if previous is not None and previous.K == prepared.K:
+            start = previous.hint.at(lam.denominator, compiled)
         potentials = _integer_potentials(
             compiled, lam.numerator, lam.denominator, start,
             _MAX_CERTIFICATE_SWEEPS)
@@ -442,23 +446,6 @@ def warm_certificate(
         K=dict(prepared.K), lam=lam, scale=compiled.scale,
         circuit=tuple(result.critical_nodes), potentials=potentials,
     )
-
-
-def _rescaled_potentials(
-    certificate: WarmCertificate, lam: Fraction, scale: int
-):
-    """The stored potentials in units of ``1/(b·scale)`` for
-    ``lam = a/b`` (``None`` if rescaling could overflow; any start
-    vector is sound, so a rescale that does not divide evenly just
-    rounds down)."""
-    start = certificate.potentials
-    unit = lam.denominator * scale
-    stored = certificate.lam.denominator * certificate.scale
-    if unit == stored:
-        return start
-    if int(abs(start).max()) * unit >= 1 << 62:
-        return None
-    return start * unit // stored
 
 
 #: The int64 floor, marking "no arc closes this pair" in the circuit

@@ -18,6 +18,12 @@ from an implicit super-source (all distances start at 0): a node relaxed
 more than ``n`` times certifies a positive cycle, which is extracted from
 the predecessor chain.
 
+The numpy Jacobi sweeps may start from any finite vector instead of
+zero (a :class:`StartHint`, e.g. a K-periodic schedule of a nearby
+graph): without a positive cycle they still reach a fixpoint within
+``n`` sweeps, and every returned cycle is still verified exactly, so
+the start changes the sweep count, never the answer's soundness.
+
 The module also hosts :func:`_python_oracle`, the finder pinned to the
 reference Python relaxation: ``max_cycle_ratio(graph,
 oracle=_python_oracle)`` is the slow-but-transparent baseline every
@@ -27,7 +33,8 @@ fast path is validated against.
 from __future__ import annotations
 
 from collections import deque
-from typing import List, Optional, Tuple
+from math import gcd
+from typing import Any, List, NamedTuple, Optional, Tuple
 
 try:  # optional numpy fast path for the Jacobi relaxation sweeps
     import numpy as _np
@@ -35,6 +42,15 @@ except ImportError:  # pragma: no cover - numpy present in CI
     _np = None
 
 from repro.mcrp.graph import BiValuedGraph
+from repro.obs.metrics import REGISTRY as _REGISTRY
+
+# Pre-bound cells: one integer add per Jacobi oracle call.
+_SWEEPS = _REGISTRY.counter("repro_mcrp_oracle_sweeps_total")
+_SWEEPS_SEEDED = _SWEEPS.labels(start="seeded")
+_SWEEPS_ZERO = _SWEEPS.labels(start="zero")
+
+#: Head-room every int64 sum the Jacobi sweeps form must stay under.
+_INT64_ROOM = 1 << 62
 
 
 class ScaledGraph:
@@ -73,19 +89,69 @@ class ScaledGraph:
         return self.compiled.cycle_sums(arc_indices)
 
 
+class StartHint(NamedTuple):
+    """Potentials to start the exact oracle's Jacobi sweeps from.
+
+    ``potentials`` is an int64 array with one entry per node, in units
+    of ``1/unit``: the longest paths of a certificate at ``λ̂ = â/b̂``
+    on a graph of compiled scale ``D̂`` have ``unit = b̂·D̂``. Any finite
+    vector is a sound start, so a hint from a nearby graph (an edited
+    design point of the same node space) only changes how many sweeps
+    a probe takes.
+    """
+
+    potentials: Any
+    unit: int
+
+    def at(self, lam_den: int, compiled) -> Optional[Any]:
+        """The potentials in units of ``1/(lam_den·scale)`` of
+        ``compiled``, or ``None`` when they are for another node count
+        or the rescale could leave int64's head-room.
+
+        The factor ``lam_den·scale / unit`` is reduced by its gcd
+        before it multiplies, so the product stays as small as the
+        rescale allows; a factor that does not divide evenly rounds
+        down, which is as sound as any other start.
+        """
+        values = self.potentials
+        if len(values) != compiled.node_count:
+            return None
+        target = lam_den * compiled.scale
+        common = gcd(target, self.unit)
+        up, down = target // common, self.unit // common
+        if up == down:
+            return values
+        peak = int(_np.abs(values).max()) if len(values) else 0
+        if peak == 0:
+            return values
+        if peak * up >= _INT64_ROOM or down >= _INT64_ROOM:
+            return None
+        return values * up // down
+
+    def restrict(self, nodes) -> "StartHint":
+        """The hint of the subgraph induced by ``nodes`` (its node order)."""
+        return StartHint(self.potentials[_np.asarray(nodes)], self.unit)
+
+
 def find_positive_cycle(
     scaled: ScaledGraph,
     lam_num: int,
     lam_den: int,
+    start: Optional[StartHint] = None,
 ) -> Optional[List[int]]:
     """A cycle with ``Σ(L − λH) > 0`` at ``λ = lam_num/lam_den``, or None.
 
     Returns the cycle as a list of arc indices (an elementary cycle).
-    ``lam_den`` must be positive.
+    ``lam_den`` must be positive. ``start`` seeds the Jacobi sweeps
+    (rescaled to this probe's units; the zero start when it does not
+    fit), whichever numpy path runs them.
     """
     if lam_den <= 0:
         raise ValueError("lam_den must be positive")
     compiled = scaled.compiled
+    vector = None
+    if start is not None and compiled.ensure_numpy():
+        vector = start.at(lam_den, compiled)
     # Integer fast path: form the parametric weights vectorized and go
     # straight to the Jacobi sweep when the weight magnitudes provably
     # keep every ≤(3n+2)-arc walk sum inside int64. λ's own numerator
@@ -96,15 +162,15 @@ def find_positive_cycle(
     jacobi_declined = False
     if (
         compiled.node_count >= 64
-        and -(1 << 62) < lam_num < (1 << 62)
-        and lam_den < (1 << 62)
+        and -_INT64_ROOM < lam_num < _INT64_ROOM
+        and lam_den < _INT64_ROOM
         and compiled.ensure_numpy()
         and compiled.np_cost is not None
     ):
         bound = compiled.parametric_weight_bound(lam_num, lam_den)
-        if bound < (1 << 62) // (3 * compiled.node_count + 4):
+        if bound < _INT64_ROOM // (3 * compiled.node_count + 4):
             w_np = lam_den * compiled.np_cost - lam_num * compiled.np_transit
-            outcome = _find_cycle_numpy(scaled, w_np)
+            outcome = _find_cycle_numpy(scaled, w_np, vector, bound)
             if outcome is not _FALLBACK:
                 return outcome
             jacobi_declined = True
@@ -117,12 +183,13 @@ def find_positive_cycle(
     # near-critical weights can still be small when it overflows: let
     # the dispatching finder re-measure the actual weights and keep its
     # numpy shot where they fit.
-    return find_positive_weight_cycle(scaled, weights)
+    return find_positive_weight_cycle(scaled, weights, vector)
 
 
 def find_positive_weight_cycle(
     scaled: ScaledGraph,
     weights: List[int],
+    start=None,
 ) -> Optional[List[int]]:
     """An elementary cycle of positive total ``weights``-value, or None.
 
@@ -131,10 +198,11 @@ def find_positive_weight_cycle(
     int64; otherwise (or if the fast path cannot certify within its pass
     budget) falls back to the exact queue-based relaxation below. Both
     halves only ever return *verified* positive cycles, so the dispatch
-    cannot affect correctness.
+    cannot affect correctness. ``start`` (an int64 array in the units
+    of ``weights``) seeds the Jacobi sweep.
     """
     if _np is not None and scaled.node_count >= 64:
-        outcome = _find_cycle_numpy(scaled, weights)
+        outcome = _find_cycle_numpy(scaled, weights, start)
         if outcome is not _FALLBACK:
             return outcome
     return _find_positive_weight_cycle_python(scaled, weights)
@@ -143,22 +211,28 @@ def find_positive_weight_cycle(
 _FALLBACK = object()
 
 
-def _find_cycle_numpy(scaled: ScaledGraph, weights):
+def _find_cycle_numpy(scaled: ScaledGraph, weights, start=None, bound=None):
     """Jacobi longest-path sweeps in numpy (int64).
 
-    ``dist_k`` after k sweeps equals the best ≤k-arc walk value from the
-    all-zero source, so stabilization within ``n`` sweeps proves there
-    is no positive cycle; an improvement at sweep ``n+1`` proves there
-    is one. Extraction walks the predecessor pointers recorded during
-    the extra sweeps (predecessor-graph cycles have weight ≥ 0; strict
+    ``dist_k`` after k sweeps is the best value of ``start[u]`` plus a
+    ≤k-arc walk from ``u`` (the all-zero vector when ``start`` is
+    ``None``). Without a positive cycle the best walks are simple paths,
+    so a sweep within the first ``n + 1`` improves nothing, and a quiet
+    sweep leaves every arc satisfied, which proves there is no positive
+    cycle whatever the start. Extraction walks the predecessor pointers
+    (predecessor-graph cycles have weight ≥ 0 from any start; strict
     positivity is verified, and the positive cycle pumps itself into
     the pointers within a bounded number of extra sweeps — after the
     budget, fall back to the exact queue engine).
 
     ``weights`` may be a Python list (bounds are then checked here) or a
-    ready int64 array whose walk sums the caller already proved safe.
-    The destination-sorted segment structure comes precomputed from the
-    compiled core.
+    ready int64 array whose magnitudes the caller bounded by ``bound``
+    with ``(3n+4)·bound`` inside the head-room. Every dist value is
+    ``start[u]`` plus a ≤(3n+3)-arc walk sum, so a start whose peak
+    does not fit on top of that walk bound is dropped for the zero
+    start. The destination-sorted segment structure comes precomputed
+    from the compiled core. Each call adds the sweeps it ran to
+    ``repro_mcrp_oracle_sweeps_total``, labelled by its start.
     """
     compiled = scaled.compiled
     n = compiled.node_count
@@ -168,13 +242,16 @@ def _find_cycle_numpy(scaled: ScaledGraph, weights):
     if not compiled.ensure_numpy():  # pragma: no cover - numpy gated above
         return _FALLBACK
     if isinstance(weights, list):
-        max_w = max(1, max(abs(w) for w in weights))
-        # every dist value is a ≤(3n+2)-arc walk sum; keep far from 2^63
-        if max_w >= (1 << 62) // (3 * n + 4):
+        bound = max(1, max(abs(w) for w in weights))
+        if bound >= _INT64_ROOM // (3 * n + 4):
             return _FALLBACK
         w = _np.array(weights, dtype=_np.int64)
     else:
         w = weights
+    if start is not None and (
+        int(_np.abs(start).max()) + (3 * n + 4) * bound >= _INT64_ROOM
+    ):
+        start = None
     src_s = compiled.src_sorted
     w_s = w[compiled.dst_order]
     arc_ids = compiled.arc_ids_sorted
@@ -182,18 +259,21 @@ def _find_cycle_numpy(scaled: ScaledGraph, weights):
     seg_starts = compiled.seg_starts
     seg_sizes = compiled.seg_sizes
 
-    dist = _np.zeros(n, dtype=_np.int64)
+    dist = (_np.zeros(n, dtype=_np.int64) if start is None
+            else _np.array(start, dtype=_np.int64))
     pred = _np.full(n, -1, dtype=_np.int64)
     positions = _np.arange(m, dtype=_np.int64)
     last_improved: Optional[_np.ndarray] = None
 
     max_sweeps = 3 * n + 2
+    outcome, sweeps = _FALLBACK, max_sweeps
     for sweep in range(max_sweeps):
         cand = dist[src_s] + w_s
         seg_best = _np.maximum.reduceat(cand, seg_starts)
         improved = seg_best > dist[dst_unique]
         if not improved.any():
-            return None
+            outcome, sweeps = None, sweep + 1
+            break
         # record predecessors (first arc achieving the segment max)
         best_rep = _np.repeat(seg_best, seg_sizes)
         hit_pos = _np.where(cand == best_rep, positions, m)
@@ -211,8 +291,11 @@ def _find_cycle_numpy(scaled: ScaledGraph, weights):
                 scaled, pred, int(last_improved[0]), w
             )
             if cycle is not None:
-                return cycle
-    return _FALLBACK  # positive cycle exists but pointers never settled
+                outcome, sweeps = cycle, sweep + 1
+                break
+    (_SWEEPS_ZERO if start is None else _SWEEPS_SEEDED).inc(sweeps)
+    # _FALLBACK: a positive cycle exists but the pointers never settled
+    return outcome
 
 
 def _extract_pred_cycle_array(

@@ -38,7 +38,7 @@ except ImportError:  # pragma: no cover - numpy is present in CI
     _np = None
 
 from repro.exceptions import DeadlockError
-from repro.mcrp.bellman import ScaledGraph, find_positive_cycle
+from repro.mcrp.bellman import ScaledGraph, StartHint, find_positive_cycle
 from repro.mcrp.graph import BiValuedGraph, CycleResult, FrozenBiValuedGraph
 from repro.mcrp.ratio_iteration import max_cycle_ratio
 
@@ -275,6 +275,7 @@ def max_cycle_ratio_sccs(
     *,
     engine: Callable[..., CycleResult] = max_cycle_ratio,
     lower_bound: Optional[Fraction] = None,
+    start: Optional[StartHint] = None,
 ) -> CycleResult:
     """λ* by per-SCC solving with champion pruning.
 
@@ -282,7 +283,11 @@ def max_cycle_ratio_sccs(
     the returned circuit refer to the *input* graph. ``engine`` is an
     engine's solve callable. ``lower_bound`` (certified) seeds the
     champion used for probe pruning and warm-starts each component's
-    engine call.
+    engine call. ``start`` (per node of the input graph) reaches the
+    in-place identity component whole and a sliced component or the
+    union probe as ``start[nodes]``; the engine is passed ``start=``
+    only when there is a hint, so an engine without the keyword still
+    serves every solve that has none.
     """
     components = strongly_connected_node_sets(graph)
     if components and len(components[-1]) == 1:  # cyclic iff self-arc
@@ -295,11 +300,17 @@ def max_cycle_ratio_sccs(
     champion: Optional[Fraction] = lower_bound
     iterations = 0
 
+    def hint_of(sub, node_map) -> dict:
+        if start is None:
+            return {}
+        return {"start": start if sub is graph else start.restrict(node_map)}
+
     def solve_component(nodes: List[int]) -> None:
         nonlocal best, champion, iterations
         sub, node_map, arc_map = _subgraph(graph, nodes)
         try:
-            result = engine(sub, lower_bound=champion)
+            result = engine(sub, lower_bound=champion,
+                            **hint_of(sub, node_map))
         except DeadlockError as exc:
             if exc.cycle_nodes is not None:
                 exc.cycle_nodes = [node_map[v] for v in exc.cycle_nodes]
@@ -337,7 +348,8 @@ def max_cycle_ratio_sccs(
         sub, node_map, _arc_map = _subgraph(graph, union_nodes)
         scaled = ScaledGraph(sub)
         probe = find_positive_cycle(
-            scaled, champion.numerator, champion.denominator
+            scaled, champion.numerator, champion.denominator,
+            **hint_of(sub, node_map),
         )
         iterations += 1
         if probe is None:
@@ -356,7 +368,7 @@ def max_cycle_ratio_sccs(
         # seed is certified, yet we owe the caller a circuit: re-solve
         # the largest component without pruning.
         sub, node_map, arc_map = _subgraph(graph, components[0])
-        result = engine(sub)
+        result = engine(sub, **hint_of(sub, node_map))
         if result.ratio is None:  # pragma: no cover - component has cycles
             return CycleResult(ratio=None, iterations=iterations)
         return CycleResult(

@@ -39,7 +39,7 @@ except ImportError:  # pragma: no cover - numpy present in CI
     _np = None
 
 from repro.exceptions import DeadlockError, SolverError
-from repro.mcrp.bellman import ScaledGraph, find_positive_cycle
+from repro.mcrp.bellman import ScaledGraph, StartHint, find_positive_cycle
 from repro.mcrp.graph import BiValuedGraph, CycleResult
 from repro.mcrp.ratio_iteration import max_cycle_ratio
 from repro.mcrp.registry import register_engine
@@ -62,6 +62,7 @@ def max_cycle_ratio_hybrid(
     graph: BiValuedGraph,
     *,
     lower_bound: Optional[Fraction] = None,
+    start: Optional[StartHint] = None,
 ) -> CycleResult:
     """Exact maximum cycle ratio via the float-prefilter/exact-certify
     pipeline.
@@ -70,7 +71,8 @@ def max_cycle_ratio_hybrid(
     a critical-circuit certificate, ``ratio=None`` on acyclic graphs and
     :class:`~repro.exceptions.DeadlockError` on infeasible constraint
     cycles. ``lower_bound`` must be a certified lower bound; it is
-    merged with the prefilter's own candidate.
+    merged with the prefilter's own candidate. ``start`` seeds every
+    exact probe, the certifying one included.
     """
     if graph.node_count == 0 or graph.arc_count == 0:
         return CycleResult(ratio=None)
@@ -82,7 +84,7 @@ def max_cycle_ratio_hybrid(
         or compiled.node_count < _MIN_PREFILTER_NODES
         or not compiled.ensure_numpy()
     ):
-        return max_cycle_ratio(graph, lower_bound=lower_bound)
+        return max_cycle_ratio(graph, lower_bound=lower_bound, start=start)
 
     candidate, candidate_cycle = _vectorized_howard_candidate(compiled)
     if lower_bound is not None and (
@@ -90,15 +92,15 @@ def max_cycle_ratio_hybrid(
     ):
         # The caller's bound dominates the prefilter but carries no
         # circuit of this graph, so the shortcut does not apply.
-        return max_cycle_ratio(graph, lower_bound=lower_bound)
+        return max_cycle_ratio(graph, lower_bound=lower_bound, start=start)
     if candidate is None or candidate <= 0:
         # No usable policy cycle, or λ̂ = 0 where the single-probe
         # shortcut is unsound (see module docstring).
-        return max_cycle_ratio(graph, lower_bound=candidate)
+        return max_cycle_ratio(graph, lower_bound=candidate, start=start)
 
     scaled = ScaledGraph(graph)
     probe = find_positive_cycle(
-        scaled, candidate.numerator, candidate.denominator
+        scaled, candidate.numerator, candidate.denominator, start
     )
     if probe is None:
         # Certified in one exact sweep: λ* = λ̂, candidate circuit is
@@ -119,7 +121,8 @@ def max_cycle_ratio_hybrid(
         )
     # The prefilter undershot: ascend exactly from the probe's ratio
     # (a certified jump strictly above the candidate).
-    result = max_cycle_ratio(graph, lower_bound=Fraction(cost, transit))
+    result = max_cycle_ratio(
+        graph, lower_bound=Fraction(cost, transit), start=start)
     result.iterations += 1
     return result
 

@@ -376,6 +376,7 @@ def max_cycle_ratio_karp(
     graph: BiValuedGraph,
     *,
     lower_bound: Optional[Fraction] = None,
+    start=None,
 ) -> CycleResult:
     """Exact maximum cycle ratio with Karp tables as the oracle.
 
@@ -385,7 +386,8 @@ def max_cycle_ratio_karp(
     the int64 gate (and falls back to the arbitrary-precision reference
     otherwise), but each probe still materializes a Θ(n²) table, so the
     benchmark drivers keep it off instances where the linear-memory
-    engines win.
+    engines win. A ``start`` hint is accepted and ignored: a Karp table
+    has no start vector.
     """
     from repro.mcrp.ratio_iteration import max_cycle_ratio
 

@@ -27,13 +27,15 @@ from typing import Callable, List, Optional
 from repro.exceptions import DeadlockError, SolverError
 from repro.mcrp.bellman import (
     ScaledGraph,
+    StartHint,
     certify_zero_ratio,
     find_positive_cycle,
 )
 from repro.mcrp.graph import BiValuedGraph, CycleResult
 from repro.mcrp.registry import register_engine
 
-#: A positive-cycle oracle: ``(scaled, lam_num, lam_den) -> cycle | None``.
+#: A positive-cycle oracle: ``(scaled, lam_num, lam_den) -> cycle | None``;
+#: it is also passed ``start=`` when the solve has a :class:`StartHint`.
 Oracle = Callable[[ScaledGraph, int, int], Optional[List[int]]]
 
 #: Safety valve on oracle probes per solve (each jump moves to a
@@ -50,6 +52,7 @@ def max_cycle_ratio(
     graph: BiValuedGraph,
     *,
     lower_bound: Optional[Fraction] = None,
+    start: Optional[StartHint] = None,
     oracle: Optional[Oracle] = None,
     _retried: bool = False,
 ) -> CycleResult:
@@ -67,6 +70,11 @@ def max_cycle_ratio(
         certified cycle ratio). Must genuinely be a lower bound; it is
         validated by the convergence logic (an overshoot is detected and
         the search restarts from 0).
+    start:
+        Potentials to start every oracle probe's sweeps from (see
+        :class:`~repro.mcrp.bellman.StartHint`), e.g. a K-periodic
+        schedule of a nearby graph. Any finite start is sound; it
+        changes how long a probe takes, never what it may return.
     oracle:
         Positive-cycle oracle to drive the iteration with (defaults to
         the dispatching :func:`repro.mcrp.bellman.find_positive_cycle`).
@@ -93,6 +101,7 @@ def max_cycle_ratio(
         raise SolverError("ratio iteration requires non-negative arc costs")
     if oracle is None:
         oracle = find_positive_cycle
+    hint = {} if start is None else {"start": start}
 
     lam = Fraction(0) if lower_bound is None else Fraction(lower_bound)
     if lam < 0:
@@ -106,7 +115,7 @@ def max_cycle_ratio(
             raise SolverError(
                 f"ratio iteration did not converge in {MAX_ITERATIONS} steps"
             )
-        cycle = oracle(scaled, lam.numerator, lam.denominator)
+        cycle = oracle(scaled, lam.numerator, lam.denominator, **hint)
         if cycle is None:
             break
         cost, transit = scaled.cycle_ratio(cycle)
@@ -131,10 +140,11 @@ def max_cycle_ratio(
                 return max_cycle_ratio(
                     graph,
                     lower_bound=lam - Fraction(1, 2),
+                    start=start,
                     oracle=oracle,
                     _retried=True,
                 )
-            return max_cycle_ratio(graph, oracle=oracle)
+            return max_cycle_ratio(graph, start=start, oracle=oracle)
         # λ* ≤ 0 with non-negative costs: every cycle has zero total cost.
         # certify_zero_ratio returns an H>0 cycle (ratio 0), None when the
         # graph imposes no period bound, or raises DeadlockError on a

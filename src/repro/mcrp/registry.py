@@ -19,8 +19,19 @@ cycles) and decorate it::
     from repro.mcrp.registry import register_engine
 
     @register_engine("my-engine", summary="one-line description")
-    def max_cycle_ratio_mine(graph, *, lower_bound=None):
+    def max_cycle_ratio_mine(graph, *, lower_bound=None, start=None):
         ...
+
+``start=`` is a :class:`~repro.mcrp.bellman.StartHint`: longest-path
+potentials, one int64 per node in units of ``1/unit``, to start the
+exact oracle's Jacobi sweeps from instead of zero. Any finite start is
+sound — without a positive cycle the sweeps still reach a fixpoint
+within ``n`` sweeps, and every returned cycle is verified exactly — so
+an engine may ignore it. The pipeline passes ``start=`` only when a
+hint exists: an engine taking ``lower_bound=`` alone serves every solve
+outside a :class:`~repro.dse.DseSession`, whose failed certificate
+replays hand their potentials on, so an engine used under a session
+must accept the keyword.
 
 Import the defining module from :mod:`repro.mcrp` so registration
 happens on package import, and the engine becomes selectable everywhere
@@ -183,12 +194,15 @@ def solve_mcrp(
     engine: Union[str, EngineInfo] = DEFAULT_ENGINE,
     *,
     lower_bound: Optional[Fraction] = None,
+    start=None,
 ) -> CycleResult:
     """Solve the MCRP with a named engine through the shared pipeline.
 
     Runs the SCC sweep with champion pruning; ``lower_bound`` (a
     certified lower bound on ``λ*``) seeds the pruning champion and
-    warm-starts the engine.
+    warm-starts the engine, and ``start`` (a
+    :class:`~repro.mcrp.bellman.StartHint` over ``graph``'s nodes)
+    starts its exact probes.
 
     Examples
     --------
@@ -207,5 +221,5 @@ def solve_mcrp(
 
     info = get_engine(engine) if isinstance(engine, str) else engine
     return max_cycle_ratio_sccs(
-        graph, engine=info.solve, lower_bound=lower_bound
+        graph, engine=info.solve, lower_bound=lower_bound, start=start
     )

@@ -78,6 +78,9 @@ METRICS: Dict[str, MetricSpec] = {
         "histogram", "Per-job solve wall time in seconds"),
     "repro_engine_iterations_total": MetricSpec(
         "counter", "MCRP engine inner iterations", ("engine",)),
+    "repro_mcrp_oracle_sweeps_total": MetricSpec(
+        "counter", "Jacobi sweeps of the exact positive-cycle oracle, "
+                   "by start vector", ("start",)),
     # --- batched fleet kernel ---------------------------------------
     "repro_batched_kernel_rounds_total": MetricSpec(
         "counter", "Batched super-CSR kernel passes", ("engine",)),

@@ -324,6 +324,26 @@ def test_check_links_flags_missing_docs_named_in_docstrings(tmp_path):
     ]
 
 
+def test_check_links_reads_benchmark_and_perfbench_docstrings(tmp_path):
+    (tmp_path / "docs").mkdir()
+    (tmp_path / "benchmarks").mkdir()
+    (tmp_path / "perfbench").mkdir()
+    (tmp_path / "README.md").write_text("# Readme\n")
+    (tmp_path / "docs" / "real.md").write_text("# Real\n")
+    (tmp_path / "perfbench" / "WORKLOADS.md").write_text("# Workloads\n")
+    (tmp_path / "benchmarks" / "bench_x.py").write_text(
+        '"""Numbers in docs/real.md; the deviation in EXPERIMENTS.md."""\n'
+    )
+    (tmp_path / "perfbench" / "run.py").write_text(
+        '"""See WORKLOADS.md and perfbench/WORKLOADS.md, not GONE.md."""\n'
+    )
+    broken = check_links(tmp_path)
+    assert broken == [
+        "benchmarks/bench_x.py:1: docstring names missing EXPERIMENTS.md",
+        "perfbench/run.py:1: docstring names missing GONE.md",
+    ]
+
+
 def test_cli_engines_output_matches_docs_claims(capsys):
     from repro.cli import main
     from repro.mcrp import engine_names

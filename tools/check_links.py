@@ -8,9 +8,11 @@ inline Markdown links ``[text](target)`` and checks that each
 a ``file#anchor`` target is checked for the file part, and when the
 target file is itself one of the scanned Markdown sources the anchor
 must match one of its headings). It also reads the docstrings of every
-Python file under ``src/`` and ``tests/`` and checks that each Markdown
-file they name (``ARCHITECTURE.md``, ``docs/engines.md``) exists at the
-repository root, under ``docs/`` or next to the Python file. Exits
+Python file under ``src/``, ``tests/``, ``benchmarks/`` and
+``perfbench/`` and checks that each Markdown file they name
+(``ARCHITECTURE.md``, ``docs/engines.md``) exists at the repository
+root, under ``docs/`` or next to the Python file. It only reads them;
+it changes nothing. Exits
 non-zero listing every broken link — the CI ``docs`` job and
 ``tests/test_docs.py`` both run this, so a doc rename cannot silently
 orphan its references.
@@ -95,11 +97,15 @@ def _docstrings(source: str) -> Iterator[Tuple[int, str]]:
                 yield first.lineno, first.value.value
 
 
+#: The trees whose Python docstrings are checked for Markdown citations.
+DOCSTRING_TREES = ("src", "tests", "benchmarks", "perfbench")
+
+
 def _check_docstrings(root: Path) -> List[str]:
-    """Markdown files named in ``src/``/``tests/`` docstrings that do
-    not exist."""
+    """Markdown files named in the docstrings of :data:`DOCSTRING_TREES`
+    that do not exist."""
     broken: List[str] = []
-    for top in ("src", "tests"):
+    for top in DOCSTRING_TREES:
         for source in sorted((root / top).rglob("*.py")):
             for lineno, text in _docstrings(source.read_text()):
                 for match in _MD_NAME.finditer(text):
