@@ -234,6 +234,7 @@ def test_cold_fleet_compile_share(monkeypatch, results_dir):
     (``derive_expansion_blocks``); the share is summed over 7 runs.
     """
     import repro.kperiodic.fleet as fleet
+    import repro.kperiodic.kiter as kiter
     import repro.kperiodic.solver as solver
 
     spent = {"compile": 0.0}
@@ -251,7 +252,7 @@ def test_cold_fleet_compile_share(monkeypatch, results_dir):
         monkeypatch.setattr(module, name, wrapper)
 
     timed_site(solver, "compile_expansion")
-    timed_site(fleet, "derive_expansion_blocks")
+    timed_site(kiter, "derive_expansion_blocks")
 
     corpus = _corpus_payloads()
     assert len(corpus) == 52

@@ -441,7 +441,6 @@ class DseSession:
                     engine=self.engine,
                     build_schedule=build_schedule,
                     initial_k=initial_k,
-                    warm_start=self.warm_start,
                     expansion_cache=self._cache,
                     repetition=q,
                     warm=warm,

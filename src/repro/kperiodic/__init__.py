@@ -7,9 +7,11 @@
   vector K (Theorem 2 + MCRP).
 * :mod:`repro.kperiodic.optimality` — the critical-circuit optimality test
   (Theorem 4).
-* :mod:`repro.kperiodic.kiter` — Algorithm 1: iterate K until optimal.
-* :mod:`repro.kperiodic.fleet` — the payload driver: lockstep K-Iter over
-  payload chunks via the batched MCRP kernels.
+* :mod:`repro.kperiodic.kiter` — Algorithm 1: iterate K until optimal,
+  one lockstep round loop over any number of graphs (batched MCRP
+  kernels); ``throughput_kiter`` is a fleet of one.
+* :mod:`repro.kperiodic.fleet` — the payload driver: that loop over
+  payload chunks, with engine fallback and outcome dicts.
 * :mod:`repro.kperiodic.schedule` — concrete K-periodic schedules.
 """
 

@@ -1,20 +1,17 @@
-"""The payload driver: lockstep K-Iter over a chunk of payloads.
+"""The payload driver: K-Iter over a chunk of payloads.
 
 :func:`solve_fleet_payloads` is the one function that turns K-Iter job
 payloads (plain dicts) into outcome dicts; the pool workers, the
 distributed workers, the service's inline mode and
 :func:`repro.kperiodic.kiter.solve_kiter_payload` (a fleet of one) all
-run it. It drives one :class:`~repro.kperiodic.kiter.KIterMachine` per
-payload in lockstep: each round groups the unfinished machines by their
-current engine, calls ``prepare()`` on each, answers every group with
-**one** :func:`repro.mcrp.batched.batched_solve_mcrp` call, and feeds
-each per-graph result back through ``absorb()``. That call is total: an
-engine without a batched oracle, or a process without numpy, hands each
-graph to the per-graph :func:`~repro.mcrp.registry.solve_mcrp` inside
-it, with the same exact λ*. Machines certify (Theorem 4) at different
-rounds; finished ones drop out of the next round.
+run it. It builds one :class:`~repro.kperiodic.kiter.KIterMachine` per
+payload and advances them all through
+:func:`~repro.kperiodic.kiter.kiter_lockstep`, the one K-Iter round
+loop (the one :func:`~repro.kperiodic.kiter.throughput_kiter` runs
+too): each round batches the block pass and the engine across the
+chunk, and finished machines drop out.
 
-Engine fallback lives here too. A :class:`~repro.exceptions.SolverError`
+Engine fallback lives here. A :class:`~repro.exceptions.SolverError`
 (an unknown engine name, a failed ``prepare`` such as the round cap, a
 certification failure) moves that job alone to the next engine of its
 ``fallback_engines`` chain with a fresh machine; the other jobs of the
@@ -40,23 +37,18 @@ from repro.exceptions import (
     ReproError,
     SolverError,
 )
-from repro.kperiodic.expansion import BlockSet, derive_expansion_blocks
-from repro.kperiodic.kiter import KIterMachine, KIterResult
-from repro.kperiodic.solver import annotate_deadlock, finish_min_period
-from repro.mcrp.batched import batched_solve_mcrp
+from repro.kperiodic.kiter import KIterMachine, KIterResult, kiter_lockstep
 from repro.mcrp.registry import DEFAULT_ENGINE, get_engine
 from repro.obs.metrics import REGISTRY as _REGISTRY
 from repro.obs.slowlog import observe_solve as _observe_solve
 from repro.obs.trace import current_trace as _current_trace
 from repro.obs.trace import emit_event as _emit_event
 from repro.obs.trace import new_trace_id as _new_trace_id
-from repro.obs.trace import span as _span
 from repro.obs.trace import tracing_enabled as _tracing_enabled
 
 _FLEET_JOBS = _REGISTRY.counter("repro_fleet_jobs_total")
 _SOLVER_JOBS = _REGISTRY.counter("repro_solver_jobs_total")
 _SOLVER_SECONDS = _REGISTRY.histogram("repro_solver_seconds")
-_ENGINE_ITERATIONS = _REGISTRY.counter("repro_engine_iterations_total")
 
 
 class _FleetJob:
@@ -84,17 +76,17 @@ def solve_fleet_payloads(
     payloads: Sequence[Mapping[str, Any]],
     graphs: Optional[Sequence[Any]] = None,
 ) -> List[Dict[str, Any]]:
-    """Solve a chunk of K-Iter payloads, batching rounds across graphs.
+    """Solve a chunk of K-Iter payloads in one lockstep loop.
 
     Payload keys (all optional except ``graph``): ``engine``,
     ``fallback_engines``, ``update_policy`` (``"lcm"``/``"full-q"``),
-    ``initial_k``, ``max_rounds``, ``time_budget``, ``warm_start``,
-    plus the pass-through ``digest`` and ``trace`` context. ``graphs``
-    optionally injects already-deserialized
-    :class:`~repro.model.graph.CsdfGraph` objects aligned with
-    ``payloads`` (entries may be ``None``); a worker's
-    reused graph object carries its expansion block cache across jobs
-    (see :func:`repro.kperiodic.expansion.expansion_cache_for`).
+    ``initial_k``, ``max_rounds``, ``time_budget``, plus the
+    pass-through ``digest`` and ``trace`` context. ``graphs`` optionally
+    injects already-deserialized :class:`~repro.model.graph.CsdfGraph`
+    objects aligned with ``payloads`` (entries may be ``None``); a
+    worker's reused graph object carries its expansion block cache
+    across jobs (see
+    :func:`repro.kperiodic.expansion.expansion_cache_for`).
 
     Returns one outcome dict per payload, in order. Each carries
     ``status`` (``"OK"``, ``"DEADLOCK"``, ``"TIMEOUT"`` or ``"ERROR"``),
@@ -122,15 +114,12 @@ def solve_fleet_payloads(
                 continue
         live.append(job)
 
-    fleet_round = 0
-    while live:
-        groups: Dict[str, List[_FleetJob]] = {}
-        for job in live:
-            groups.setdefault(job.engine, []).append(job)
-        live = []
-        for engine, group in groups.items():
-            live.extend(_advance(engine, group, fleet_round, started))
-        fleet_round += 1
+    kiter_lockstep(
+        live,
+        recover=lambda job, exc: _recover(job, started, exc),
+        finish=lambda job: _finish(job, started, "OK",
+                                   final=job.machine.finalize()),
+    )
     return [job.outcome for job in jobs]  # type: ignore[misc]
 
 
@@ -147,88 +136,9 @@ def _machine(job: _FleetJob) -> KIterMachine:
         time_budget=payload.get("time_budget"),
         initial_k=payload.get("initial_k"),
         update_policy=payload.get("update_policy", "lcm"),
-        warm_start=payload.get("warm_start", True),
     )
     get_engine(job.engine)  # an unknown name is a SolverError: fall back
     return machine
-
-
-def _advance(
-    engine: str, jobs: List[_FleetJob], fleet_round: int, started: float,
-) -> List[_FleetJob]:
-    """One lockstep round of one engine's machines; returns the live ones."""
-    live: List[_FleetJob] = []
-    planned = []
-    for job in jobs:
-        try:
-            planned.append((job, job.machine.plan()))
-        except ReproError as exc:
-            if _recover(job, started, exc):
-                live.append(job)
-    batch = []
-    for (job, _), blocks in zip(planned, _derive_round(planned)):
-        try:
-            batch.append((job, job.machine.prepare(blocks)))
-        except ReproError as exc:
-            if _recover(job, started, exc):
-                live.append(job)
-    if not batch:
-        return live
-    with _span("fleet.round", profile=True, engine=engine,
-               fleet=len(batch), round=fleet_round):
-        results = batched_solve_mcrp(
-            [prepared.bi_graph for _, prepared in batch],
-            engine=engine,
-            lower_bounds=[prepared.lower for _, prepared in batch],
-        )
-    iterations = 0
-    for (job, prepared), out in zip(batch, results):
-        job.batched = job.batched or out.batched
-        machine = job.machine
-        try:
-            if isinstance(out.error, DeadlockError):
-                # Escalate K along the infeasible circuit (re-raises
-                # when the circuit is a genuine deadlock).
-                machine.absorb_deadlock(annotate_deadlock(prepared, out.error))
-            elif out.error is not None:
-                raise out.error
-            else:
-                iterations += out.result.iterations
-                if machine.absorb(finish_min_period(prepared, out.result)):
-                    _finish(job, started, "OK", final=machine.finalize())
-                    continue
-        except ReproError as exc:
-            if not _recover(job, started, exc):
-                continue
-        live.append(job)
-    _ENGINE_ITERATIONS.labels(engine=engine).inc(iterations)
-    return live
-
-
-def _derive_round(planned) -> List[Optional[BlockSet]]:
-    """Resolve the arc blocks of a round's plans all at once.
-
-    One segmented sweep derives the missing blocks of the whole group
-    instead of one per buffer per graph; plans that compile nothing
-    this round are skipped. The pass only saves work: if it fails,
-    every machine's compile resolves its own blocks, so an error
-    reaches only its own job.
-    """
-    slots = []
-    compiles = []
-    for slot, (_, plan) in enumerate(planned):
-        if plan.compile_args is not None:
-            slots.append(slot)
-            compiles.append(plan.compile_args)
-    resolved: List[Optional[BlockSet]] = [None] * len(planned)
-    if compiles:
-        try:
-            blocks = derive_expansion_blocks(compiles)
-        except Exception:  # noqa: BLE001 - isolation: compiles retry alone
-            return resolved
-        for slot, mine in zip(slots, blocks):
-            resolved[slot] = mine
-    return resolved
 
 
 def _recover(job: _FleetJob, started: float, exc: ReproError) -> bool:

@@ -16,14 +16,19 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Any, Dict, List, Mapping, Optional, Set
+from types import SimpleNamespace
+from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Set
 
 from repro.analysis.consistency import (
     cached_repetition_vector,
     repetition_vector,
 )
-from repro.exceptions import ConfigurationError, DeadlockError, SolverError
-from repro.kperiodic.expansion import expansion_cache_for
+from repro.exceptions import (
+    ConfigurationError, DeadlockError, ReproError, SolverError,
+)
+from repro.kperiodic.expansion import (
+    BlockSet, derive_expansion_blocks, expansion_cache_for,
+)
 from repro.kperiodic.optimality import (
     critical_qbar,
     optimality_test,
@@ -35,6 +40,7 @@ from repro.kperiodic.solver import (
     MinPeriodPlan,
     PreparedMinPeriod,
     WarmCertificate,
+    annotate_deadlock,
     certify_warm,
     finish_min_period,
     min_period_for_k,
@@ -43,6 +49,7 @@ from repro.kperiodic.solver import (
     solve_prepared_min_period,
     warm_certificate,
 )
+from repro.mcrp.batched import batched_solve_mcrp
 from repro.mcrp.bellman import StartHint
 from repro.mcrp.registry import DEFAULT_ENGINE
 from repro.obs.metrics import REGISTRY as _REGISTRY
@@ -51,6 +58,7 @@ from repro.utils.timing import TimeBudget
 
 # Pre-bound cells: one integer add per round / escalation.
 _ROUNDS_TOTAL = _REGISTRY.counter("repro_kiter_rounds_total")
+_ENGINE_ITERATIONS = _REGISTRY.counter("repro_engine_iterations_total")
 _ESCALATIONS = _REGISTRY.counter("repro_kiter_escalations_total")
 _ESC_OPTIMALITY = _ESCALATIONS.labels(kind="optimality")
 _ESC_INFEASIBLE = _ESCALATIONS.labels(kind="infeasible")
@@ -129,30 +137,25 @@ class KIterResult:
 class KIterMachine:
     """Stepping form of Algorithm 1: one graph, advanced one round at a time.
 
-    The class splits K-Iter's round loop at the engine-solve boundary so
-    the caller chooses *how* each fixed-K instance is solved:
-    :func:`throughput_kiter` solves every prepared round with a per-graph
-    engine, while the fleet driver (:mod:`repro.kperiodic.fleet`) stacks
-    the prepared constraint graphs of many machines and advances them all
-    through one batched kernel pass per round.
+    The machine holds one graph's K-Iter state; :func:`kiter_lockstep`,
+    the one round loop, advances any number of machines together (a
+    :func:`throughput_kiter` call is a fleet of one). Protocol per
+    round::
 
-    Protocol per round::
-
-        machine.plan()                      # optional; may raise
-        prepared = machine.prepare()        # may raise SolverError/Budget
+        machine.plan()                      # may raise
+        prepared = machine.prepare(blocks)  # may raise SolverError/Budget
         try:
-            # the warm certificate, when one holds; else an engine
-            result = (machine.certify(prepared)
-                      or <solve prepared.bi_graph somehow>)
+            # the warm certificate, when one holds; else an engine,
+            # started from machine.start_hint() when it holds one
+            result = machine.certify(prepared) or <solve prepared>
         except DeadlockError as exc:
             machine.absorb_deadlock(exc)    # escalates K (may re-raise)
         else:
             if machine.absorb(result):      # Theorem 4 certified?
                 final = machine.finalize()
 
-    Escalation, warm-start seeding, the infeasible-round full-q jump and
-    budget/round caps are byte-for-byte the classic loop's semantics —
-    :func:`throughput_kiter` is a thin driver over this machine.
+    Escalation, the infeasible-round full-q jump and the budget/round
+    caps live here; the loop only decides how each round is solved.
     """
 
     def __init__(
@@ -163,7 +166,6 @@ class KIterMachine:
         time_budget: Optional[float] = None,
         initial_k: Optional[Dict[str, int]] = None,
         update_policy: str = "lcm",
-        warm_start: bool = True,
         expansion_cache=None,
         repetition: Optional[Dict[str, int]] = None,
         warm: Optional[WarmStart] = None,
@@ -176,7 +178,6 @@ class KIterMachine:
         self.graph = graph
         self.max_rounds = max_rounds
         self.update_policy = update_policy
-        self.warm_start = warm_start
         self.q = (
             dict(repetition) if repetition is not None
             else cached_repetition_vector(graph)
@@ -199,17 +200,16 @@ class KIterMachine:
         self.final: Optional[KPeriodicResult] = None
         self._rounds_left = max_rounds
         self._infeasible_rounds = 0
-        self._prev_lambda: Optional[Fraction] = None
-        self._prev_lcm: Optional[int] = None
-        self._lcm_k: Optional[int] = None
         # Cross-solve state (DseSession), for the *first* prepared
         # round only: the certificate is replayed before any engine
         # runs, and its λ̂ seeds the engine when the caller vouches that
         # no edit since could have lowered λ*. An overshooting seed
         # costs probes, never exactness (the engines restart from the
-        # utilization bound on an uncertified start).
+        # utilization bound on an uncertified start). With ``warm``
+        # given, finalize() also fills the next solve's certificate.
+        self._warm = warm is not None
         self._certificate = warm.certificate if warm is not None else None
-        self._initial_seed = (
+        self._seed = (
             self._certificate.lam
             if self._certificate is not None and warm.seed else None
         )
@@ -221,10 +221,10 @@ class KIterMachine:
         # A failed replay's potentials, until that round's engine takes
         # them as its start (see start_hint).
         self._start: Optional[StartHint] = None
-        # The round plan() opened and its warm-start seed, until
-        # prepare() builds it.
+        # The round plan() opened, until prepare() builds it, and the
+        # last prepared round (the certified one, once done).
         self._plan: Optional[MinPeriodPlan] = None
-        self._seed: Optional[Fraction] = None
+        self._prepared: Optional[PreparedMinPeriod] = None
 
     @property
     def done(self) -> bool:
@@ -233,58 +233,36 @@ class KIterMachine:
     def plan(self) -> MinPeriodPlan:
         """Open the next round and validate its fixed-K compile.
 
-        The fleet driver plans a whole lockstep round first, derives the
+        The loop plans a whole lockstep round first, derives the
         missing arc blocks of every plan in one pass, and hands each
-        machine its blocks through :meth:`prepare`; :meth:`prepare`
-        opens the round itself when nothing planned it.
+        machine its blocks through :meth:`prepare`.
         """
         if self._rounds_left <= 0:
             raise SolverError(f"K-Iter exceeded {self.max_rounds} rounds")
         self._rounds_left -= 1
         self.budget.check()
         _ROUNDS_TOTAL.inc()
-        plan = plan_min_period(
+        self._plan = plan_min_period(
             self.graph, self.K, repetition=self.q,
             expansion_cache=self.cache,
         )
-        self._lcm_k = plan.lcm_k
-        seed = None
-        if self._initial_seed is not None:
-            if self.warm_start and self._prev_lambda is None:
-                seed = self._initial_seed
-            self._initial_seed = None  # first prepared round only
-        if (
-            seed is None
-            and self.warm_start
-            and self._prev_lambda is not None
-            and self._prev_lcm is not None
-            and self._lcm_k > self._prev_lcm
-        ):
-            # Deliberately NOT rescaled to the new lcm: Ω = λ*/lcm(K)
-            # is non-increasing along K escalation (the K-periodic
-            # schedule class only grows), so Ω_prev·lcm_new would
-            # overshoot the new λ* and cost restart probes. The raw
-            # previous λ* stays below the new λ* whenever lcm grew
-            # (the guard above); it beats the utilization seed exactly
-            # when the certified period exceeded the utilization bound
-            # by more than the lcm growth factor.
-            seed = self._prev_lambda
-        self._seed = seed
-        self._plan = plan
-        return plan
+        return self._plan
 
     def prepare(self, blocks=None) -> PreparedMinPeriod:
-        """Set up the round's fixed-K constraint graph.
+        """Set up the fixed-K constraint graph of the round :meth:`plan`
+        opened.
 
         ``blocks`` is the :class:`~repro.kperiodic.expansion.BlockSet`
-        resolved ahead for the compile of the round :meth:`plan` opened.
+        resolved ahead for that round's compile.
         """
-        plan = self._plan if self._plan is not None else self.plan()
-        self._plan = None
-        return prepare_min_period(
-            self.graph, self.K, warm_start=self._seed, plan=plan,
-            blocks=blocks,
+        plan, self._plan = self._plan, None
+        if plan is None:
+            raise SolverError("KIterMachine.prepare() before plan()")
+        seed, self._seed = self._seed, None  # first prepared round only
+        self._prepared = prepare_min_period(
+            self.graph, self.K, warm_start=seed, plan=plan, blocks=blocks,
         )
+        return self._prepared
 
     def certify(self, prepared: PreparedMinPeriod) -> Optional[KPeriodicResult]:
         """Replay the warm certificate on the first round, if any.
@@ -320,15 +298,6 @@ class KIterMachine:
         start, self._start = self._start, None
         return start
 
-    def certificate(
-        self, prepared: PreparedMinPeriod
-    ) -> Optional[WarmCertificate]:
-        """The certified final round's certificate, for the next solve."""
-        if self.final is None:
-            raise SolverError("KIterMachine.certificate() before certification")
-        quiet = self._quiet if self.final.warm_certified else None
-        return warm_certificate(prepared, self.final, quiet, self._replayed)
-
     def absorb(self, result: KPeriodicResult) -> bool:
         """Record a solved round; ``True`` when Theorem 4 certified it."""
         if result.omega == 0:
@@ -359,8 +328,6 @@ class KIterMachine:
             self.final = result
             return True
         _ESC_OPTIMALITY.inc()
-        self._prev_lambda = result.omega_expanded
-        self._prev_lcm = self._lcm_k
         if self.update_policy == "lcm":
             self.K = update_periodicity(self.K, qbar)
         else:  # "full-q"
@@ -372,10 +339,6 @@ class KIterMachine:
 
     def absorb_deadlock(self, exc: DeadlockError) -> None:
         """Escalate K along an infeasible circuit (may re-raise ``exc``)."""
-        # The escalation jumps K along the infeasible circuit; the
-        # previous certified λ* is from a much smaller expansion and
-        # no longer a trustworthy seed.
-        self._prev_lambda = self._prev_lcm = None
         self._infeasible_rounds += 1
         if self._infeasible_rounds >= 3 and any(
             self.K[t] < self.q[t] for t in self.q
@@ -405,13 +368,186 @@ class KIterMachine:
         build_schedule: bool = False,
         engine: str = DEFAULT_ENGINE,
     ) -> KIterResult:
-        """Package the certified result (requires a prior ``absorb`` → True)."""
-        if self.final is None:
+        """Package the certified result (requires a prior ``absorb`` → True).
+
+        A machine given ``warm`` also fills the result's
+        :class:`WarmCertificate` for the next solve.
+        """
+        final = self.final
+        if final is None:
             raise SolverError("KIterMachine.finalize() before certification")
-        return _finalize(
-            self.graph, self.q, self.K, self.final, self.rounds,
-            build_schedule, engine, self.cache,
+        out = KIterResult(period=final.omega, K=dict(self.K),
+                          critical_tasks=set(final.critical_tasks),
+                          rounds=self.rounds)
+        if build_schedule and final.omega > 0:
+            # The final round's blocks are all cache hits: the schedule
+            # rebuild pays only assembly and the longest-path pass.
+            out.schedule = min_period_for_k(
+                self.graph, self.K, engine=engine, build_schedule=True,
+                repetition=self.q, expansion_cache=self.cache,
+            ).schedule
+        if self._warm:
+            quiet = self._quiet if final.warm_certified else None
+            out.certificate = warm_certificate(
+                self._prepared, final, quiet, self._replayed)
+        return out
+
+
+def _reraise(_job, exc: ReproError) -> bool:
+    raise exc
+
+
+def kiter_lockstep(
+    jobs: Sequence[Any],
+    recover: Callable[[Any, ReproError], bool] = _reraise,
+    finish: Optional[Callable[[Any], None]] = None,
+) -> None:
+    """Algorithm 1 over many machines at once: the one K-Iter round loop.
+
+    A job is any object with a ``machine`` (a :class:`KIterMachine`),
+    the ``engine`` name solving its rounds and a ``batched`` flag, set
+    once one of its rounds went through the batched kernel. Each round
+    groups the live jobs by engine and, per group, plans every machine,
+    derives the missing arc blocks of all their compiles in one pass,
+    prepares each machine and replays its warm certificate. A machine
+    whose replay failed solves per graph from its
+    :meth:`~KIterMachine.start_hint`; the other uncertified ones share
+    **one** :func:`~repro.mcrp.batched.batched_solve_mcrp` call, which
+    hands graphs its kernel cannot take to the per-graph engine with
+    the same exact λ*. Every result is then absorbed. Machines certify
+    (Theorem 4) at different rounds; ``finish(job)`` is called for each
+    and it drops out. A :class:`~repro.exceptions.ReproError` goes to
+    ``recover(job, exc)``, which either gives the job a fresh machine
+    and returns ``True`` or ends it; by default it re-raises.
+    """
+    live = list(jobs)
+    index = 0
+    while live:
+        groups: Dict[str, List[Any]] = {}
+        for job in live:
+            groups.setdefault(job.engine, []).append(job)
+        live = []
+        for engine, group in groups.items():
+            live.extend(_lockstep_round(engine, group, index, recover, finish))
+        index += 1
+
+
+def _lockstep_round(engine, jobs, index, recover, finish) -> List[Any]:
+    """One lockstep round of one engine's jobs; returns the live ones."""
+    live: List[Any] = []
+
+    def fail(job, exc: ReproError) -> None:
+        if recover(job, exc):
+            live.append(job)
+
+    planned = []
+    for job in jobs:
+        try:
+            planned.append((job, job.machine.plan()))
+        except ReproError as exc:
+            fail(job, exc)
+    with _span("kiter.round", profile=True, engine=engine,
+               fleet=len(planned), round=index):
+        prepared_round = []  # (job, prepared, certified result or None)
+        for (job, _), blocks in zip(planned, _derive_blocks(planned)):
+            try:
+                prepared = job.machine.prepare(blocks)
+                certified = job.machine.certify(prepared)
+            except ReproError as exc:
+                fail(job, exc)
+                continue
+            prepared_round.append((job, prepared, certified))
+        solved = iter(_solve_round(engine, [
+            (prepared, job.machine.start_hint())
+            for job, prepared, certified in prepared_round
+            if certified is None
+        ]))
+        for job, prepared, outcome in prepared_round:
+            if outcome is None:
+                outcome, batched = next(solved)
+                job.batched = job.batched or batched
+            machine = job.machine
+            try:
+                if isinstance(outcome, DeadlockError):
+                    # Escalate K along the infeasible circuit (re-raises
+                    # when the circuit is a genuine deadlock).
+                    machine.absorb_deadlock(
+                        annotate_deadlock(prepared, outcome))
+                elif isinstance(outcome, Exception):
+                    raise outcome
+                elif machine.absorb(outcome):
+                    if finish is not None:
+                        finish(job)
+                    continue
+            except ReproError as exc:
+                fail(job, exc)
+                continue
+            live.append(job)
+    return live
+
+
+def _derive_blocks(planned) -> List[Optional[BlockSet]]:
+    """Resolve the arc blocks of a round's plans all at once.
+
+    One segmented sweep derives the missing blocks of the whole group
+    instead of one per buffer per graph; plans that compile nothing
+    this round are skipped. The pass only saves work: if it fails,
+    every machine's compile resolves its own blocks, so an error
+    reaches only its own job.
+    """
+    slots = []
+    compiles = []
+    for slot, (_, plan) in enumerate(planned):
+        if plan.compile_args is not None:
+            slots.append(slot)
+            compiles.append(plan.compile_args)
+    resolved: List[Optional[BlockSet]] = [None] * len(planned)
+    if compiles:
+        try:
+            blocks = derive_expansion_blocks(compiles)
+        except Exception:  # noqa: BLE001 - isolation: compiles retry alone
+            return resolved
+        for slot, mine in zip(slots, blocks):
+            resolved[slot] = mine
+    return resolved
+
+
+def _solve_round(engine: str, instances) -> List[Any]:
+    """Solve a round's uncertified ``(prepared, start)`` instances.
+
+    One with a start is solved per graph from it; the rest go to one
+    batched call. Returns ``(KPeriodicResult or the ReproError,
+    batched)`` per instance, in order.
+    """
+    outcomes: List[Any] = [None] * len(instances)
+    batch = []
+    for slot, (prepared, start) in enumerate(instances):
+        if start is None:
+            batch.append(slot)
+            continue
+        try:
+            result = solve_prepared_min_period(prepared, engine, start=start)
+        except ReproError as exc:
+            result = exc
+        outcomes[slot] = (result, False)
+    if batch:
+        results = batched_solve_mcrp(
+            [instances[slot][0].bi_graph for slot in batch],
+            engine=engine,
+            lower_bounds=[instances[slot][0].lower for slot in batch],
         )
+        iterations = 0
+        for slot, out in zip(batch, results):
+            if out.error is not None:
+                outcomes[slot] = (out.error, out.batched)
+                continue
+            iterations += out.result.iterations
+            outcomes[slot] = (
+                finish_min_period(instances[slot][0], out.result),
+                out.batched,
+            )
+        _ENGINE_ITERATIONS.labels(engine=engine).inc(iterations)
+    return outcomes
 
 
 def throughput_kiter(
@@ -423,12 +559,14 @@ def throughput_kiter(
     time_budget: Optional[float] = None,
     initial_k: Optional[Dict[str, int]] = None,
     update_policy: str = "lcm",
-    warm_start: bool = True,
     expansion_cache=None,
     repetition: Optional[Dict[str, int]] = None,
     warm: Optional[WarmStart] = None,
 ) -> KIterResult:
     """Exact maximum throughput of a consistent CSDFG via K-Iter.
+
+    A fleet of one: one :class:`KIterMachine` advanced by
+    :func:`kiter_lockstep`, its error re-raised.
 
     Parameters
     ----------
@@ -462,15 +600,6 @@ def throughput_kiter(
         Any other value raises
         :class:`~repro.exceptions.ConfigurationError` before the first
         round.
-    warm_start:
-        Seed each round's engine with the previous round's certified
-        ``λ*`` in addition to the utilization bound (the constraint
-        graph grows along K escalation, so the previous optimum is a
-        strong — and on the golden corpus always valid — starting
-        point). Only applied when ``lcm(K)`` strictly grew, which keeps
-        the seed below the new ``λ*``; a hypothetical overshoot would
-        cost extra probes, never exactness (see
-        :func:`repro.kperiodic.solver.min_period_for_k`).
     expansion_cache:
         Explicit :class:`~repro.kperiodic.expansion.ExpansionBlockCache`
         to use instead of the graph's weak-key-bound one — the
@@ -508,28 +637,11 @@ def throughput_kiter(
     machine = KIterMachine(
         graph, max_rounds=max_rounds, time_budget=time_budget,
         initial_k=initial_k, update_policy=update_policy,
-        warm_start=warm_start, expansion_cache=expansion_cache,
-        repetition=repetition, warm=warm,
+        expansion_cache=expansion_cache, repetition=repetition, warm=warm,
     )
-    while True:
-        with _span("kiter.round", engine=engine,
-                   round=len(machine.rounds)) as round_span:
-            prepared = machine.prepare()
-            round_span.attrs["lcm_K"] = machine._lcm_k
-            try:
-                result = (machine.certify(prepared)
-                          or solve_prepared_min_period(
-                              prepared, engine, start=machine.start_hint()))
-            except DeadlockError as exc:
-                machine.absorb_deadlock(exc)
-                continue
-            certified = machine.absorb(result)
-        if certified:
-            out = machine.finalize(build_schedule=build_schedule,
-                                   engine=engine)
-            if warm is not None:
-                out.certificate = machine.certificate(prepared)
-            return out
+    kiter_lockstep([SimpleNamespace(machine=machine, engine=engine,
+                                    batched=False)])
+    return machine.finalize(build_schedule=build_schedule, engine=engine)
 
 
 def _escalate_infeasible(
@@ -570,34 +682,6 @@ def _escalate_infeasible(
     for t in tasks:
         updated[t] = q[t]
     return updated
-
-
-def _finalize(
-    graph,
-    q: Dict[str, int],
-    K: Dict[str, int],
-    result: KPeriodicResult,
-    rounds: List[KIterRound],
-    build_schedule: bool,
-    engine: str,
-    cache=None,
-) -> KIterResult:
-    schedule = None
-    if build_schedule and result.omega > 0:
-        # The final round's blocks are all cache hits: the schedule
-        # rebuild pays only assembly and the longest-path pass.
-        final = min_period_for_k(
-            graph, K, engine=engine, build_schedule=True, repetition=q,
-            expansion_cache=cache,
-        )
-        schedule = final.schedule
-    return KIterResult(
-        period=result.omega,
-        K=dict(K),
-        critical_tasks=set(result.critical_tasks),
-        rounds=rounds,
-        schedule=schedule,
-    )
 
 
 def solve_kiter_payload(

@@ -213,9 +213,9 @@ def prepare_min_period(
     # onto it immediately instead of converging without a certificate.
     lower = Fraction(utilization * lcm_k) - Fraction(1, 2)
     if warm_start is not None:
-        # Same 1/2 backoff: when the seed *is* λ* (round i's circuit is
-        # still critical at round i+1's scale), the critical cycle stays
-        # strictly positive at the start and is certified in one jump.
+        # Same 1/2 backoff: when the seed *is* λ* (the previous solve's
+        # circuit is still critical), the critical cycle stays strictly
+        # positive at the start and is certified in one jump.
         lower = max(lower, Fraction(warm_start) - Fraction(1, 2))
     return PreparedMinPeriod(
         graph=graph, K=dict(K), repetition=dict(repetition), lcm_k=lcm_k,
@@ -533,8 +533,8 @@ def min_period_for_k(
         Also extract start times (longest-path potentials at λ*).
     warm_start:
         A seed for the engine's ascending λ search in the *expanded*
-        scale (``λ = Ω·lcm(K)``), typically the certified ``λ*`` of the
-        previous K-Iter round. Used only when it beats the utilization
+        scale (``λ = Ω·lcm(K)``), typically a DSE session's certified
+        ``λ*`` of the previous solve at this K. Used only when it beats the utilization
         bound. Exactness never depends on it: an overshooting seed is
         detected by the engines (no positive cycle from an uncertified
         start) and the search restarts, and the SCC champion used for

@@ -20,7 +20,7 @@ the same file; ``repro profile <file>`` merges and renders them.
 Envelope schema (one JSON object per line)::
 
     {"schema": "repro-profile/1", "pid": 1234, "interval": 0.005,
-     "spans": {"fleet.round": {"samples": 180,
+     "spans": {"kiter.round": {"samples": 180,
                                "frames": [["batched._jacobi_probe", 12, 170],
                                           ...]}}}
 

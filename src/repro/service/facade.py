@@ -114,9 +114,10 @@ class ThroughputService:
         Primary MCRP engine and the chain tried on a certification
         failure (:class:`~repro.exceptions.SolverError`) of the one
         before it.
-    update_policy / warm_start / max_rounds / time_budget:
+    update_policy / max_rounds / time_budget:
         K-Iter parameters applied to every job unless overridden per
-        call (see :func:`repro.kperiodic.kiter.throughput_kiter`).
+        call (see :func:`repro.kperiodic.kiter.throughput_kiter`; a job
+        runs the same round loop, as a payload).
     workers:
         ``0`` solves inline in this process (no pool, no pickling —
         right for tests and single queries); ``n ≥ 1`` creates a
@@ -158,7 +159,6 @@ class ThroughputService:
         engine: str = "hybrid",
         fallback_engines: Iterable[str] = (DEFAULT_ENGINE,),
         update_policy: str = "lcm",
-        warm_start: bool = True,
         max_rounds: int = 100_000,
         time_budget: Optional[float] = None,
         workers: int = 0,
@@ -175,7 +175,6 @@ class ThroughputService:
         self.engine = engine
         self.fallback_engines = tuple(fallback_engines)
         self.update_policy = update_policy
-        self.warm_start = warm_start
         self.max_rounds = max_rounds
         self.time_budget = time_budget
         if cache is None:
@@ -229,7 +228,6 @@ class ThroughputService:
             "engine": self.engine,
             "fallback_engines": self.fallback_engines,
             "update_policy": self.update_policy,
-            "warm_start": self.warm_start,
             "max_rounds": self.max_rounds,
             "time_budget": self.time_budget,
         }
@@ -358,7 +356,7 @@ class ThroughputService:
         points: Iterable[Mapping[str, Any]],
         *,
         engine: Optional[str] = None,
-        warm_start: Optional[bool] = None,
+        warm_start: bool = True,
         check: bool = False,
     ) -> List[Dict[str, Any]]:
         """Run an edit-manifest sweep as *one* sticky DSE session.
@@ -373,7 +371,8 @@ class ThroughputService:
         speaks single-solve payloads only). Returns the per-point
         records in order; exactness per point is the DseSession
         contract (bit-identical to a cold solve; ``check=True``
-        verifies it at runtime).
+        verifies it at runtime). ``warm_start=False`` turns the
+        session's certificate replay and λ seed off.
 
         Sweep results are not content-addressed — nothing here touches
         the result cache.
@@ -384,8 +383,7 @@ class ThroughputService:
         payload = explore_payload_for(
             graph, points,
             engine=engine or self.engine,
-            warm_start=self.warm_start if warm_start is None
-            else warm_start,
+            warm_start=warm_start,
             check=check,
         )
         pool = None if self._queue is not None else self._ensure_pool()

@@ -32,7 +32,7 @@ from repro.model.graph import CsdfGraph
 
 #: Bump when the digest inputs or the outcome schema change shape, so a
 #: stale on-disk cache can never satisfy a new-schema query.
-CACHE_SCHEMA_VERSION = 1
+CACHE_SCHEMA_VERSION = 2
 
 #: Outcome statuses whose result is deterministic and therefore cacheable.
 CACHEABLE_STATUSES = ("OK", "DEADLOCK")
@@ -79,7 +79,6 @@ class ThroughputJob:
     fallback_engines: Tuple[str, ...] = (DEFAULT_ENGINE,)
     update_policy: str = "lcm"
     initial_k: Optional[Dict[str, int]] = None
-    warm_start: bool = True
     max_rounds: int = 100_000
     time_budget: Optional[float] = None
     label: str = ""
@@ -124,7 +123,6 @@ class ThroughputJob:
                 "fallback_engines": list(self.fallback_engines),
                 "update_policy": self.update_policy,
                 "initial_k": sorted((self.initial_k or {}).items()),
-                "warm_start": self.warm_start,
             })
         return self._digest
 
@@ -136,7 +134,6 @@ class ThroughputJob:
             "fallback_engines": list(self.fallback_engines),
             "update_policy": self.update_policy,
             "initial_k": self.initial_k,
-            "warm_start": self.warm_start,
             "max_rounds": self.max_rounds,
             "time_budget": self.time_budget,
             "digest": self.digest,

@@ -198,12 +198,12 @@ def test_config_error_skips_the_fallback_chain():
 def test_fallback_restarts_only_the_failing_job(monkeypatch):
     """A SolverError mid-fleet moves that one job to its fallback engine
     with a fresh machine; the failing engine is not run a second time."""
-    from repro.kperiodic import fleet as fleet_mod
+    from repro.kperiodic import kiter as kiter_mod
     from repro.mcrp.batched import BatchedOutcome
 
     karp = get_engine("karp")
     karp_runs = []
-    real_batched = fleet_mod.batched_solve_mcrp
+    real_batched = kiter_mod.batched_solve_mcrp
 
     def failing_batched(graphs, engine, lower_bounds):
         if engine != "karp":
@@ -217,7 +217,7 @@ def test_fallback_restarts_only_the_failing_job(monkeypatch):
         karp_runs.append(1)
         return karp.solve(graph, **options)
 
-    monkeypatch.setattr(fleet_mod, "batched_solve_mcrp", failing_batched)
+    monkeypatch.setattr(kiter_mod, "batched_solve_mcrp", failing_batched)
     monkeypatch.setitem(engine_registry._REGISTRY, "karp",
                         dataclasses.replace(karp, solve=counted_karp))
     healthy = {"graph": two_cycle().to_dict(), "engine": "hybrid"}

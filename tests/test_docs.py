@@ -105,7 +105,7 @@ def test_observability_guide_metric_table_matches_registry():
 def test_observability_guide_covers_spans_and_surfaces():
     guide = (ROOT / "docs" / "observability.md").read_text()
     for name in ("service.batch", "client.job", "pool.chunk",
-                 "job.solve", "kiter.round", "fleet.round",
+                 "job.solve", "kiter.round",
                  "worker.solve", "worker.nack", "coordinator.enqueue",
                  "coordinator.result"):
         assert f"`{name}`" in guide, (

@@ -75,7 +75,6 @@ def test_fixture_defaults_match_service_defaults():
     assert defaults["engine"] == service.engine
     assert tuple(defaults["fallback_engines"]) == service.fallback_engines
     assert defaults["update_policy"] == service.update_policy
-    assert defaults["warm_start"] == service.warm_start
 
 
 def test_corpus_job_digests_are_stable():

@@ -1,13 +1,10 @@
-"""Warm-started K-Iter rounds (ROADMAP: K-Iter-level reuse).
+"""A fixed-K solve seeded with a ``λ*`` estimate (``min_period_for_k``).
 
-Round ``i+1`` seeds its engine with round ``i``'s certified ``λ*`` on
-top of the utilization bound. The contract under test:
+The seed rides on top of the utilization bound (a DSE session hands a
+previous solve's ``λ̂`` this way). The contract under test:
 
-* exactness is untouched — warm and cold runs certify identical
-  periods, K vectors and round counts, even when a seed overshoots
-  (the engines detect an uncertified start and restart);
-* on the golden corpus, warm-starting never *increases* the total
-  engine probe count (the satellite's acceptance gate);
+* exactness is untouched, even when a seed overshoots (the engines
+  detect an uncertified start and restart);
 * the seed genuinely engages: re-solving a fixed K with its own ``λ*``
   as the seed certifies in fewer-or-equal probes.
 """
@@ -19,45 +16,11 @@ import pytest
 
 from repro.analysis.consistency import repetition_vector
 from repro.io import load_graph
-from repro.kperiodic import throughput_kiter
 from repro.kperiodic.solver import min_period_for_k
 from tests.conftest import golden_corpus_cases, make_random_live_graph
 
 DATA = Path(__file__).parent / "data"
 CASES = golden_corpus_cases()
-
-
-@pytest.mark.parametrize("filename,period", CASES,
-                         ids=[c[0] for c in CASES])
-def test_warm_start_exact_and_never_more_probes_golden(filename, period):
-    graph = load_graph(DATA / filename)
-    warm = throughput_kiter(graph, warm_start=True)
-    cold = throughput_kiter(graph, warm_start=False)
-    assert warm.period == cold.period == period
-    assert warm.K == cold.K
-    assert warm.iteration_count == cold.iteration_count
-    assert warm.engine_iteration_count <= cold.engine_iteration_count
-
-
-@pytest.mark.parametrize("seed", range(0, 40))
-def test_warm_start_exact_on_random_graphs(seed):
-    graph = make_random_live_graph(seed)
-    warm = throughput_kiter(graph, warm_start=True)
-    cold = throughput_kiter(graph, warm_start=False)
-    assert warm.period == cold.period
-    assert warm.engine_iteration_count <= cold.engine_iteration_count
-
-
-def test_warm_start_reduces_probes_on_multiround_instance():
-    # Regression for the seeding actually engaging: this instance needs
-    # several K-Iter rounds and the previous round's λ* beats the
-    # utilization seed, saving a probe (found by sweeping the random
-    # graph family; deterministic because the generator is seeded).
-    graph = make_random_live_graph(49)
-    warm = throughput_kiter(graph, warm_start=True)
-    cold = throughput_kiter(graph, warm_start=False)
-    assert warm.period == cold.period
-    assert warm.engine_iteration_count < cold.engine_iteration_count
 
 
 def test_min_period_warm_start_with_own_lambda_certifies_fast():

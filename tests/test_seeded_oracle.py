@@ -213,14 +213,15 @@ def floors_of(graph):
 
 
 def spy_starts(monkeypatch):
+    """The start every uncertified round hands its engine, in order."""
     starts = []
-    real = kiter_mod.solve_prepared_min_period
+    real = kiter_mod._solve_round
 
-    def spy(prepared, engine, **kwargs):
-        starts.append(kwargs.get("start"))
-        return real(prepared, engine, **kwargs)
+    def spy(engine, instances):
+        starts.extend(start for _, start in instances)
+        return real(engine, instances)
 
-    monkeypatch.setattr(kiter_mod, "solve_prepared_min_period", spy)
+    monkeypatch.setattr(kiter_mod, "_solve_round", spy)
     return starts
 
 

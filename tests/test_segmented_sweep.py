@@ -161,7 +161,7 @@ def test_one_fleet_counts_blocks_like_one_fleet_per_graph():
         lambda: [solve_fleet_payloads([p])[0] for p in payloads])
     # Without the pass each compile looks its own blocks up: the count
     # the blocks derived ahead must reproduce, not double.
-    with mock.patch("repro.kperiodic.fleet.derive_expansion_blocks",
+    with mock.patch("repro.kperiodic.kiter.derive_expansion_blocks",
                     lambda compiles: [None] * len(compiles)):
         _, unassisted_counts = _counted(
             lambda: solve_fleet_payloads(payloads))
@@ -281,7 +281,7 @@ def test_a_failing_shared_pass_only_costs_the_saving():
     def broken(compiles):
         raise MemoryError("shared pass")
 
-    with mock.patch("repro.kperiodic.fleet.derive_expansion_blocks",
+    with mock.patch("repro.kperiodic.kiter.derive_expansion_blocks",
                     broken):
         outcomes = solve_fleet_payloads(payloads)
     assert [_without_timing(o) for o in outcomes] == expected

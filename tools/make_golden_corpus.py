@@ -98,7 +98,6 @@ JOB_DEFAULTS = {
     "engine": "hybrid",
     "fallback_engines": ["ratio-iteration"],
     "update_policy": "lcm",
-    "warm_start": True,
 }
 
 
