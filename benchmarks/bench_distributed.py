@@ -104,7 +104,7 @@ def test_distributed_replay_beats_single_worker_sequential(
     warmup = _graphs(SCALE + 2)  # disjoint set for the cold-start row
 
     start = time.perf_counter()
-    sequential = [throughput_kiter(g, engine="hybrid") for g in requests]
+    sequential = [throughput_kiter(g) for g in requests]
     sequential_s = time.perf_counter() - start
 
     with CoordinatorServer(
@@ -221,7 +221,8 @@ def _cache_backend_ablation(tmp_path):
     outcome = {
         "status": "OK", "period": [881, 13], "K": {f"t{i}": 2 for i in range(12)},
         "rounds": 7, "engine_iterations": 41, "critical_tasks": ["t3"],
-        "engine": "hybrid", "engine_used": "hybrid", "fallback": False,
+        "engine": "ratio-iteration", "engine_used": "ratio-iteration",
+        "fallback": False,
         "cache_hit": "", "wall_time": 0.173, "worker_pid": 4242,
     }
     count = 300

@@ -20,7 +20,7 @@ second test pins that reuse inside a real K-Iter escalation sequence via
 the cache-hit counters.
 
 ``test_cold_fleet_compile_share`` is the cold-fleet row: the 52 corpus
-graphs solved as one ``hybrid`` fleet, with the compile layer — every
+graphs solved as one default-engine fleet, with the compile layer — every
 ``compile_expansion`` call plus the fleet's per-round segmented block
 pass — gated at ≤35% of the wall (``BENCH_expansion_fleet.json``,
 ``results/ablation_fleet_compile.txt``).
@@ -47,6 +47,7 @@ from repro.kperiodic.expansion import (
 from repro.kperiodic.kiter import throughput_kiter
 from repro.kperiodic.solver import min_period_for_k
 from repro.mcrp import solve_mcrp
+from repro.mcrp.registry import DEFAULT_ENGINE
 from repro.utils.rational import lcm_list
 
 DATA = Path(__file__).resolve().parent.parent / "tests" / "data"
@@ -227,7 +228,7 @@ def test_cold_fleet_compile_share(monkeypatch, results_dir):
     """Compile layer of a cold fleet: ≤35% of the wall, λ* exact.
 
     The 52 corpus graphs are solved as one fleet through
-    ``solve_fleet_payloads`` with ``hybrid``, decoded from their dicts
+    ``solve_fleet_payloads`` with the default engine, decoded from their dicts
     on every run so each run compiles cold. The compile layer is the
     time inside ``compile_expansion`` as the solver calls it plus the
     fleet's per-round segmented block pass
@@ -258,11 +259,10 @@ def test_cold_fleet_compile_share(monkeypatch, results_dir):
     assert len(corpus) == 52
     expected = [period for _, period in corpus]
     fleet.solve_fleet_payloads(
-        [{"graph": graph, "engine": "hybrid"} for graph, _ in corpus])
+        [{"graph": graph} for graph, _ in corpus])
     walls, compiles = [], []
     for _ in range(7):
-        payloads = [{"graph": graph, "engine": "hybrid"}
-                    for graph, _ in corpus]
+        payloads = [{"graph": graph} for graph, _ in corpus]
         spent["compile"] = 0.0
         start = time.perf_counter()
         outcomes = fleet.solve_fleet_payloads(payloads)
@@ -281,13 +281,14 @@ def test_cold_fleet_compile_share(monkeypatch, results_dir):
          {"name": "fleet_wall_seconds", "value": walls[best], "unit": "s"},
          {"name": "fleet_compile_seconds", "value": compiles[best],
           "unit": "s"}],
-        extra={"graphs": len(corpus), "engine": "hybrid",
+        extra={"graphs": len(corpus), "engine": DEFAULT_ENGINE,
                "timing": {"repeats": len(walls),
                           "policy": "share of summed runs; best wall"}},
         out_dir=str(Path(__file__).resolve().parent.parent),
     )
     text = (
-        f"cold fleet of {len(corpus)} corpus graphs (hybrid, one chunk): "
+        f"cold fleet of {len(corpus)} corpus graphs ({DEFAULT_ENGINE}, "
+        f"one chunk): "
         f"wall {walls[best] * 1e3:.1f}ms, compile + fleet block pass "
         f"{compiles[best] * 1e3:.1f}ms (best run); compile share "
         f"{share:.3f} over {len(walls)} runs (gate ≤0.35); every λ* "

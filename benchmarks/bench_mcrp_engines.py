@@ -7,23 +7,10 @@ core on HSDF-expanded graphs. Engines come from
 here with zero edits; ``karp`` (Θ(nm) per oracle probe) is kept off the
 largest instances.
 
-Expected outcome (recorded in ``results/ablation_*.txt``): the compiled-core
-``hybrid`` engine wins on large graphs — float Howard lands on the
-optimum and one exact probe certifies it — with plain ratio iteration
-close behind; the ascending iteration over the pure-Python
-Bellman-Ford oracle (``bellman._python_oracle``) trails by the
-vectorization factor.
-
-``test_hybrid_beats_default_ratio_iteration`` is the acceptance gate of
-the compiled-core refactor: identical exact ``Fraction`` results, lower
-wall-clock than the default from-scratch ratio-iteration solve on the
-largest bundled graphs. The seed's pre-refactor implementation
-(per-solve Fraction scaling, per-probe ``argsort``) no longer exists
-in-tree, so the gate compares against today's *default* engine — which
-already runs on the compiled core and is strictly faster than the seed
-path was, making the gate conservative. The pure-Python Bellman-Ford
-oracle rides along in the artifact as the closest in-tree proxy for an
-un-vectorized solve.
+Expected outcome (recorded in ``results/ablation_*.txt``): the
+vectorized ``karp`` table beats its pure-Python reference by an order
+of magnitude on the K-expanded graphs, and every engine returns the
+same exact ``Fraction``.
 """
 
 import time
@@ -41,7 +28,6 @@ from repro.mcrp import (
     max_cycle_mean,
     max_cycle_ratio,
 )
-from repro.mcrp.bellman import _python_oracle
 from repro.mcrp.karp import _karp_python_oracle
 
 INSTANCES = {
@@ -55,11 +41,6 @@ LARGE = {"lghsdf2"}
 ENGINES = {info.name: info for info in all_engines()}
 #: Engines whose oracle is Θ(nm) per probe, kept off ``LARGE``.
 QUADRATIC = {"karp"}
-
-
-def _bellman_python(bi):
-    """Ascending iteration over the pure-Python Bellman-Ford oracle."""
-    return max_cycle_ratio(bi, oracle=_python_oracle)
 
 
 def _karp_python(bi):
@@ -102,62 +83,6 @@ def _expanded_constraint_graph(graph, cap=None):
     q_tilde = expanded_repetition_vector(q, K)
     bi, _ = build_constraint_graph(expanded, q_tilde)
     return bi
-
-
-def test_hybrid_beats_default_ratio_iteration(results_dir):
-    """Compiled-core hybrid vs the default from-scratch ratio iteration.
-
-    Measured on the largest solver inputs the bundle produces — the
-    K-expanded constraint graphs K-Iter actually grinds on in its final
-    rounds (the 1-periodic graphs are a handful of nodes and finish in
-    microseconds either way). Hybrid must return identical ``Fraction``
-    ratios and win wall-clock on the largest instance (best-of-3 each;
-    compilation runs fresh per timing run via ``invalidate``). The
-    baseline is today's default engine, not the (gone) seed
-    implementation — a conservative bar, see the module docstring; the
-    pure-Python Bellman-Ford row gives the un-vectorized reference.
-    """
-    default = ENGINES["ratio-iteration"].solve
-    hybrid = ENGINES["hybrid"].solve
-    bellman = _bellman_python
-    cases = [
-        ("mimicdsp3-K8", lambda: _expanded_constraint_graph(mimic_dsp(3), 8)),
-        ("satellite-fullq",
-         lambda: _expanded_constraint_graph(satellite_receiver())),
-    ]
-    rows = []
-    for name, build in cases:
-        bi = build()
-
-        def timed(solver, rounds=3):
-            best = float("inf")
-            ratio = None
-            for _ in range(rounds):
-                bi.invalidate()
-                start = time.perf_counter()
-                result = solver(bi)
-                best = min(best, time.perf_counter() - start)
-                ratio = result.ratio
-            return best, ratio
-
-        base_time, base_ratio = timed(default)
-        hybrid_time, hybrid_ratio = timed(hybrid)
-        pure_time, pure_ratio = timed(bellman, rounds=1)
-        assert hybrid_ratio == base_ratio == pure_ratio  # exactness
-        rows.append((name, base_time, hybrid_time, pure_time,
-                     base_time / max(hybrid_time, 1e-12)))
-    text = "\n".join(
-        f"{name:<16} ratio-iteration {base * 1e3:8.2f}ms   "
-        f"hybrid {hyb * 1e3:8.2f}ms   "
-        f"bellman(pure-py) {pure * 1e3:8.2f}ms   speedup {speedup:5.2f}x"
-        for name, base, hyb, pure, speedup in rows
-    )
-    write_artifact("ablation_hybrid_vs_default.txt", text)
-    largest = rows[-1]
-    assert largest[2] < largest[1], (
-        f"hybrid ({largest[2]:.4f}s) should beat the default "
-        f"ratio-iteration path ({largest[1]:.4f}s) on {largest[0]}:\n{text}"
-    )
 
 
 def test_vectorized_karp_beats_python_karp(results_dir):

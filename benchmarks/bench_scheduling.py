@@ -40,7 +40,7 @@ FLEET_SUBSET = (
     "fleet_sdf2000.json",
     "fleet_med3000.json",
 )
-ENGINES = ("ratio-iteration", "hybrid")
+ENGINES = ("ratio-iteration", "karp")
 
 
 def _fleet_cases():

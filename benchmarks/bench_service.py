@@ -46,8 +46,8 @@ FLEET_DIR = REPO_ROOT / "tests" / "data" / "fleet"
 #: equal worker count, on the fleet fixture. Locally the batched path
 #: lands near 2.8x; the gate leaves margin for noisy CI hosts.
 FLEET_GATE_THRESHOLD = 2.0
-FLEET_GATE_ENGINES = ("ratio-iteration", "hybrid")
-FLEET_ENGINES = ("ratio-iteration", "hybrid", "karp")
+FLEET_GATE_ENGINES = ("ratio-iteration",)
+FLEET_ENGINES = ("ratio-iteration", "karp")
 FLEET_TIMING_REPEATS = 7
 
 
@@ -70,10 +70,10 @@ def test_service_batch_beats_sequential(benchmark):
     requests = _traffic(graphs)
 
     start = time.perf_counter()
-    sequential = [throughput_kiter(g, engine="hybrid") for g in requests]
+    sequential = [throughput_kiter(g) for g in requests]
     sequential_s = time.perf_counter() - start
 
-    with ThroughputService(engine="hybrid", workers=WORKERS) as service:
+    with ThroughputService(workers=WORKERS) as service:
         service.submit(sdf({"A": 1, "B": 1},
                            [("A", "B", 1, 1, 0), ("B", "A", 1, 1, 1)]))
         start = time.perf_counter()
@@ -94,7 +94,7 @@ def test_service_batch_beats_sequential(benchmark):
     assert solved <= len(graphs) + 1  # dedup: one solve per unique job
 
     rows = [
-        [f"sequential kiter@hybrid ({len(requests)} solves)",
+        [f"sequential kiter ({len(requests)} solves)",
          f"{sequential_s * 1000:.0f}ms", "1.00x"],
         [f"service batch ({WORKERS} workers, {len(graphs)} solves + dedup)",
          f"{batch_s * 1000:.0f}ms", f"{sequential_s / batch_s:.2f}x"],
@@ -162,6 +162,7 @@ def test_batched_fleet_chunk_gate(benchmark):
 
     from repro.io import load_graph
     from repro.kperiodic.kiter import solve_kiter_payload
+    from repro.mcrp.batched import BATCHED_ORACLES
     from repro.service.pool import solve_chunk
 
     cases = _fleet_cases()
@@ -203,7 +204,8 @@ def test_batched_fleet_chunk_gate(benchmark):
         check(batched_out, engine, "batched")
         check(pergraph_out, engine, "per-graph")
         check(sequential_out, engine, "sequential")
-        assert all(o["batched"] for o in batched_out), engine
+        if engine in BATCHED_ORACLES:
+            assert all(o["batched"] for o in batched_out), engine
         speedup = pergraph_s / batched_s
         speedups[engine] = speedup
         rows.extend([
@@ -281,9 +283,9 @@ def test_service_parallel_speedup_on_unique_graphs(benchmark):
         pytest.skip("single-CPU host: pool workers only time-slice")
     graphs = _unique_graphs()
     start = time.perf_counter()
-    sequential = [throughput_kiter(g, engine="hybrid") for g in graphs]
+    sequential = [throughput_kiter(g) for g in graphs]
     sequential_s = time.perf_counter() - start
-    with ThroughputService(engine="hybrid", workers=WORKERS) as service:
+    with ThroughputService(workers=WORKERS) as service:
         service.submit(sdf({"A": 1, "B": 1},
                            [("A", "B", 1, 1, 0), ("B", "A", 1, 1, 1)]))
         start = time.perf_counter()

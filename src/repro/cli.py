@@ -174,9 +174,7 @@ def cmd_batch(args) -> int:
         ResultCache(disk_root=args.cache_dir)
         if args.cache_dir else ResultCache()
     )
-    fallbacks = (
-        tuple(args.fallback) if args.fallback else (DEFAULT_ENGINE,)
-    )
+    fallbacks = tuple(args.fallback or ())
     if args.coordinator and args.queue:
         raise ReproError("pick one of --coordinator or --queue")
     if args.coordinator or args.queue:
@@ -854,12 +852,12 @@ def build_parser() -> argparse.ArgumentParser:
                    help="JSONL sink: one result object per graph")
     p.add_argument("--workers", type=int, default=0,
                    help="solver pool processes (0 = solve inline)")
-    p.add_argument("--engine", default="hybrid", metavar="ENGINE",
+    p.add_argument("--engine", default=DEFAULT_ENGINE, metavar="ENGINE",
                    help="primary MCRP engine (see `repro engines`)")
     p.add_argument("--fallback", action="append", metavar="ENGINE",
                    default=None,
                    help="fallback engine(s) tried on certification "
-                        f"failure (repeatable; default {DEFAULT_ENGINE})")
+                        "failure (repeatable; default none)")
     p.add_argument("--cache-dir", default=None, metavar="DIR",
                    help="persistent result cache directory "
                         "(e.g. results/cache)")

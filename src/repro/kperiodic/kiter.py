@@ -577,7 +577,7 @@ def throughput_kiter(
     engine:
         Registered MCRP engine name passed through to the fixed-K
         solver (see :func:`repro.mcrp.registry.engine_names`;
-        ``ratio-iteration``, ``hybrid`` and ``karp`` out of the box).
+        ``ratio-iteration`` and ``karp`` out of the box).
     build_schedule:
         Extract the certified K-periodic schedule of the final round
         (costs one extra longest-path pass).

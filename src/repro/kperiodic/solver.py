@@ -525,10 +525,8 @@ def min_period_for_k(
     engine:
         Registered MCRP engine name (see
         :func:`repro.mcrp.registry.engine_names`): ``"ratio-iteration"``
-        (exact, default), ``"hybrid"`` (float prefilter + exact
-        certification — the fast path on large graphs), ``"karp"``
-        (Karp-table oracle), or any engine registered by the embedding
-        application.
+        (exact, default), ``"karp"`` (Karp-table oracle), or any engine
+        registered by the embedding application.
     build_schedule:
         Also extract start times (longest-path potentials at λ*).
     warm_start:

@@ -11,22 +11,21 @@ an MCRP: ``Ω* = λ*`` and a critical circuit certifies the value.
 Architecture
 ------------
 All engines run on the **compiled core**: :meth:`BiValuedGraph.compile`
-freezes the graph into CSR arc arrays with integer-scaled exact weights,
-float shadow weights and numpy mirrors (:mod:`repro.mcrp.compiled`),
+freezes the graph into CSR arc arrays with integer-scaled exact weights
+and numpy mirrors (:mod:`repro.mcrp.compiled`),
 cached so the whole solve pipeline compiles once per graph. Engines
 self-register in :mod:`repro.mcrp.registry`, which is the single engine
 surface for the k-periodic solver, the CLI and the bench harness.
 
 Engines (registry names)
 ------------------------
-* ``ratio-iteration`` — the default *exact* engine: ascending
-  cycle-ratio iteration with arbitrary-precision rationals; always
-  returns a critical circuit and detects infeasibility (deadlock).
-* ``hybrid`` — float Howard prefilter + single-probe exact
-  certification; the compiled-core fast path for large graphs and the
-  service default.
+* ``ratio-iteration`` — the default *exact* engine of the library,
+  the service and the CLI: ascending cycle-ratio iteration with
+  arbitrary-precision rationals; always returns a critical circuit and
+  detects infeasibility (deadlock). It is the one engine with a fleet
+  kernel (:func:`batched_solve_mcrp`).
 * ``karp`` — ascending iteration on a numpy-vectorized Karp-table
-  oracle, structurally independent of the other two; the cycle-mean
+  oracle, structurally independent of the default; the cycle-mean
   core also serves the HSDF expansion baseline (:func:`max_cycle_mean`).
 
 The pure-Python oracles (``bellman._python_oracle``,
@@ -57,7 +56,6 @@ from repro.mcrp.batched import (
     batched_solve_mcrp,
 )
 from repro.mcrp.karp import max_cycle_mean, max_cycle_ratio_karp
-from repro.mcrp.hybrid import max_cycle_ratio_hybrid
 from repro.mcrp.decompose import max_cycle_ratio_sccs
 
 __all__ = [
@@ -76,7 +74,6 @@ __all__ = [
     "get_engine",
     "max_cycle_mean",
     "max_cycle_ratio",
-    "max_cycle_ratio_hybrid",
     "max_cycle_ratio_karp",
     "max_cycle_ratio_sccs",
     "register_engine",

@@ -56,11 +56,9 @@ from repro.obs.metrics import REGISTRY as _REGISTRY
 _KERNEL_ROUNDS = _REGISTRY.counter("repro_batched_kernel_rounds_total")
 _DELEGATIONS = _REGISTRY.counter("repro_batched_delegations_total")
 
-#: Engines the fleet kernel runs as the batched Jacobi probe. ``hybrid``
-#: is among them: its float Howard prefilter is a per-graph scalar loop
-#: that buys nothing at fleet scale and is skipped — λ* is unchanged,
-#: both paths are exact.
-BATCHED_ORACLES = frozenset({"ratio-iteration", "hybrid"})
+#: Engines the fleet kernel runs as the batched Jacobi probe; any other
+#: engine is delegated per graph to :func:`solve_mcrp`.
+BATCHED_ORACLES = frozenset({"ratio-iteration"})
 
 
 @dataclass

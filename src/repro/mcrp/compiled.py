@@ -15,8 +15,6 @@ oracle call, engine, SCC sweep and longest-path pass on that graph:
 * an **integer fast path**: when the scaled values fit ``int64``,
   numpy mirrors ``np_cost``/``np_transit`` let the positive-cycle
   oracle form the parametric weights ``b·L − a·H`` vectorized;
-* **float shadow weights** ``cost_float``/``transit_float`` computed
-  once for the float prefilter engine (hybrid);
 * the destination-sorted segment structure the numpy Jacobi relaxation
   needs (previously re-``argsort``-ed on every oracle call).
 
@@ -42,8 +40,7 @@ _INT64_MAX = (1 << 63) - 1
 #: it from on first read.
 _LIST_MIRRORS = {
     "src": "np_src", "dst": "np_dst", "cost": "np_cost",
-    "transit": "np_transit", "cost_float": "np_cost_float",
-    "transit_float": "np_transit_float",
+    "transit": "np_transit",
 }
 
 
@@ -74,12 +71,9 @@ class CompiledGraph:
         "src", "dst", "indptr", "csr_arcs", "out_arcs",
         "scale", "cost", "transit", "integral", "has_negative_cost",
         "max_abs_cost", "max_abs_transit",
-        "cost_float", "transit_float",
         "_numpy_built",
         "np_src", "np_dst", "np_cost", "np_transit",
-        "np_cost_float", "np_transit_float",
         "np_indptr", "np_csr_arcs",
-        "src_unique", "src_seg_starts", "src_seg_sizes",
         "dst_order", "src_sorted", "arc_ids_sorted",
         "dst_unique", "seg_starts", "seg_sizes",
     )
@@ -107,9 +101,6 @@ class CompiledGraph:
         self.has_negative_cost = any(c < 0 for c in cost)
         self.max_abs_cost = max((abs(c) for c in cost), default=0)
         self.max_abs_transit = max((abs(t) for t in transit), default=0)
-        inv = 1.0 / scale
-        self.cost_float = [c * inv for c in cost]
-        self.transit_float = [t * inv for t in transit]
 
         # CSR by source + plain adjacency lists (the pure-python inner
         # loops index lists faster than typed arrays); the caller hands
@@ -133,9 +124,7 @@ class CompiledGraph:
         # graphs (early K-Iter rounds, converters) never get there.
         self._numpy_built = False
         self.np_src = self.np_dst = self.np_cost = self.np_transit = None
-        self.np_cost_float = self.np_transit_float = None
         self.np_indptr = self.np_csr_arcs = None
-        self.src_unique = self.src_seg_starts = self.src_seg_sizes = None
         self.dst_order = self.src_sorted = self.arc_ids_sorted = None
         self.dst_unique = self.seg_starts = self.seg_sizes = None
 
@@ -161,7 +150,7 @@ class CompiledGraph:
         Returns False when numpy is unavailable or the graph has no
         arcs; ``np_cost``/``np_transit`` additionally stay ``None`` when
         the scaled weights overflow ``int64`` (the integer fast path is
-        then soundly disabled while the float/topology mirrors remain).
+        then soundly disabled while the topology mirrors remain).
         """
         if self._numpy_built:
             return self.np_src is not None
@@ -177,22 +166,10 @@ class CompiledGraph:
             ):
                 self.np_cost = _np.array(self.cost, dtype=_np.int64)
                 self.np_transit = _np.array(self.transit, dtype=_np.int64)
-            self.np_cost_float = _np.array(
-                self.cost_float, dtype=_np.float64)
-            self.np_transit_float = _np.array(
-                self.transit_float, dtype=_np.float64
-            )
-        # CSR mirrors + nonempty source segments (for vectorized
-        # per-source reductions, e.g. Howard policy improvement)
         self.np_indptr = _np.frombuffer(self.indptr, dtype=_np.int64).copy()
         self.np_csr_arcs = _np.frombuffer(
             self.csr_arcs, dtype=_np.int64
         ).copy()
-        degrees = _np.diff(self.np_indptr)
-        nonempty = degrees > 0
-        self.src_unique = _np.nonzero(nonempty)[0]
-        self.src_seg_starts = self.np_indptr[:-1][nonempty]
-        self.src_seg_sizes = degrees[nonempty]
         order = _stable_order(self.np_dst, self.node_count)
         self.dst_order = order
         self.src_sorted = self.np_src[order]
@@ -305,18 +282,13 @@ class CompiledGraph:
         self.max_abs_cost = int(_np.abs(cost).max()) if m else 0
         self.max_abs_transit = int(_np.abs(transit).max()) if m else 0
         self.np_src = self.np_dst = self.np_cost = self.np_transit = None
-        self.np_cost_float = self.np_transit_float = None
         if m:
             # The numpy mirrors are the arrays themselves; the list
             # forms are derived on first read (see __getattr__).
-            inv = 1.0 / scale
             self.np_src, self.np_dst = src, dst
             self.np_cost, self.np_transit = cost, transit
-            self.np_cost_float = cost * inv
-            self.np_transit_float = transit * inv
         else:
             self.src, self.dst, self.cost, self.transit = [], [], [], []
-            self.cost_float, self.transit_float = [], []
 
         order = _stable_order(src, node_count)
         counts = _np.bincount(src, minlength=node_count) if m else (
@@ -335,7 +307,6 @@ class CompiledGraph:
 
         self._numpy_built = False
         self.np_indptr = self.np_csr_arcs = None
-        self.src_unique = self.src_seg_starts = self.src_seg_sizes = None
         self.dst_order = self.src_sorted = self.arc_ids_sorted = None
         self.dst_unique = self.seg_starts = self.seg_sizes = None
         return self

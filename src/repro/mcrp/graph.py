@@ -93,7 +93,7 @@ class BiValuedGraph:
 
         Returns a :class:`repro.mcrp.compiled.CompiledGraph`. Every
         solver-facing consumer (positive-cycle oracle, SCC sweep,
-        longest-path potentials, float prefilters) works off this one
+        longest-path potentials) works off this one
         shared compilation, so repeated solves on the same graph pay the
         array construction exactly once.
 

@@ -3,10 +3,10 @@
 Engines register themselves with :func:`register_engine` at module
 import; the k-periodic solver, the CLI, the bench harness and the
 benchmarks all enumerate the same table instead of wiring up private
-engine dicts. Three engines ship: ``ratio-iteration`` (the default),
-``hybrid`` (the service default) and ``karp`` (the structurally
-different oracle the corpus tools cross-check with). Which of them
-have a fleet kernel is :data:`repro.mcrp.batched.BATCHED_ORACLES`.
+engine dicts. Two engines ship: ``ratio-iteration`` (the default) and
+``karp`` (the structurally different oracle the corpus tools
+cross-check with). Which of them have a fleet kernel is
+:data:`repro.mcrp.batched.BATCHED_ORACLES`.
 
 Adding an engine
 ----------------
@@ -72,9 +72,8 @@ class EngineInfo:
     summary: str = ""
 
 
-#: The engine every library entry point and CLI verb uses unless told
-#: otherwise (the service layer defaults to ``hybrid`` and falls back
-#: to this one).
+#: The engine every library entry point, the service layer and every
+#: CLI verb use unless told otherwise.
 DEFAULT_ENGINE = "ratio-iteration"
 
 _REGISTRY: Dict[str, EngineInfo] = {}
@@ -166,7 +165,7 @@ def engine_names() -> List[str]:
     --------
     >>> from repro.mcrp.registry import engine_names
     >>> engine_names()
-    ['hybrid', 'karp', 'ratio-iteration']
+    ['karp', 'ratio-iteration']
     """
     _ensure_builtins()
     return sorted(_REGISTRY)
@@ -214,7 +213,7 @@ def solve_mcrp(
     >>> _ = g.add_arc(1, 0, 1, 1)     # cycle ratio (3+1)/(1+1) = 2
     >>> solve_mcrp(g, "karp").ratio
     Fraction(2, 1)
-    >>> solve_mcrp(g, "hybrid").ratio == solve_mcrp(g).ratio
+    >>> solve_mcrp(g).ratio == solve_mcrp(g, "karp").ratio
     True
     """
     from repro.mcrp.decompose import max_cycle_ratio_sccs

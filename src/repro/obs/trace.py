@@ -330,7 +330,7 @@ class _ProfileOnlySpan:
 
 def span(name: str, trace: Optional[Dict[str, str]] = None,
          profile: bool = False, **attrs: object):
-    """Open a span.  ``with span("kiter.round", K=4, engine="hybrid"):``
+    """Open a span.  ``with span("kiter.round", K=4, engine="karp"):``
 
     ``trace`` adopts a propagated ``{"trace_id", "parent_id"}`` context
     (e.g. from a job payload); otherwise the span parents to the

@@ -5,8 +5,7 @@ it turns graphs into content-addressed jobs, answers repeats from the
 two-tier result cache, deduplicates identical jobs inside a batch, fans
 cache misses out over a :class:`~repro.service.pool.SolverPool` (or
 solves inline when ``workers=0``), and applies the engine fallback
-policy (``hybrid`` → ``ratio-iteration`` by default) via the payload
-driver.
+chain (empty by default) via the payload driver.
 
 Typical use (inline mode — pass ``workers=4`` and
 ``cache=ResultCache(disk_root="results/cache")`` for the multi-process,
@@ -20,7 +19,7 @@ persistent-cache configuration):
     ...     outcome = service.submit(g)
     ...     repeat = service.submit(g)
     >>> outcome.status, outcome.period, outcome.engine_used
-    ('OK', Fraction(2, 1), 'hybrid')
+    ('OK', Fraction(2, 1), 'ratio-iteration')
     >>> repeat.cache_hit            # second ask never re-solves
     'memory'
     >>> service.stats().solves
@@ -111,9 +110,10 @@ class ThroughputService:
     Parameters
     ----------
     engine / fallback_engines:
-        Primary MCRP engine and the chain tried on a certification
-        failure (:class:`~repro.exceptions.SolverError`) of the one
-        before it.
+        Primary MCRP engine (default
+        :data:`~repro.mcrp.registry.DEFAULT_ENGINE`) and the chain,
+        empty by default, tried on a certification failure
+        (:class:`~repro.exceptions.SolverError`) of the one before it.
     update_policy / max_rounds / time_budget:
         K-Iter parameters applied to every job unless overridden per
         call (see :func:`repro.kperiodic.kiter.throughput_kiter`; a job
@@ -156,8 +156,8 @@ class ThroughputService:
     def __init__(
         self,
         *,
-        engine: str = "hybrid",
-        fallback_engines: Iterable[str] = (DEFAULT_ENGINE,),
+        engine: str = DEFAULT_ENGINE,
+        fallback_engines: Iterable[str] = (),
         update_policy: str = "lcm",
         max_rounds: int = 100_000,
         time_budget: Optional[float] = None,

@@ -32,7 +32,7 @@ from repro.model.graph import CsdfGraph
 
 #: Bump when the digest inputs or the outcome schema change shape, so a
 #: stale on-disk cache can never satisfy a new-schema query.
-CACHE_SCHEMA_VERSION = 2
+CACHE_SCHEMA_VERSION = 3
 
 #: Outcome statuses whose result is deterministic and therefore cacheable.
 CACHEABLE_STATUSES = ("OK", "DEADLOCK")
@@ -75,8 +75,8 @@ class ThroughputJob:
     """
 
     graph_dict: Dict[str, Any]
-    engine: str = "hybrid"
-    fallback_engines: Tuple[str, ...] = (DEFAULT_ENGINE,)
+    engine: str = DEFAULT_ENGINE
+    fallback_engines: Tuple[str, ...] = ()
     update_policy: str = "lcm"
     initial_k: Optional[Dict[str, int]] = None
     max_rounds: int = 100_000

@@ -5,8 +5,7 @@ registered ones against independent code:
 
 * :func:`max_cycle_ratio_howard` — Howard policy iteration in floats,
   as a pure-Python loop (:func:`_howard_float_hint`), certified by the
-  exact ascending iteration. It is the reference for the ``hybrid``
-  engine's vectorized prefilter.
+  exact ascending iteration.
 * :func:`max_cycle_ratio_lawler` — Lawler's binary search with exact
   rational bounds. Whenever the positive-cycle oracle fires at the
   midpoint, the found cycle's exact ratio tightens the lower bound (a
@@ -38,7 +37,6 @@ from repro.mcrp.bellman import (
     find_positive_cycle,
 )
 from repro.mcrp.graph import BiValuedGraph, CycleResult
-from repro.mcrp.hybrid import policy_cycles, policy_values
 from repro.mcrp.karp import _karp_python_oracle
 from repro.mcrp.ratio_iteration import max_cycle_ratio
 
@@ -75,15 +73,16 @@ def _howard_float_hint(
     graphs); any returned value is the exact ratio of a real cycle and is
     therefore a sound lower bound for the ascending exact engine.
 
-    The ``hybrid`` engine runs the *vectorized* form of this phase (see
-    :mod:`repro.mcrp.hybrid`); this loop is its transparent reference.
+    The floats are the compiled graph's exact scaled integers divided by
+    its ``scale``.
     """
     n = graph.node_count
     if n == 0 or graph.arc_count == 0:
         return None
     compiled = graph.compile()
-    cost_f = compiled.cost_float
-    transit_f = compiled.transit_float
+    inv = 1.0 / compiled.scale
+    cost_f = [c * inv for c in compiled.cost]
+    transit_f = [t * inv for t in compiled.transit]
     cost_i = compiled.cost
     transit_i = compiled.transit
     out_arcs = compiled.out_arcs
@@ -162,6 +161,78 @@ def _policy_values(
     arc_src = graph.compile().src
     return policy_values(
         _successors(graph, policy), [arc_src[a] for a in cycle], weight)
+
+
+def policy_cycles(succ) -> List[List[int]]:
+    """Every cycle of a functional policy graph (node lists).
+
+    ``succ[v]`` is the head of ``v``'s policy arc, negative when ``v``
+    has none. A functional graph has at most one cycle per weakly
+    connected component; one chase per unvisited node finds them all in
+    O(n).
+    """
+    n = len(succ)
+    state = [0] * n  # 0 unvisited, 1 in current chain, 2 done
+    cycles: List[List[int]] = []
+    for root in range(n):
+        chain: List[int] = []
+        node = root
+        while node >= 0 and state[node] == 0:
+            state[node] = 1
+            chain.append(node)
+            node = succ[node]
+        if node >= 0 and state[node] == 1:
+            # Found a cycle: trim the chain prefix before `node`.
+            cycles.append(chain[chain.index(node):])
+        for v in chain:
+            state[v] = 2
+    return cycles
+
+
+def policy_values(succ, cycle: List[int], weight) -> List[float]:
+    """Float node potentials of a policy at the current ratio.
+
+    ``succ`` is as for :func:`policy_cycles`, ``weight[v]`` the float
+    weight ``L − λ·H`` of ``v``'s policy arc and ``cycle`` the reference
+    cycle's nodes. Nodes on the reference cycle get value 0 at the cycle
+    entry and are propagated along the cycle; every node whose policy
+    path reaches the evaluated region is solved by reverse topological
+    relaxation (floats only need to be good enough to steer the policy,
+    exactness comes later).
+    """
+    n = len(succ)
+    values = [0.0] * n
+    known = [False] * n
+    known[cycle[0]] = True
+    acc = 0.0
+    for v in cycle[:-1]:
+        acc += weight[v]
+        values[succ[v]] = acc
+        known[succ[v]] = True
+    # Propagate to the rest of the policy tree by chasing each node's
+    # successor chain once (the policy graph is functional, so this is
+    # O(n) total): unwind the visited chain when a known value — or a
+    # foreign cycle, valued 0 as a neutral anchor — is reached.
+    for start in range(n):
+        if known[start] or succ[start] < 0:
+            continue
+        chain = []
+        on_chain = set()
+        v = start
+        while not known[v] and succ[v] >= 0 and v not in on_chain:
+            chain.append(v)
+            on_chain.add(v)
+            v = succ[v]
+        if not known[v]:
+            # dead end or a second policy cycle: anchor at 0.
+            values[v] = 0.0
+            known[v] = True
+            if chain and chain[-1] == v:
+                chain.pop()
+        for u in reversed(chain):
+            values[u] = weight[u] + values[succ[u]]
+            known[u] = True
+    return values
 
 
 def max_cycle_ratio_lawler(

@@ -188,7 +188,7 @@ def test_config_error_skips_the_fallback_chain():
     for engine in ("ratio-iteration", "no-such-engine"):
         outcome = solve_kiter_payload(
             {"graph": two_cycle().to_dict(), "update_policy": "typo",
-             "engine": engine, "fallback_engines": ["hybrid"]})
+             "engine": engine, "fallback_engines": ["karp"]})
         assert outcome["status"] == "ERROR"
         assert "update_policy" in outcome["error"]
         assert outcome["engine_used"] == ""
@@ -220,7 +220,7 @@ def test_fallback_restarts_only_the_failing_job(monkeypatch):
     monkeypatch.setattr(kiter_mod, "batched_solve_mcrp", failing_batched)
     monkeypatch.setitem(engine_registry._REGISTRY, "karp",
                         dataclasses.replace(karp, solve=counted_karp))
-    healthy = {"graph": two_cycle().to_dict(), "engine": "hybrid"}
+    healthy = {"graph": two_cycle().to_dict()}
     failing = {"graph": two_cycle().to_dict(), "engine": "karp",
                "fallback_engines": ["ratio-iteration"]}
     outcomes = solve_fleet_payloads([healthy, failing, dict(healthy)])
@@ -262,7 +262,7 @@ def fleet_fixture_cases():
 
 
 @pytest.mark.parametrize(
-    "engine", ["ratio-iteration", "hybrid", "karp", "bellman"])
+    "engine", ["ratio-iteration", "karp", "bellman"])
 def test_fleet_of_one_matches_the_whole_fleet(engine, reference_engines):
     """Route independence: a payload's outcome does not depend on the
     chunk it rides in (only timing and the process id may differ)."""

@@ -44,10 +44,11 @@ class TestRunner:
         from repro.exceptions import SolverError
 
         with pytest.raises(SolverError, match="conflicting"):
-            run_method("kiter@hybrid", cycle, budget=1, engine="karp")
+            run_method("kiter@karp", cycle, budget=1,
+                       engine="ratio-iteration")
         # agreeing spellings are fine
         assert run_method(
-            "kiter@hybrid", cycle, budget=10, engine="hybrid"
+            "kiter@karp", cycle, budget=10, engine="karp"
         ).period == 2
 
     def test_deadlock_status(self, deadlocked_cycle):

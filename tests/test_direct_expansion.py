@@ -262,7 +262,7 @@ def test_int64_overflow_graph_certifies_exactly_through_the_fallback(
     figure2 = load_graph(DATA / "golden_figure2.json")
     graphs = [overflow, figure2]
     outcomes = solve_fleet_payloads(
-        [{"graph": g.to_dict(), "engine": "hybrid"} for g in graphs])
+        [{"graph": g.to_dict()} for g in graphs])
     with legacy_fallback(monkeypatch):
         legacy = [throughput_kiter(CsdfGraph.from_dict(g.to_dict()))
                   for g in graphs]

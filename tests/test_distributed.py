@@ -70,7 +70,7 @@ CASES = golden_corpus_cases()
 
 OK_OUTCOME = {
     "status": "OK", "period": [2, 1], "K": {"A": 1, "B": 1},
-    "engine_used": "hybrid", "fallback": False, "wall_time": 0.01,
+    "engine_used": "ratio-iteration", "fallback": False, "wall_time": 0.01,
     "worker_pid": 1234,
 }
 

@@ -366,7 +366,7 @@ def test_readme_python_snippet_is_honest(snippet_graph_period):
     from repro.service import ThroughputService
 
     g = sdf({"A": 1, "B": 1}, [("A", "B", 1, 1, 0), ("B", "A", 1, 1, 1)])
-    assert throughput_kiter(g, engine="hybrid").period == Fraction(
+    assert throughput_kiter(g, engine="karp").period == Fraction(
         snippet_graph_period
     )
     with ThroughputService(workers=0) as service:

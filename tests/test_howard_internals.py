@@ -1,7 +1,4 @@
-"""Targeted tests for the pure-Python Howard reference in ``oracles``.
-
-It is the reference for the ``hybrid`` engine's vectorized prefilter.
-"""
+"""Targeted tests for the pure-Python Howard reference in ``oracles``."""
 
 import random
 from fractions import Fraction

@@ -237,7 +237,7 @@ def test_potentials_single_node_scc(monkeypatch):
         longest_path_potentials(g, Fraction(2))
 
 
-@pytest.mark.parametrize("engine", ["karp", "hybrid"])
+@pytest.mark.parametrize("engine", ["karp", "ratio-iteration"])
 def test_schedule_from_vectorized_paths_verifies(engine, force_vectorized,
                                                  multirate_cycle):
     # end to end: vectorized oracle + vectorized potentials produce a

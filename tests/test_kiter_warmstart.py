@@ -85,7 +85,7 @@ def test_min_period_warm_start_with_own_lambda_certifies_fast():
 
 
 @pytest.mark.parametrize(
-    "engine", ["ratio-iteration", "hybrid", "karp", "howard"])
+    "engine", ["ratio-iteration", "karp", "howard"])
 def test_min_period_warm_start_overshoot_is_sound(engine, reference_engines):
     graph = make_random_live_graph(7)
     q = repetition_vector(graph)

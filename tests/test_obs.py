@@ -268,7 +268,7 @@ def _fake_events():
          "pid": 1, "attrs": {}},
         {"trace_id": "t1", "span_id": "c1", "parent_id": "r",
          "name": "job.solve", "t0": 0.1, "wall": 1.1, "dur": 0.6,
-         "pid": 1, "attrs": {"engine": "hybrid"}},
+         "pid": 1, "attrs": {"engine": "karp"}},
         {"trace_id": "t1", "span_id": "c2", "parent_id": "r",
          "name": "coordinator.result", "t0": 0.8, "wall": 1.8,
          "dur": 0.1, "pid": 2, "attrs": {}},

@@ -563,7 +563,7 @@ def test_bench_report_skips_foreign_json(tmp_path, monkeypatch, capsys):
 def test_build_report_renders_all_sections():
     events = [{"trace_id": "t", "span_id": "s", "parent_id": None,
                "name": "job.solve", "t0": 0.0, "wall": 1.0,
-               "dur": 0.25, "attrs": {"engine": "hybrid"}}]
+               "dur": 0.25, "attrs": {"engine": "karp"}}]
     history = [
         {"bench": "gate", "name": "wall_s", "value": v, "unit": "s",
          "commit": "", "ts": float(index)}

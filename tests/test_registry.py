@@ -32,7 +32,7 @@ from repro.mcrp import (
 )
 from tests.conftest import make_random_live_graph
 
-BUILTIN_ENGINES = {"hybrid", "karp", "ratio-iteration"}
+BUILTIN_ENGINES = {"karp", "ratio-iteration"}
 #: The built-ins plus the ``oracles.py`` solvers that the
 #: ``reference_engines`` fixture registers.
 REACH_ENGINES = sorted(BUILTIN_ENGINES | {"bellman", "howard", "lawler"})
@@ -68,7 +68,7 @@ def test_duplicate_registration_rejected():
     from repro.mcrp.registry import register_engine
 
     with pytest.raises(ValueError, match="duplicate"):
-        register_engine("hybrid")(lambda g: None)
+        register_engine("karp")(lambda g: None)
 
 
 # ----------------------------------------------------------------------
@@ -166,8 +166,8 @@ def test_cli_throughput_engine_flag(tmp_path, capsys):
     g = factory(7, tasks=4)
     path = tmp_path / "g.json"
     save_graph(g, str(path))
-    assert main(["throughput", str(path), "--engine", "hybrid"]) == 0
-    assert "engine: hybrid" in capsys.readouterr().out
+    assert main(["throughput", str(path), "--engine", "karp"]) == 0
+    assert "engine: karp" in capsys.readouterr().out
 
 
 # ----------------------------------------------------------------------
@@ -190,8 +190,6 @@ def test_compile_round_trips_exact_values():
     for i in range(c.arc_count):
         assert Fraction(c.cost[i], c.scale) == g.arc_cost[i]
         assert Fraction(c.transit[i], c.scale) == g.arc_transit[i]
-        assert c.cost_float[i] == pytest.approx(float(g.arc_cost[i]))
-        assert c.transit_float[i] == pytest.approx(float(g.arc_transit[i]))
     # CSR adjacency matches the mutable graph's adjacency
     for v in range(3):
         assert sorted(c.out_arcs_of(v)) == sorted(g.out_arcs(v))
@@ -273,7 +271,7 @@ def test_compiled_numpy_mirrors_when_available():
     big.add_arc(0, 1, 1 << 70, 1)
     big.add_arc(1, 0, 1, 1)
     cb = big.compile()
-    assert cb.ensure_numpy()  # topology/float mirrors still build
+    assert cb.ensure_numpy()  # topology mirrors still build
     assert cb.np_cost is None  # integer fast path soundly disabled
     assert max_cycle_ratio(big).ratio == Fraction((1 << 70) + 1, 2)
 
@@ -320,4 +318,4 @@ def test_broken_plugin_module_raises_clearly(monkeypatch):
         # a failed load must not latch: the next lookup (clean env) works
         monkeypatch.setenv(registry.PLUGIN_ENV_VAR, "")
         monkeypatch.setattr(registry, "_PLUGINS_LOADED", False)
-        assert "hybrid" in engine_names()
+        assert "karp" in engine_names()

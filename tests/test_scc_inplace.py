@@ -285,7 +285,7 @@ def test_dse_round_builds_no_list_form(stray_list_forms):
     assert stray_list_forms() == []
 
 
-@pytest.mark.parametrize("engine", ["ratio-iteration", "hybrid"])
+@pytest.mark.parametrize("engine", ["ratio-iteration"])
 def test_golden_solves_build_no_list_form(engine, stray_list_forms):
     from repro.kperiodic.kiter import throughput_kiter
 

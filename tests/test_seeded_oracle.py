@@ -40,7 +40,7 @@ from repro.model.graph import CsdfGraph
 from repro.obs.metrics import REGISTRY
 
 DATA = Path(__file__).parent / "data"
-ENGINES = ("ratio-iteration", "hybrid", "karp")
+ENGINES = ("ratio-iteration", "karp")
 STARTS = ("zero", "potentials", "random", "under-guard", "over-guard")
 _SWEEPS = REGISTRY.counter("repro_mcrp_oracle_sweeps_total")
 

@@ -136,8 +136,7 @@ def test_empty_request_set():
 # Honest block-cache counters
 # ----------------------------------------------------------------------
 def _corpus_payloads():
-    return [{"graph": graph, "engine": "hybrid"}
-            for graph in corpus_graph_dicts()]
+    return [{"graph": graph} for graph in corpus_graph_dicts()]
 
 
 def _block_events():
@@ -176,7 +175,7 @@ def test_shared_graph_object_derives_each_block_once():
     from repro.kperiodic.expansion import expansion_cache_for
 
     graph = load_graph(DATA / "golden_figure2.json")
-    payload = {"graph": graph.to_dict(), "engine": "hybrid"}
+    payload = {"graph": graph.to_dict()}
     cache = expansion_cache_for(graph)
     outcomes = solve_fleet_payloads([payload, payload], [graph, graph])
     assert outcomes[0]["period"] == outcomes[1]["period"] == [13, 1]
@@ -190,7 +189,7 @@ def test_block_cache_counts_the_memory_its_blocks_pin():
     graphs = [load_graph(DATA / name)
               for name in ("golden_figure1.json", "golden_figure2.json")]
     solve_fleet_payloads(
-        [{"graph": g.to_dict(), "engine": "hybrid"} for g in graphs], graphs)
+        [{"graph": g.to_dict()} for g in graphs], graphs)
     caches = [expansion_cache_for(g) for g in graphs]
     pinned = [{id(b.base): b.base.size for b in c._blocks.values()}
               for c in caches]
@@ -244,13 +243,11 @@ def _mixed_chunk():
 
     figure2 = load_graph(DATA / "golden_figure2.json").to_dict()
     payloads = _corpus_payloads()[:6]
-    payloads[3] = {"graph": figure2, "engine": "hybrid", "max_rounds": 1}
-    payloads.insert(4, {"graph": _overflow_graph().to_dict(),
-                        "engine": "hybrid"})
+    payloads[3] = {"graph": figure2, "max_rounds": 1}
+    payloads.insert(4, {"graph": _overflow_graph().to_dict()})
     # Bad periodicity vectors: one misses a task, one has K = 0.
-    payloads.append({"graph": figure2, "engine": "hybrid",
-                     "initial_k": {"A": 1}})
-    payloads.append({"graph": figure2, "engine": "hybrid",
+    payloads.append({"graph": figure2, "initial_k": {"A": 1}})
+    payloads.append({"graph": figure2,
                      "initial_k": {t["name"]: 0 for t in figure2["tasks"]}})
     return payloads
 

@@ -189,7 +189,7 @@ def test_mutating_an_outcome_does_not_poison_the_cache():
 
 def test_payload_carries_graph_digest_for_worker_reuse():
     graph = two_cycle()
-    a = ThroughputJob.from_graph(graph, engine="hybrid")
+    a = ThroughputJob.from_graph(graph, engine="karp")
     b = ThroughputJob.from_graph(graph, engine="ratio-iteration")
     assert a.digest != b.digest  # different jobs...
     assert a.graph_digest == b.graph_digest == graph_digest(graph)
@@ -210,7 +210,7 @@ def test_digest_distinguishes_solve_parameters():
     base = ThroughputJob.from_graph(graph)
     assert base.digest == ThroughputJob.from_graph(graph).digest
     assert base.digest != ThroughputJob.from_graph(
-        graph, engine="ratio-iteration"
+        graph, engine="karp"
     ).digest
     assert base.digest != ThroughputJob.from_graph(
         graph, update_policy="full-q"
@@ -329,12 +329,12 @@ def test_exhausted_fallback_chain_reports_error():
 
 def test_solve_kiter_payload_round_trips_plain_dicts():
     payload = ThroughputJob.from_graph(
-        two_cycle(), engine="hybrid"
+        two_cycle(), engine="karp"
     ).payload()
     result = solve_kiter_payload(json.loads(json.dumps(payload)))
     assert result["status"] == "OK"
     assert Fraction(*result["period"]) == 2
-    assert result["engine_used"] == "hybrid"
+    assert result["engine_used"] == "karp"
     assert result["K"] == {"A": 1, "B": 1}
 
 

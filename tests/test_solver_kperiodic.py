@@ -105,7 +105,7 @@ class TestResultMetadata:
             min_period_for_k(two_task_cycle, {"A": 1, "B": 1}, engine="nope")
 
     @pytest.mark.parametrize(
-        "engine", ["ratio-iteration", "hybrid", "karp", "howard", "lawler"])
+        "engine", ["ratio-iteration", "karp", "howard", "lawler"])
     def test_engines_agree(self, multirate_cycle, engine, reference_engines):
         r = min_period_for_k(multirate_cycle, {"A": 1, "B": 1}, engine=engine)
         assert r.omega == min_period_for_k(

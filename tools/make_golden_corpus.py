@@ -28,8 +28,8 @@ multi-graph solver's tests and the ``bench_service`` chunk-throughput
 gate. Every fleet period is verified by three independent oracles
 before it is written: K-Iter under two structurally different engines
 (``ratio-iteration``'s SPFA oracle and ``karp``'s cycle-mean table)
-plus symbolic execution when the steady state is tractable (the
-``hybrid`` prefilter pipeline otherwise); the index records which.
+plus symbolic execution when the steady state is tractable (CSDF
+unfolding otherwise); the index records which.
 """
 
 from __future__ import annotations
@@ -95,8 +95,8 @@ UNFOLDED = 6  # how many leading cases the unfolding oracle re-verifies
 #: The solve parameters every pinned digest assumes — kept equal to
 #: :class:`repro.service.facade.ThroughputService`'s defaults.
 JOB_DEFAULTS = {
-    "engine": "hybrid",
-    "fallback_engines": ["ratio-iteration"],
+    "engine": "ratio-iteration",
+    "fallback_engines": [],
     "update_policy": "lcm",
 }
 
@@ -161,7 +161,8 @@ def write_job_digests() -> Path:
 FLEET = Path(__file__).resolve().parent.parent / "tests" / "data" / "fleet"
 
 #: Steady states longer than this make symbolic execution the slow
-#: oracle; those cases cross-check with the hybrid engine instead.
+#: oracle; those cases cross-check with CSDF unfolding instead (its
+#: own expansion, no K-Iter).
 FLEET_SYMBOLIC_BOUND = 4_000
 
 
@@ -220,8 +221,8 @@ def write_fleet() -> int:
             third_name = "symbolic"
             third = throughput_symbolic(graph).period
         else:
-            third_name = "kiter:hybrid"
-            third = throughput_kiter(graph, engine="hybrid").period
+            third_name = "unfolding"
+            third = throughput_unfolding(graph).period
         if third != period:
             print(f"FATAL {name}: kiter={period} {third_name}={third}")
             return 1
