@@ -66,3 +66,26 @@ def test_periodic_upper_bounds_golden(filename, period):
 
 def test_corpus_is_nonempty():
     assert len(CASES) >= 10
+
+
+def test_fleet_tool_cross_checks_long_steady_states_by_unfolding(
+        tmp_path, monkeypatch):
+    """Above ``FLEET_SYMBOLIC_BOUND`` the fleet tool's third oracle is
+    CSDF unfolding, which shares no code with the two K-Iter runs; with
+    the bound at 0 every case takes that branch and still agrees."""
+    monkeypatch.syspath_prepend(str(Path(__file__).parent.parent / "tools"))
+    import make_golden_corpus as tool
+
+    cases = dict(tool.fleet_cases())
+    monkeypatch.setattr(tool, "FLEET", tmp_path)
+    monkeypatch.setattr(tool, "FLEET_SYMBOLIC_BOUND", 0)
+    monkeypatch.setattr(tool, "fleet_cases", lambda: [
+        (name, cases[name]) for name in ("figure1", "csdf1000")])
+    assert tool.write_fleet() == 0
+    index = json.loads((tmp_path / "fleet_index.json").read_text())
+    assert [entry["oracles"] for entry in index] == [
+        ["kiter:ratio-iteration", "kiter:karp", "unfolding"]] * 2
+    for entry in index:
+        graph = load_graph(tmp_path / entry["file"])
+        assert throughput_unfolding(graph).period == Fraction(
+            *entry["period"])

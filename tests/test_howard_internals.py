@@ -5,7 +5,12 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import _howard_float_hint, _policy_cycle, max_cycle_ratio_howard
+from oracles import (
+    _howard_float_hint,
+    _policy_cycle,
+    max_cycle_ratio_howard,
+    policy_cycles,
+)
 from repro.mcrp import BiValuedGraph, max_cycle_ratio
 
 
@@ -31,6 +36,37 @@ class TestPolicyCycle:
         g = BiValuedGraph(2)
         a0 = g.add_arc(0, 1, 1, 1)
         assert _policy_cycle(g, [a0, None]) is None
+
+
+class TestPolicyCycles:
+    """``policy_cycles`` on successor arrays (``-1``: no policy arc)."""
+
+    def test_self_loop_tail_and_dead_end(self):
+        # 0 -> 1 -> 1 (self-loop); 2 -> 3 -> 2; 4 -> 0; 5 has no arc.
+        cycles = policy_cycles([1, 1, 3, 2, 0, -1])
+        assert sorted(sorted(c) for c in cycles) == [[1], [2, 3]]
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_matches_brute_force_on_random_functional_graphs(self, seed):
+        rng = random.Random(seed)
+        n = 15
+        succ = [rng.randrange(-1, n) for _ in range(n)]
+        cycles = policy_cycles(succ)
+        found = [v for cycle in cycles for v in cycle]
+        assert len(found) == len(set(found))  # each cycle reported once
+        for cycle in cycles:  # node lists in policy order
+            for v, w in zip(cycle, cycle[1:] + cycle[:1]):
+                assert succ[v] == w
+        on_cycle = set()
+        for v in range(n):  # v is on a cycle iff its chase returns to v
+            u = succ[v]
+            for _ in range(n):
+                if u < 0 or u == v:
+                    break
+                u = succ[u]
+            if u == v:
+                on_cycle.add(v)
+        assert set(found) == on_cycle
 
 
 class TestFloatHint:

@@ -317,6 +317,52 @@ def test_engine_fallback_on_solver_error():
     assert outcome.engine == "no-such-engine"
 
 
+@pytest.mark.parametrize("filename,period", CASES,
+                         ids=[c[0] for c in CASES])
+def test_queued_hybrid_job_is_answered_by_its_fallback(filename, period):
+    """A job queued by an older client still names the retired ``hybrid``
+    engine, with ``ratio-iteration`` as its fallback. In a fleet chunk
+    next to a default job for the same graph, only the old job takes the
+    fallback, and both report the exact golden period and the same K."""
+    from repro.kperiodic.fleet import solve_fleet_payloads
+
+    graph = load_graph(DATA / filename)
+    default = ThroughputJob.from_graph(graph).payload()
+    queued = ThroughputJob.from_graph(
+        graph, engine="hybrid", fallback_engines=("ratio-iteration",),
+    ).payload()
+    fresh, old = solve_fleet_payloads([default, queued])
+    for outcome in (fresh, old):
+        assert outcome["status"] == "OK", outcome
+        assert Fraction(*outcome["period"]) == period
+        assert outcome["engine_used"] == "ratio-iteration"
+    assert fresh["fallback"] is False
+    assert old["fallback"] is True
+    assert old["K"] == fresh["K"]
+
+
+@pytest.mark.parametrize("surface", ["job", "service", "cli-batch"])
+def test_every_surface_defaults_to_the_registry_default(surface):
+    """The job, the service and ``repro batch`` share one default engine
+    and no fallback chain: a fallback to the same deterministic engine
+    would only rerun the failed solve."""
+    from repro.cli import build_parser
+    from repro.mcrp.registry import DEFAULT_ENGINE
+
+    if surface == "job":
+        job = ThroughputJob.from_graph(two_cycle())
+        engine, fallbacks = job.engine, job.fallback_engines
+    elif surface == "service":
+        service = ThroughputService(workers=0)
+        engine, fallbacks = service.engine, service.fallback_engines
+    else:
+        args = build_parser().parse_args(
+            ["batch", "manifest.json", "-o", "out.jsonl"])
+        engine, fallbacks = args.engine, tuple(args.fallback or ())
+    assert engine == DEFAULT_ENGINE == "ratio-iteration"
+    assert fallbacks == ()
+
+
 def test_exhausted_fallback_chain_reports_error():
     service = ThroughputService(
         engine="no-such-engine", fallback_engines=(),
