@@ -7,33 +7,50 @@ task in one graph iteration that restores every buffer's token count.
 
 The computation propagates exact rational rates over a spanning forest of
 the (undirected) buffer graph, then verifies every balance equation —
-including those of non-tree buffers. Arbitrary-precision ``Fraction``
-arithmetic makes integer overflow impossible (the paper notes it had to
-*fix* SDF3's repetition-vector computation for exactly this reason).
+including those of non-tree buffers. Each rate is a reduced integer
+``(numerator, denominator)`` pair, multiplied by a buffer's ``i_b/o_b``
+with ``math.gcd`` cross-reduction; Python integers are arbitrary
+precision, so overflow is impossible (the paper notes it had to *fix*
+SDF3's repetition-vector computation for exactly this reason).
 """
 
 from __future__ import annotations
 
 import weakref
 from fractions import Fraction
+from math import gcd
 from typing import Dict, List, Optional, Tuple
 
 from repro.exceptions import InconsistentGraphError, ModelError
 from repro.model.graph import CsdfGraph
-from repro.utils.rational import normalize_fractions
+from repro.utils.rational import gcd_list, lcm_list
+
+#: A task's rate relative to its component's root, as a reduced
+#: ``(numerator, denominator)`` pair of positive integers.
+_Rate = Tuple[int, int]
 
 
-def normalized_rates(graph: CsdfGraph) -> Dict[str, Fraction]:
-    """Per-task firing rates as exact fractions, one component at a time.
+def _rate_str(rate: _Rate) -> str:
+    """``str(Fraction(*rate))`` of a reduced pair, without the Fraction."""
+    num, den = rate
+    return str(num) if den == 1 else f"{num}/{den}"
 
-    Within each weakly-connected component the rates are normalized so the
-    smallest equals 1. Raises :class:`InconsistentGraphError` when the
-    balance equations are unsolvable.
+
+def _propagate_rates(
+    graph: CsdfGraph,
+) -> Tuple[Dict[str, _Rate], Dict[str, str]]:
+    """Rates relative to each component's root, and each task's root.
+
+    The first task (in graph order) of every weakly-connected component
+    is its root, at rate 1; a DFS over the buffer graph carries
+    ``rate(v) = rate(u) · i_b/o_b`` (or the inverse, against the buffer's
+    direction) and raises :class:`InconsistentGraphError` on the first
+    conflicting non-tree buffer.
     """
-    if graph.task_count == 0:
-        return {}
-    rates: Dict[str, Optional[Fraction]] = {t.name: None for t in graph.tasks()}
-    adjacency: Dict[str, List[tuple]] = {t.name: [] for t in graph.tasks()}
+    rates: Dict[str, Optional[_Rate]] = {t.name: None for t in graph.tasks()}
+    adjacency: Dict[str, List[Tuple[str, int, int]]] = {
+        name: [] for name in rates
+    }
     for b in graph.buffers():
         if b.is_self_loop():
             # A self-loop is consistent iff i_b == o_b; no rate information.
@@ -44,39 +61,83 @@ def normalized_rates(graph: CsdfGraph) -> Dict[str, Fraction]:
                     "per iteration"
                 )
             continue
-        ratio = Fraction(b.total_consumption, b.total_production)
-        # rate(source) = ratio * rate(target) would invert; careful:
-        # q_src * i_b = q_dst * o_b  =>  q_src = q_dst * o_b / i_b.
-        adjacency[b.source].append((b.target, Fraction(1, 1) / ratio))
-        adjacency[b.target].append((b.source, ratio))
+        # q_src * i_b = q_dst * o_b  =>  q_dst = q_src * i_b / o_b.
+        g = gcd(b.total_production, b.total_consumption)
+        produced, consumed = b.total_production // g, b.total_consumption // g
+        adjacency[b.source].append((b.target, produced, consumed))
+        adjacency[b.target].append((b.source, consumed, produced))
 
+    roots: Dict[str, str] = {}
     for root in rates:
         if rates[root] is not None:
             continue
-        rates[root] = Fraction(1)
+        rates[root] = (1, 1)
+        roots[root] = root
         stack = [root]
         while stack:
             u = stack.pop()
-            ru = rates[u]
-            assert ru is not None
-            for v, factor in adjacency[u]:
-                # adjacency stores rate(v) = rate(u) * factor
-                expected = ru * factor
-                if rates[v] is None:
+            num_u, den_u = rates[u]  # type: ignore[misc]
+            for v, num_f, den_f in adjacency[u]:
+                # rate(v) = rate(u) * num_f / den_f, reduced the way
+                # Fraction.__mul__ does: cross-cancel both pairs.
+                g1 = gcd(num_u, den_f)
+                g2 = gcd(num_f, den_u)
+                expected = (
+                    (num_u // g1) * (num_f // g2),
+                    (den_u // g2) * (den_f // g1),
+                )
+                current = rates[v]
+                if current is None:
                     rates[v] = expected
+                    roots[v] = root
                     stack.append(v)
-                elif rates[v] != expected:
+                elif current != expected:
                     raise InconsistentGraphError(
                         f"rate conflict at task {v!r}: "
-                        f"{rates[v]} vs {expected}"
+                        f"{_rate_str(current)} vs {_rate_str(expected)}"
                     )
-    # normalize each component so the minimum is 1 (cosmetic; the final
-    # integer scaling happens in repetition_vector()).
-    result: Dict[str, Fraction] = {}
-    for name, rate in rates.items():
-        assert rate is not None
-        result[name] = rate
-    return result
+    return rates, roots  # type: ignore[return-value]
+
+
+def _scale_to_integers(rates: Dict[str, _Rate]) -> Dict[str, int]:
+    """The smallest integer vector proportional to ``rates``, all at once.
+
+    Multiplies by the lcm of the denominators, then divides by the gcd
+    of the scaled numerators — over the whole graph, not per component.
+    """
+    denominator_lcm = lcm_list(den for _num, den in rates.values())
+    scaled = {
+        name: num * (denominator_lcm // den)
+        for name, (num, den) in rates.items()
+    }
+    divisor = gcd_list(scaled.values())
+    return {name: value // divisor for name, value in scaled.items()}
+
+
+def normalized_rates(graph: CsdfGraph) -> Dict[str, Fraction]:
+    """Per-task firing rates as exact fractions, one component at a time.
+
+    Within each weakly-connected component the rates are normalized so the
+    smallest equals 1. Raises :class:`InconsistentGraphError` when the
+    balance equations are unsolvable.
+
+    Examples
+    --------
+    >>> from repro.model import sdf
+    >>> g = sdf({"A": 1, "B": 1, "C": 1},
+    ...         [("A", "B", 2, 3, 0), ("B", "C", 1, 2, 0)])
+    >>> {name: str(rate) for name, rate in normalized_rates(g).items()}
+    {'A': '3', 'B': '2', 'C': '1'}
+    """
+    if graph.task_count == 0:
+        return {}
+    rates, roots = _propagate_rates(graph)
+    q = _scale_to_integers(rates)
+    smallest: Dict[str, int] = {}
+    for name, root in roots.items():
+        if root not in smallest or q[name] < smallest[root]:
+            smallest[root] = q[name]
+    return {name: Fraction(q[name], smallest[roots[name]]) for name in q}
 
 
 def repetition_vector(graph: CsdfGraph) -> Dict[str, int]:
@@ -98,10 +159,8 @@ def repetition_vector(graph: CsdfGraph) -> Dict[str, int]:
     """
     if graph.task_count == 0:
         raise ModelError("repetition vector of an empty graph is undefined")
-    rates = normalized_rates(graph)
-    names = graph.task_names()
-    q_ints = normalize_fractions([rates[n] for n in names])
-    q = dict(zip(names, q_ints))
+    rates, _roots = _propagate_rates(graph)
+    q = _scale_to_integers(rates)
     _verify_balance(graph, q)
     return q
 

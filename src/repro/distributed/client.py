@@ -9,17 +9,30 @@ a local :class:`~repro.distributed.jobqueue.JobQueue` — so a
 ``queue=CoordinatorClient(url)`` is the *distributed* deployment of
 exactly the code path that runs single-host.
 
-Everything rides :mod:`urllib` (stdlib only). A connection failure
-raises :class:`CoordinatorError` (a :class:`~repro.exceptions.ReproError`,
-so the CLI reports it as a plain error line, not a traceback).
+Each client thread keeps one HTTP/1.1 connection to the coordinator
+(:mod:`http.client`, stdlib only; a :class:`threading.local`, since a
+worker's heartbeat thread shares its client) with ``TCP_NODELAY`` set:
+without it a kept connection stalls each small request on the peer's
+delayed ACK (~40 ms). A kept connection the coordinator has closed
+(restart, shutdown) is retried once on a fresh one, and only when it
+failed before any response byte arrived. A connection failure raises
+:class:`CoordinatorError` (a :class:`~repro.exceptions.ReproError`, so
+the CLI reports it as a plain error line, not a traceback). The
+module-level :func:`http_json` / :func:`http_text` / :func:`http_head`
+helpers are one-shot :mod:`urllib` requests for callers without a
+client.
 """
 
 from __future__ import annotations
 
+import http.client
 import json
+import socket
+import threading
 import urllib.error
 import urllib.parse
 import urllib.request
+import weakref
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.exceptions import ReproError
@@ -93,6 +106,27 @@ def http_head(url: str, *, timeout: float = 10.0) -> bool:
         raise CoordinatorError(f"coordinator unreachable: {url}: {exc}")
 
 
+class _Kept:
+    """A kept connection: Nagle's algorithm off (see the module
+    docstring), and its socket closed when the connection is dropped —
+    a thread's connection goes when the thread ends."""
+
+    def connect(self) -> None:
+        super().connect()  # type: ignore[misc]
+        self.sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+
+    def __del__(self) -> None:
+        self.close()  # type: ignore[attr-defined]
+
+
+class _KeptHTTPConnection(_Kept, http.client.HTTPConnection):
+    pass
+
+
+class _KeptHTTPSConnection(_Kept, http.client.HTTPSConnection):
+    pass
+
+
 class CoordinatorClient:
     """A remote :class:`JobQueue` — plus result/stats polling — over HTTP.
 
@@ -109,14 +143,92 @@ class CoordinatorClient:
     def __init__(self, base_url: str, *, timeout: float = 30.0):
         self.base_url = base_url.rstrip("/")
         self.timeout = timeout
+        parts = urllib.parse.urlsplit(self.base_url)
+        self._connection_class = {
+            "http": _KeptHTTPConnection, "https": _KeptHTTPSConnection,
+        }.get(parts.scheme)
+        self._netloc = parts.netloc
+        self._prefix = parts.path
+        self._local = threading.local()
+        #: Every thread's connection, so close() reaches them all; weak,
+        #: so a finished thread's connection closes with the thread.
+        self._connections: "weakref.WeakSet[http.client.HTTPConnection]" = (
+            weakref.WeakSet()
+        )
+        self._connections_lock = threading.Lock()
+
+    def _connection(self) -> http.client.HTTPConnection:
+        """This thread's kept connection (not connected until first use)."""
+        connection = getattr(self._local, "connection", None)
+        if connection is None:
+            if self._connection_class is None or not self._netloc:
+                raise CoordinatorError(
+                    f"coordinator unreachable: {self.base_url}: "
+                    "not an http(s) URL"
+                )
+            connection = self._connection_class(
+                self._netloc, timeout=self.timeout
+            )
+            self._local.connection = connection
+            with self._connections_lock:
+                self._connections.add(connection)
+        return connection
+
+    def _exchange(self, method: str, path: str, body: Optional[bytes],
+                  headers: Dict[str, str]) -> Tuple[int, bytes]:
+        """One request over this thread's kept connection.
+
+        A connection that already carried a request (its socket is
+        open) may have been closed by the coordinator since; when such
+        a connection fails before any response byte arrives, the
+        request is sent once more on a fresh connection. Every other
+        failure raises :class:`CoordinatorError`.
+        """
+        url = f"{self.base_url}{path}"
+        while True:
+            connection = self._connection()
+            reused = connection.sock is not None
+            try:
+                connection.request(method, self._prefix + path,
+                                   body=body, headers=headers)
+                response = connection.getresponse()
+            except ConnectionError as exc:
+                # refused, reset, broken pipe, or closed before the
+                # status line (http.client.RemoteDisconnected)
+                connection.close()
+                if reused:
+                    continue
+                raise CoordinatorError(
+                    f"coordinator unreachable: {url}: {exc}")
+            except (OSError, http.client.HTTPException) as exc:
+                connection.close()
+                raise CoordinatorError(
+                    f"coordinator unreachable: {url}: {exc}")
+            try:
+                return response.status, response.read()
+            except (OSError, http.client.HTTPException) as exc:
+                connection.close()
+                raise CoordinatorError(
+                    f"coordinator unreachable: {url}: {exc}")
 
     def _call(self, path: str, *, method: str = "GET",
               payload: Optional[Any] = None,
               expect: Sequence[int] = (200,)) -> Any:
-        status, body = http_json(
-            f"{self.base_url}{path}", method=method, payload=payload,
-            timeout=self.timeout,
-        )
+        data = None
+        headers = {"Accept": "application/json"}
+        if payload is not None:
+            data = json.dumps(payload).encode("utf-8")
+            headers["Content-Type"] = "application/json"
+        status, raw = self._exchange(method, path, data, headers)
+        body = None
+        if raw:
+            try:
+                body = json.loads(raw)
+            except json.JSONDecodeError as exc:
+                raise CoordinatorError(
+                    f"coordinator sent non-JSON from "
+                    f"{self.base_url}{path}: {exc}"
+                )
         if status not in expect:
             detail = body.get("error") if isinstance(body, dict) else body
             raise CoordinatorError(
@@ -137,9 +249,10 @@ class CoordinatorClient:
 
     def metrics_text(self) -> str:
         """The coordinator's ``/metrics`` scrape (Prometheus text)."""
-        status, body = http_text(
-            f"{self.base_url}/metrics", timeout=self.timeout
+        status, raw = self._exchange(
+            "GET", "/metrics", None, {"Accept": "text/plain"}
         )
+        body = raw.decode("utf-8", "replace")
         if status != 200:
             raise CoordinatorError(
                 f"coordinator GET /metrics failed ({status}): {body}"
@@ -279,7 +392,14 @@ class CoordinatorClient:
         return outcome
 
     def close(self) -> None:
-        pass
+        """Close every thread's kept connection.
+
+        The client stays usable: a later call connects afresh.
+        """
+        with self._connections_lock:
+            connections = list(self._connections)
+        for connection in connections:
+            connection.close()
 
     def __enter__(self) -> "CoordinatorClient":
         return self

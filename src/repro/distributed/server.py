@@ -36,6 +36,8 @@ from __future__ import annotations
 
 import json
 import os
+import socket
+import sys
 import threading
 import time
 import urllib.parse
@@ -369,6 +371,9 @@ class _Handler(BaseHTTPRequestHandler):
     """Routes HTTP verbs onto the owning server's :class:`Coordinator`."""
 
     protocol_version = "HTTP/1.1"
+    # Clients keep their connection (see repro.distributed.client):
+    # replies must not wait on Nagle behind the client's delayed ACK.
+    disable_nagle_algorithm = True
 
     # -- plumbing --------------------------------------------------------
     def log_message(self, format: str, *args: Any) -> None:
@@ -539,6 +544,54 @@ class _Handler(BaseHTTPRequestHandler):
             self._send_json(500, {"error": repr(exc)})
 
 
+class _HTTPServer(ThreadingHTTPServer):
+    """``ThreadingHTTPServer`` that can end its kept connections.
+
+    Clients keep their connections open between requests, so a handler
+    thread outlives any one request. Handler threads are daemons (an
+    idle kept connection must not hold the interpreter open), and the
+    stdlib joins no daemon thread on ``server_close``, so this server
+    tracks each connection with its thread: :meth:`close_connections`
+    shuts every socket down and joins every thread.
+    """
+
+    def __init__(self, *args: Any, **kwargs: Any):
+        self._live: Dict[Any, threading.Thread] = {}
+        self._live_lock = threading.Lock()
+        super().__init__(*args, **kwargs)
+
+    def process_request(self, request: Any, client_address: Any) -> None:
+        thread = threading.Thread(
+            target=self.process_request_thread,
+            args=(request, client_address), daemon=True,
+        )
+        with self._live_lock:
+            self._live[request] = thread
+        thread.start()
+
+    def shutdown_request(self, request: Any) -> None:
+        with self._live_lock:
+            self._live.pop(request, None)
+        super().shutdown_request(request)
+
+    def handle_error(self, request: Any, client_address: Any) -> None:
+        if isinstance(sys.exc_info()[1], ConnectionError):
+            return  # the peer went away mid-exchange: routine, not a fault
+        super().handle_error(request, client_address)
+
+    def close_connections(self) -> None:
+        """Shut every live connection down and join its handler thread."""
+        with self._live_lock:
+            live = list(self._live.items())
+        for request, _thread in live:
+            try:
+                request.shutdown(socket.SHUT_RDWR)
+            except OSError:  # already gone
+                pass
+        for _request, thread in live:
+            thread.join(5.0)
+
+
 class CoordinatorServer:
     """A threaded HTTP server around a :class:`Coordinator`.
 
@@ -557,8 +610,7 @@ class CoordinatorServer:
         verbose: bool = False,
     ):
         self.coordinator = Coordinator(cache=cache, queue=queue)
-        self._http = ThreadingHTTPServer((host, port), _Handler)
-        self._http.daemon_threads = True
+        self._http = _HTTPServer((host, port), _Handler)
         self._http.coordinator = self.coordinator  # type: ignore[attr-defined]
         self._http.verbose = verbose  # type: ignore[attr-defined]
         self._thread: Optional[threading.Thread] = None
@@ -587,7 +639,13 @@ class CoordinatorServer:
         self._http.serve_forever()
 
     def shutdown(self) -> None:
+        """Stop serving: no new connections, every kept one closed.
+
+        Handler threads are joined, so no request reaches the
+        coordinator once this returns.
+        """
         self._http.shutdown()
+        self._http.close_connections()
         self._http.server_close()
         if self._thread is not None:
             self._thread.join(timeout=5)

@@ -54,7 +54,7 @@ from repro.obs.trace import (
 )
 from repro.service.cache import ResultCache
 from repro.service.job import JobOutcome, ThroughputJob
-from repro.service.pool import SolverPool
+from repro.service.pool import SolverPool, cached_graph
 
 GraphLike = Union[CsdfGraph, Mapping[str, Any], ThroughputJob]
 
@@ -221,7 +221,12 @@ class ThroughputService:
     # Job construction
     # ------------------------------------------------------------------
     def job_for(self, graph: GraphLike, **overrides: Any) -> ThroughputJob:
-        """A :class:`ThroughputJob` with the service defaults applied."""
+        """A :class:`ThroughputJob` with the service defaults applied.
+
+        A graph dict is decoded here, once per job
+        (:meth:`ThroughputJob.from_graph`); the solve that runs in this
+        process reuses that graph object instead of decoding again.
+        """
         if isinstance(graph, ThroughputJob):
             return graph
         options = {
@@ -285,7 +290,9 @@ class ThroughputService:
                     payload["trace"] = {
                         "trace_id": root[0], "parent_id": root[1],
                     }
-            results = self._solve_payloads(payloads)
+            results = self._solve_payloads(
+                payloads, [job._graph for job in miss_jobs]
+            )
             for job, result in zip(miss_jobs, results):
                 # A queue-routed job answered by the coordinator's cache
                 # arrives tagged cache_hit="remote"; local solves carry "".
@@ -445,7 +452,8 @@ class ThroughputService:
             # the returned future stays non-blocking.
             def _via_queue() -> None:
                 try:
-                    result = self._solve_payloads([job.payload()])[0]
+                    result = self._solve_payloads(
+                        [job.payload()], [job._graph])[0]
                 except Exception as exc:  # noqa: BLE001 - surface it
                     result = {"status": "ERROR", "error": repr(exc)}
                 done.set_result(self._finish_async(job, result))
@@ -455,7 +463,7 @@ class ThroughputService:
         pool = self._ensure_pool()
         if pool is None:
             outcome = self._finish_async(
-                job, solve_fleet_payloads([job.payload()])[0]
+                job, solve_fleet_payloads([job.payload()], [job._graph])[0]
             )
             done.set_result(outcome)
             return done
@@ -503,18 +511,31 @@ class ThroughputService:
             return self._pool
 
     def _solve_payloads(
-        self, payloads: List[Dict[str, Any]]
+        self, payloads: List[Dict[str, Any]],
+        graphs: List[Optional[CsdfGraph]],
     ) -> List[Dict[str, Any]]:
+        """Solve payloads; ``graphs`` are their jobs' decoded graphs.
+
+        A graph entry is ``None`` where the job holds none; the solve
+        then decodes the payload itself. Pool workers live in other
+        processes and always decode.
+        """
         if not payloads:
             return []
         if self._queue is not None:
+            if self._inline_worker is not None:
+                # The inline drain looks its graphs up in the worker
+                # LRU by graph digest: seed it with the decoded ones.
+                for payload, graph in zip(payloads, graphs):
+                    if graph is not None:
+                        cached_graph(payload, graph)
             return self._solve_via_queue(payloads)
         pool = self._ensure_pool()
         if pool is not None:
             return pool.solve(payloads)
         # Inline mode runs the same batched fleet driver the pool
         # workers do — one lockstep kernel pass per K-Iter round.
-        return solve_fleet_payloads(payloads)
+        return solve_fleet_payloads(payloads, graphs)
 
     def _solve_via_queue(
         self, payloads: List[Dict[str, Any]]
@@ -578,6 +599,11 @@ class ThroughputService:
             # Either way nothing solved *for us* — a remote hit.
             if getattr(receipt, "state", "") in ("cached", "done"):
                 answered_remotely.add(payload["digest"])
+        if self._inline_worker is not None \
+                and len(answered_remotely) < len(set(digests)):
+            # Something still needs solving: drain before the first
+            # poll, which could not find it yet.
+            self._drain_inline(len(digests) - len(answered_remotely))
 
         fetch = getattr(queue, "results_fetch", None)
         pending = list(digests)

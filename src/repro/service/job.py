@@ -86,6 +86,12 @@ class ThroughputJob:
     _canonical: Optional[Dict[str, Any]] = field(
         default=None, repr=False, compare=False
     )
+    #: The graph this job decoded from its dict (``from_graph`` on a
+    #: mapping), handed to an in-process solve so it never decodes the
+    #: same dict again. ``None`` for a live graph the caller still owns.
+    _graph: Optional[CsdfGraph] = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     @classmethod
     def from_graph(
@@ -93,32 +99,45 @@ class ThroughputJob:
         graph: Union[CsdfGraph, Mapping[str, Any]],
         **options: Any,
     ) -> "ThroughputJob":
-        graph_dict = (
-            graph.to_dict() if isinstance(graph, CsdfGraph) else dict(graph)
-        )
+        """A job for a live graph or a graph dict.
+
+        A dict is decoded here, once: the digest hashes the decoded
+        graph, the job keeps it for the solve, and ``graph_dict`` stays
+        the caller's dict, so the payload is what they sent. Raises if
+        the dict does not decode.
+        """
+        if isinstance(graph, CsdfGraph):
+            graph_dict = graph.to_dict()
+        else:
+            graph_dict = dict(graph)
         options.setdefault("label", graph_dict.get("name", ""))
         job = cls(graph_dict=graph_dict, **options)
         if isinstance(graph, CsdfGraph):
             # Skip the defensive re-parse in canonical_graph_dict — the
             # dict came straight from a validated live graph.
             job._canonical = canonical_graph_dict(graph)
+        else:
+            job._graph = CsdfGraph.from_dict(graph_dict)
         return job
+
+    def _canonical_form(self) -> Dict[str, Any]:
+        if self._canonical is None:
+            self._canonical = canonical_graph_dict(
+                self._graph if self._graph is not None else self.graph_dict
+            )
+        return self._canonical
 
     @property
     def graph_digest(self) -> str:
         """Digest of the graph semantics alone (worker graph-reuse key)."""
-        if self._canonical is None:
-            self._canonical = canonical_graph_dict(self.graph_dict)
-        return _sha(self._canonical)
+        return _sha(self._canonical_form())
 
     @property
     def digest(self) -> str:
         """Content address: graph semantics + engine chain + K policy."""
         if self._digest is None:
-            if self._canonical is None:
-                self._canonical = canonical_graph_dict(self.graph_dict)
             self._digest = _sha({
-                "graph": self._canonical,
+                "graph": self._canonical_form(),
                 "engine": self.engine,
                 "fallback_engines": list(self.fallback_engines),
                 "update_policy": self.update_policy,

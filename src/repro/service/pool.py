@@ -67,16 +67,26 @@ _GRAPH_CACHE_LIMIT = 128
 _GRAPH_CACHE: "OrderedDict[str, CsdfGraph]" = OrderedDict()
 
 
-def cached_graph(payload: Dict[str, Any]) -> CsdfGraph:
-    """The payload's decoded graph; raises if it does not decode."""
+def cached_graph(
+    payload: Dict[str, Any], decoded: Optional[CsdfGraph] = None
+) -> CsdfGraph:
+    """The payload's decoded graph; raises if it does not decode.
+
+    The LRU is keyed by the payload's graph digest. On a miss the graph
+    is decoded from ``payload["graph"]`` — unless the caller already
+    holds it decoded (``decoded``, e.g. the :class:`ThroughputJob` that
+    built the payload in this process), in which case that object is
+    kept instead, so a queue-inline drain never decodes the job again.
+    """
     # Keyed by the *graph* digest, not the job digest: jobs probing one
     # graph under several engines or K policies must share the entry.
     digest = payload.get("graph_digest") or payload.get("digest")
-    if digest is None:
-        return CsdfGraph.from_dict(payload["graph"])
-    graph = _GRAPH_CACHE.get(digest)
+    graph = None if digest is None else _GRAPH_CACHE.get(digest)
     if graph is None:
-        graph = CsdfGraph.from_dict(payload["graph"])
+        graph = decoded if decoded is not None \
+            else CsdfGraph.from_dict(payload["graph"])
+        if digest is None:
+            return graph
         # The expansion block cache is keyed by this graph *object*
         # (repro.kperiodic.expansion.expansion_cache_for), so keeping
         # the object in the LRU is what carries arc blocks across jobs.

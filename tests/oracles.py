@@ -22,14 +22,25 @@ registered ones against independent code:
 ``reference_engines`` fixture (``conftest.py``) registers them for one
 test, so the engine-reach tests drive them through every layer that
 looks an engine up by name.
+
+One non-MCRP reference rides along: :func:`repetition_vector_fraction`
+is the repetition-vector propagation in ``Fraction`` arithmetic, the
+reference the integer num/den propagation of
+:func:`repro.analysis.consistency.repetition_vector` must reproduce.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import List, Optional
+from typing import Dict, List, Optional
 
-from repro.exceptions import DeadlockError, SolverError
+from repro.analysis.consistency import _verify_balance
+from repro.exceptions import (
+    DeadlockError,
+    InconsistentGraphError,
+    ModelError,
+    SolverError,
+)
 from repro.mcrp.bellman import (
     ScaledGraph,
     _python_oracle,
@@ -39,6 +50,8 @@ from repro.mcrp.bellman import (
 from repro.mcrp.graph import BiValuedGraph, CycleResult
 from repro.mcrp.karp import _karp_python_oracle
 from repro.mcrp.ratio_iteration import max_cycle_ratio
+from repro.model.graph import CsdfGraph
+from repro.utils.rational import normalize_fractions
 
 _EPS = 1e-9
 
@@ -356,3 +369,57 @@ REFERENCE_ENGINES = {
     "lawler": (max_cycle_ratio_lawler,
                "Lawler's rational binary search"),
 }
+
+
+def fraction_rates(graph: CsdfGraph) -> Dict[str, Fraction]:
+    """Per-task rates in ``Fraction`` arithmetic, each component's root at 1.
+
+    The first task of each weakly-connected component (graph order) is
+    the root; a DFS carries ``rate(v) = rate(u) · factor`` and raises
+    :class:`InconsistentGraphError` on a conflicting non-tree buffer.
+    """
+    rates: Dict[str, Optional[Fraction]] = {t.name: None for t in graph.tasks()}
+    adjacency: Dict[str, List[tuple]] = {t.name: [] for t in graph.tasks()}
+    for b in graph.buffers():
+        if b.is_self_loop():
+            if b.total_production != b.total_consumption:
+                raise InconsistentGraphError(
+                    f"self-loop buffer {b.name!r} produces "
+                    f"{b.total_production} but consumes {b.total_consumption} "
+                    "per iteration"
+                )
+            continue
+        ratio = Fraction(b.total_consumption, b.total_production)
+        # q_src * i_b = q_dst * o_b  =>  q_src = q_dst * o_b / i_b.
+        adjacency[b.source].append((b.target, Fraction(1, 1) / ratio))
+        adjacency[b.target].append((b.source, ratio))
+    for root in rates:
+        if rates[root] is not None:
+            continue
+        rates[root] = Fraction(1)
+        stack = [root]
+        while stack:
+            u = stack.pop()
+            ru = rates[u]
+            for v, factor in adjacency[u]:
+                expected = ru * factor
+                if rates[v] is None:
+                    rates[v] = expected
+                    stack.append(v)
+                elif rates[v] != expected:
+                    raise InconsistentGraphError(
+                        f"rate conflict at task {v!r}: "
+                        f"{rates[v]} vs {expected}"
+                    )
+    return rates  # type: ignore[return-value]
+
+
+def repetition_vector_fraction(graph: CsdfGraph) -> Dict[str, int]:
+    """The repetition vector from :func:`fraction_rates`, scaled globally."""
+    if graph.task_count == 0:
+        raise ModelError("repetition vector of an empty graph is undefined")
+    rates = fraction_rates(graph)
+    names = graph.task_names()
+    q = dict(zip(names, normalize_fractions([rates[n] for n in names])))
+    _verify_balance(graph, q)
+    return q

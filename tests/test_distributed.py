@@ -967,7 +967,7 @@ def _cycles(count):
 class _CountingClient(CoordinatorClient):
     def __init__(self, url):
         super().__init__(url)
-        self.calls = {"lease": 0, "report": 0}
+        self.calls = {"lease": 0, "report": 0, "results_fetch": 0}
 
     def lease(self, *args, **kwargs):
         self.calls["lease"] += 1
@@ -977,6 +977,10 @@ class _CountingClient(CoordinatorClient):
         self.calls["report"] += 1
         return super().report(*args, **kwargs)
 
+    def results_fetch(self, *args, **kwargs):
+        self.calls["results_fetch"] += 1
+        return super().results_fetch(*args, **kwargs)
+
 
 def test_inline_drain_leases_and_reports_a_batch_in_one_round_trip_each():
     with CoordinatorServer() as server:
@@ -985,7 +989,8 @@ def test_inline_drain_leases_and_reports_a_batch_in_one_round_trip_each():
                                     queue_poll=0.01)
         outcomes = service.submit_many(_cycles(16))
     assert [o.period for o in outcomes] == [d + 1 for d in range(1, 17)]
-    assert client.calls == {"lease": 1, "report": 1}
+    # the drain runs before the first poll, so one poll finds everything
+    assert client.calls == {"lease": 1, "report": 1, "results_fetch": 1}
 
 
 def test_inline_drain_heartbeats_keep_a_long_fleet_leased(monkeypatch):
@@ -1065,6 +1070,139 @@ def test_coordinator_healthz_and_unknown_routes():
         assert status == 404 and "error" in body
         with pytest.raises(CoordinatorError):
             CoordinatorClient("http://127.0.0.1:1").healthz()
+
+
+# ----------------------------------------------------------------------
+# Kept connections
+# ----------------------------------------------------------------------
+def test_kept_connection_round_trip_has_no_nagle_stall():
+    # With a kept connection, Nagle's algorithm on either end holds a
+    # small reply behind the peer's delayed ACK (~40 ms a request);
+    # TCP_NODELAY on both ends brings it well under a millisecond.
+    import statistics
+
+    with CoordinatorServer() as server:
+        client = CoordinatorClient(server.url)
+        client.healthz()  # connect
+        trips = []
+        for _ in range(50):
+            started = time.perf_counter()
+            client.healthz()
+            trips.append(time.perf_counter() - started)
+        client.close()
+    assert statistics.median(trips) < 0.010
+
+
+def test_call_after_shutdown_raises_coordinator_error():
+    from repro.distributed.client import CoordinatorError
+
+    server = CoordinatorServer().start()
+    client = CoordinatorClient(server.url, timeout=2.0)
+    assert client.healthz()["ok"] is True  # the connection is now kept
+    server.shutdown()
+    with pytest.raises(CoordinatorError):
+        client.healthz()
+
+
+def test_client_reaches_a_coordinator_restarted_on_the_same_port():
+    first = CoordinatorServer().start()
+    client = CoordinatorClient(first.url, timeout=2.0)
+    client.submit_many([_payload(1)])
+    assert client.depth()["pending"] == 1
+    port = first.port
+    first.shutdown()
+    second = CoordinatorServer(port=port).start()
+    try:
+        # the kept connection died with the first coordinator; the
+        # next call retries once on a fresh one and sees the new state
+        assert client.depth()["pending"] == 0
+        assert client.healthz()["ok"] is True
+    finally:
+        client.close()
+        second.shutdown()
+
+
+def _handler_threads():
+    return {t for t in threading.enumerate()
+            if "process_request_thread" in t.name}
+
+
+def test_no_handler_thread_outlives_close_and_shutdown():
+    before = _handler_threads()
+    server = CoordinatorServer().start()
+    client = CoordinatorClient(server.url)
+    client.healthz()
+    other = threading.Thread(target=client.stats)  # a second connection
+    other.start()
+    other.join(timeout=10)
+    assert not other.is_alive()
+    assert _handler_threads() - before  # kept connections hold threads
+    client.close()
+    server.shutdown()
+    assert not {t for t in _handler_threads() - before if t.is_alive()}
+
+
+def test_heartbeat_thread_and_main_thread_share_one_client(monkeypatch):
+    class _CheckedClient(CoordinatorClient):
+        """Records every heartbeat reply that does not fit its request."""
+
+        def __init__(self, url):
+            super().__init__(url)
+            self.heartbeats = 0
+            self.mismatches = []
+
+        def heartbeat_many(self, leases, **kwargs):
+            try:
+                accepted = super().heartbeat_many(leases, **kwargs)
+            except Exception as exc:  # the loop would swallow it
+                self.mismatches.append(repr(exc))
+                raise
+            if accepted != [True] * len(leases):
+                self.mismatches.append(accepted)
+            self.heartbeats += 1
+            return accepted
+
+    with CoordinatorServer() as server:
+        client = _CheckedClient(server.url)
+        client.submit_many([_payload(i) for i in range(6)])
+        jobs = client.lease(6, worker_id="w-shared")
+        worker = Worker(client, worker_id="w-shared")
+        monkeypatch.setattr(worker, "_heartbeat_interval",
+                            lambda jobs: 0.001)
+        done = threading.Event()
+        beat = threading.Thread(target=worker._heartbeat_loop,
+                                args=(jobs, done))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # switch threads mid-exchange
+        beat.start()
+        try:
+            digests = [job.digest for job in jobs]
+            for i in range(150):
+                asked = digests[: 1 + i % len(digests)]
+                found = client.results_fetch(asked)
+                assert sorted(found) == sorted(asked)
+                assert all(outcome is None for outcome in found.values())
+                assert client.trace(f"trace-{i}") == []
+        finally:
+            sys.setswitchinterval(interval)
+            done.set()
+            beat.join(timeout=10)
+        assert not beat.is_alive()
+        client.close()
+    assert client.heartbeats > 0
+    assert client.mismatches == []
+
+
+def test_inline_drain_nacks_a_payload_whose_graph_does_not_decode():
+    queue = MemoryJobQueue(max_attempts=1)
+    queue.submit({"digest": _digest(67), "graph_digest": _digest(68),
+                  "graph": {"format": "not-a-graph"}})
+    service = ThroughputService(
+        queue=queue, queue_inline_drain=True, queue_poll=0.01,
+    )
+    outcome = service.submit(two_cycle())
+    assert outcome.ok and outcome.period == 2
+    assert [d["digest"] for d in queue.dead_letters()] == [_digest(67)]
 
 
 # ----------------------------------------------------------------------

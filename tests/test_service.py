@@ -407,3 +407,68 @@ def test_graph_digest_insertion_order_independent_service_view():
     service = ThroughputService()
     assert service.submit(g1).cache_hit == ""
     assert service.submit(g2).cache_hit == "memory"
+
+
+# ----------------------------------------------------------------------
+# One decode per job
+# ----------------------------------------------------------------------
+def _decode_spy(monkeypatch):
+    """Count ``CsdfGraph.from_dict`` calls for the rest of the test."""
+    from repro.model.graph import CsdfGraph
+
+    calls = []
+    decode = CsdfGraph.from_dict.__func__
+
+    def counting(cls, payload):
+        calls.append(payload.get("name"))
+        return decode(cls, payload)
+
+    monkeypatch.setattr(CsdfGraph, "from_dict", classmethod(counting))
+    return calls
+
+
+def _cycle_dicts(count):
+    """``count`` distinct two-task cycles, as plain graph dicts."""
+    return [
+        sdf({"A": d, "B": 1}, [("A", "B", 1, 1, 0), ("B", "A", 1, 1, 1)],
+            name=f"decode{d}").to_dict()
+        for d in range(1, count + 1)
+    ]
+
+
+def test_inline_route_decodes_each_job_once(monkeypatch):
+    docs = _cycle_dicts(16)
+    calls = _decode_spy(monkeypatch)
+    outcomes = ThroughputService().submit_many(docs)
+    assert [o.period for o in outcomes] == [d + 1 for d in range(1, 17)]
+    assert sorted(calls) == sorted(doc["name"] for doc in docs)
+
+
+def test_queue_inline_route_decodes_each_job_once(monkeypatch):
+    from repro.distributed import CoordinatorClient, CoordinatorServer
+
+    docs = _cycle_dicts(16)
+    with CoordinatorServer() as server:
+        client = CoordinatorClient(server.url)
+        service = ThroughputService(queue=client, queue_inline_drain=True,
+                                    queue_poll=0.01)
+        calls = _decode_spy(monkeypatch)
+        outcomes = service.submit_many(docs)
+        client.close()
+    assert [o.period for o in outcomes] == [d + 1 for d in range(1, 17)]
+    assert sorted(calls) == sorted(doc["name"] for doc in docs)
+
+
+def test_job_payload_keeps_the_callers_dict():
+    doc = dict(two_cycle().to_dict(), note="kept")
+    job = ThroughputService().job_for(doc)
+    assert job.payload()["graph"] == doc
+    assert job.digest == ThroughputJob.from_graph(two_cycle()).digest
+
+
+def test_undecodable_dict_fails_submit_many():
+    from repro.exceptions import ModelError
+
+    bad = dict(two_cycle().to_dict(), format="not-a-graph")
+    with pytest.raises(ModelError):
+        ThroughputService().submit_many([two_cycle(), bad])
