@@ -23,7 +23,7 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.exceptions import InconsistentGraphError, ModelError
 from repro.model.graph import CsdfGraph
-from repro.utils.rational import gcd_list, lcm_list
+from repro.utils.rational import normalize_pairs
 
 #: A task's rate relative to its component's root, as a reduced
 #: ``(numerator, denominator)`` pair of positive integers.
@@ -100,18 +100,9 @@ def _propagate_rates(
 
 
 def _scale_to_integers(rates: Dict[str, _Rate]) -> Dict[str, int]:
-    """The smallest integer vector proportional to ``rates``, all at once.
-
-    Multiplies by the lcm of the denominators, then divides by the gcd
-    of the scaled numerators — over the whole graph, not per component.
-    """
-    denominator_lcm = lcm_list(den for _num, den in rates.values())
-    scaled = {
-        name: num * (denominator_lcm // den)
-        for name, (num, den) in rates.items()
-    }
-    divisor = gcd_list(scaled.values())
-    return {name: value // divisor for name, value in scaled.items()}
+    """The smallest integer vector proportional to ``rates``, over the
+    whole graph at once (not per component)."""
+    return dict(zip(rates, normalize_pairs(list(rates.values()))))
 
 
 def normalized_rates(graph: CsdfGraph) -> Dict[str, Fraction]:

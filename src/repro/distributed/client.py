@@ -9,30 +9,32 @@ a local :class:`~repro.distributed.jobqueue.JobQueue` — so a
 ``queue=CoordinatorClient(url)`` is the *distributed* deployment of
 exactly the code path that runs single-host.
 
-Each client thread keeps one HTTP/1.1 connection to the coordinator
-(:mod:`http.client`, stdlib only; a :class:`threading.local`, since a
-worker's heartbeat thread shares its client) with ``TCP_NODELAY`` set:
-without it a kept connection stalls each small request on the peer's
-delayed ACK (~40 ms). A kept connection the coordinator has closed
-(restart, shutdown) is retried once on a fresh one, and only when it
-failed before any response byte arrived. A connection failure raises
-:class:`CoordinatorError` (a :class:`~repro.exceptions.ReproError`, so
-the CLI reports it as a plain error line, not a traceback). The
-module-level :func:`http_json` / :func:`http_text` / :func:`http_head`
-helpers are one-shot :mod:`urllib` requests for callers without a
-client.
+Every request goes through one :mod:`http.client` exchange (stdlib
+only). Each client thread keeps one HTTP/1.1 connection to the
+coordinator (a :class:`threading.local`, since a worker's heartbeat
+thread shares its client) with ``TCP_NODELAY`` set: without it a kept
+connection stalls each small request on the peer's delayed ACK
+(~40 ms). A kept connection the coordinator has closed since its last
+reply (restart, shutdown) is replaced before the request is sent. A
+request that is safe to repeat (a read, a digest-deduplicated submit, a
+heartbeat) is sent once more on a fresh connection when a reused one
+fails before the status line; a lease, report or nack is never
+repeated, since the coordinator may already have acted on it. A
+connection failure raises :class:`CoordinatorError` (a
+:class:`~repro.exceptions.ReproError`, so the CLI reports it as a plain
+error line, not a traceback). The module-level :func:`http_json` /
+:func:`http_text` / :func:`http_head` helpers are one-shot requests
+(one connection each) for callers without a client.
 """
 
 from __future__ import annotations
 
 import http.client
 import json
+import select
 import socket
 import threading
-import urllib.error
 import urllib.parse
-import urllib.request
-import weakref
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.exceptions import ReproError
@@ -41,69 +43,6 @@ from repro.distributed.jobqueue import LeasedJob, SubmitReceipt
 
 class CoordinatorError(ReproError):
     """The coordinator is unreachable or answered with garbage."""
-
-
-def http_json(
-    url: str,
-    *,
-    method: str = "GET",
-    payload: Optional[Any] = None,
-    timeout: float = 10.0,
-) -> Tuple[int, Any]:
-    """One JSON request/response; ``(status, parsed body or None)``.
-
-    HTTP error statuses are returned, not raised (the caller decides
-    what a 404 means); transport failures raise :class:`CoordinatorError`.
-    """
-    data = None
-    headers = {"Accept": "application/json"}
-    if payload is not None:
-        data = json.dumps(payload).encode("utf-8")
-        headers["Content-Type"] = "application/json"
-    request = urllib.request.Request(
-        url, data=data, method=method, headers=headers
-    )
-    try:
-        with urllib.request.urlopen(request, timeout=timeout) as response:
-            body = response.read()
-            status = response.status
-    except urllib.error.HTTPError as exc:
-        body = exc.read()
-        status = exc.code
-    except (urllib.error.URLError, OSError, TimeoutError) as exc:
-        raise CoordinatorError(f"coordinator unreachable: {url}: {exc}")
-    if not body:
-        return status, None
-    try:
-        return status, json.loads(body)
-    except json.JSONDecodeError as exc:
-        raise CoordinatorError(
-            f"coordinator sent non-JSON from {url}: {exc}"
-        )
-
-
-def http_text(url: str, *, timeout: float = 10.0) -> Tuple[int, str]:
-    """One GET returning the raw body as text (``/metrics`` is not JSON)."""
-    request = urllib.request.Request(url, headers={"Accept": "text/plain"})
-    try:
-        with urllib.request.urlopen(request, timeout=timeout) as response:
-            return response.status, response.read().decode("utf-8")
-    except urllib.error.HTTPError as exc:
-        return exc.code, exc.read().decode("utf-8", "replace")
-    except (urllib.error.URLError, OSError, TimeoutError) as exc:
-        raise CoordinatorError(f"coordinator unreachable: {url}: {exc}")
-
-
-def http_head(url: str, *, timeout: float = 10.0) -> bool:
-    """``True`` iff a HEAD request answers 2xx."""
-    request = urllib.request.Request(url, method="HEAD")
-    try:
-        with urllib.request.urlopen(request, timeout=timeout) as response:
-            return 200 <= response.status < 300
-    except urllib.error.HTTPError:
-        return False
-    except (urllib.error.URLError, OSError, TimeoutError) as exc:
-        raise CoordinatorError(f"coordinator unreachable: {url}: {exc}")
 
 
 class _Kept:
@@ -127,6 +66,126 @@ class _KeptHTTPSConnection(_Kept, http.client.HTTPSConnection):
     pass
 
 
+def _open(url: str, timeout: float) -> Tuple[http.client.HTTPConnection, str]:
+    """An unconnected connection to ``url``'s host, and ``url``'s path
+    and query (a client's base URL: the prefix of every request)."""
+    parts = urllib.parse.urlsplit(url)
+    connection_class = {
+        "http": _KeptHTTPConnection, "https": _KeptHTTPSConnection,
+    }.get(parts.scheme)
+    if connection_class is None or not parts.netloc:
+        raise CoordinatorError(
+            f"coordinator unreachable: {url}: not an http(s) URL"
+        )
+    target = parts.path
+    if parts.query:
+        target += "?" + parts.query
+    return connection_class(parts.netloc, timeout=timeout), target
+
+
+def _peer_closed(connection: http.client.HTTPConnection) -> bool:
+    """``True`` when a kept connection's socket is readable between
+    requests — nothing is due then, so the peer has closed it."""
+    poller = select.poll()
+    poller.register(connection.sock, select.POLLIN)
+    return bool(poller.poll(0))
+
+
+def _exchange(connection: http.client.HTTPConnection, url: str,
+              method: str, target: str, body: Optional[bytes],
+              headers: Dict[str, str], *,
+              repeatable: bool = False) -> Tuple[int, bytes]:
+    """One request over ``connection``: ``(status, raw body)``.
+
+    A connection that already carried a request may have been closed by
+    the peer since. If its socket says so, it is replaced before
+    sending. If it fails before the status line anyway, a
+    ``repeatable`` request is sent once more on a fresh connection.
+    Every other failure raises :class:`CoordinatorError`.
+    """
+    reused = connection.sock is not None
+    if reused and _peer_closed(connection):
+        connection.close()
+        reused = False
+    try:
+        try:
+            connection.request(method, target, body=body, headers=headers)
+            response = connection.getresponse()
+        except ConnectionError:
+            # refused, reset, broken pipe, or closed before the status
+            # line (http.client.RemoteDisconnected)
+            if not (reused and repeatable):
+                raise
+            connection.close()
+            connection.request(method, target, body=body, headers=headers)
+            response = connection.getresponse()
+        return response.status, response.read()
+    except (OSError, http.client.HTTPException) as exc:
+        connection.close()
+        raise CoordinatorError(f"coordinator unreachable: {url}: {exc}")
+
+
+def _one_shot(url: str, method: str, body: Optional[bytes],
+              headers: Dict[str, str], timeout: float) -> Tuple[int, bytes]:
+    """One request on a connection of its own, closed afterwards."""
+    connection, target = _open(url, timeout)
+    try:
+        return _exchange(connection, url, method, target, body,
+                         {**headers, "Connection": "close"})
+    finally:
+        connection.close()
+
+
+def _encode_json(payload: Optional[Any]) -> Tuple[Optional[bytes],
+                                                   Dict[str, str]]:
+    headers = {"Accept": "application/json"}
+    if payload is None:
+        return None, headers
+    headers["Content-Type"] = "application/json"
+    return json.dumps(payload).encode("utf-8"), headers
+
+
+def _decode_json(raw: bytes, url: str) -> Any:
+    if not raw:
+        return None
+    try:
+        return json.loads(raw)
+    except json.JSONDecodeError as exc:
+        raise CoordinatorError(
+            f"coordinator sent non-JSON from {url}: {exc}"
+        )
+
+
+def http_json(
+    url: str,
+    *,
+    method: str = "GET",
+    payload: Optional[Any] = None,
+    timeout: float = 10.0,
+) -> Tuple[int, Any]:
+    """One JSON request/response; ``(status, parsed body or None)``.
+
+    HTTP error statuses are returned, not raised (the caller decides
+    what a 404 means); transport failures raise :class:`CoordinatorError`.
+    """
+    body, headers = _encode_json(payload)
+    status, raw = _one_shot(url, method, body, headers, timeout)
+    return status, _decode_json(raw, url)
+
+
+def http_text(url: str, *, timeout: float = 10.0) -> Tuple[int, str]:
+    """One GET returning the raw body as text (``/metrics`` is not JSON)."""
+    status, raw = _one_shot(url, "GET", None, {"Accept": "text/plain"},
+                            timeout)
+    return status, raw.decode("utf-8", "replace")
+
+
+def http_head(url: str, *, timeout: float = 10.0) -> bool:
+    """``True`` iff a HEAD request answers 2xx."""
+    status, _raw = _one_shot(url, "HEAD", None, {}, timeout)
+    return 200 <= status < 300
+
+
 class CoordinatorClient:
     """A remote :class:`JobQueue` — plus result/stats polling — over HTTP.
 
@@ -143,92 +202,31 @@ class CoordinatorClient:
     def __init__(self, base_url: str, *, timeout: float = 30.0):
         self.base_url = base_url.rstrip("/")
         self.timeout = timeout
-        parts = urllib.parse.urlsplit(self.base_url)
-        self._connection_class = {
-            "http": _KeptHTTPConnection, "https": _KeptHTTPSConnection,
-        }.get(parts.scheme)
-        self._netloc = parts.netloc
-        self._prefix = parts.path
         self._local = threading.local()
-        #: Every thread's connection, so close() reaches them all; weak,
-        #: so a finished thread's connection closes with the thread.
-        self._connections: "weakref.WeakSet[http.client.HTTPConnection]" = (
-            weakref.WeakSet()
-        )
-        self._connections_lock = threading.Lock()
 
-    def _connection(self) -> http.client.HTTPConnection:
-        """This thread's kept connection (not connected until first use)."""
-        connection = getattr(self._local, "connection", None)
-        if connection is None:
-            if self._connection_class is None or not self._netloc:
-                raise CoordinatorError(
-                    f"coordinator unreachable: {self.base_url}: "
-                    "not an http(s) URL"
-                )
-            connection = self._connection_class(
-                self._netloc, timeout=self.timeout
-            )
-            self._local.connection = connection
-            with self._connections_lock:
-                self._connections.add(connection)
-        return connection
-
-    def _exchange(self, method: str, path: str, body: Optional[bytes],
-                  headers: Dict[str, str]) -> Tuple[int, bytes]:
-        """One request over this thread's kept connection.
-
-        A connection that already carried a request (its socket is
-        open) may have been closed by the coordinator since; when such
-        a connection fails before any response byte arrives, the
-        request is sent once more on a fresh connection. Every other
-        failure raises :class:`CoordinatorError`.
-        """
-        url = f"{self.base_url}{path}"
-        while True:
-            connection = self._connection()
-            reused = connection.sock is not None
-            try:
-                connection.request(method, self._prefix + path,
-                                   body=body, headers=headers)
-                response = connection.getresponse()
-            except ConnectionError as exc:
-                # refused, reset, broken pipe, or closed before the
-                # status line (http.client.RemoteDisconnected)
-                connection.close()
-                if reused:
-                    continue
-                raise CoordinatorError(
-                    f"coordinator unreachable: {url}: {exc}")
-            except (OSError, http.client.HTTPException) as exc:
-                connection.close()
-                raise CoordinatorError(
-                    f"coordinator unreachable: {url}: {exc}")
-            try:
-                return response.status, response.read()
-            except (OSError, http.client.HTTPException) as exc:
-                connection.close()
-                raise CoordinatorError(
-                    f"coordinator unreachable: {url}: {exc}")
+    def _connection(self) -> Tuple[http.client.HTTPConnection, str]:
+        """This thread's kept connection (not connected until first
+        use) and the base URL's path prefix."""
+        kept = getattr(self._local, "kept", None)
+        if kept is None:
+            kept = self._local.kept = _open(self.base_url, self.timeout)
+        return kept
 
     def _call(self, path: str, *, method: str = "GET",
               payload: Optional[Any] = None,
-              expect: Sequence[int] = (200,)) -> Any:
-        data = None
-        headers = {"Accept": "application/json"}
-        if payload is not None:
-            data = json.dumps(payload).encode("utf-8")
-            headers["Content-Type"] = "application/json"
-        status, raw = self._exchange(method, path, data, headers)
-        body = None
-        if raw:
-            try:
-                body = json.loads(raw)
-            except json.JSONDecodeError as exc:
-                raise CoordinatorError(
-                    f"coordinator sent non-JSON from "
-                    f"{self.base_url}{path}: {exc}"
-                )
+              expect: Sequence[int] = (200,),
+              repeatable: bool = False) -> Any:
+        """One JSON request over this thread's kept connection.
+
+        ``repeatable`` marks a request the coordinator may safely see
+        twice (see :func:`_exchange`).
+        """
+        url = f"{self.base_url}{path}"
+        connection, prefix = self._connection()
+        data, headers = _encode_json(payload)
+        status, raw = _exchange(connection, url, method, prefix + path,
+                                data, headers, repeatable=repeatable)
+        body = _decode_json(raw, url)
         if status not in expect:
             detail = body.get("error") if isinstance(body, dict) else body
             raise CoordinatorError(
@@ -239,18 +237,21 @@ class CoordinatorClient:
 
     # -- health / stats --------------------------------------------------
     def healthz(self) -> Dict[str, Any]:
-        return self._call("/healthz")
+        return self._call("/healthz", repeatable=True)
 
     def stats(self) -> Dict[str, Any]:
-        return self._call("/stats")
+        return self._call("/stats", repeatable=True)
 
     def depth(self) -> Dict[str, int]:
         return self.stats().get("queue", {})
 
     def metrics_text(self) -> str:
         """The coordinator's ``/metrics`` scrape (Prometheus text)."""
-        status, raw = self._exchange(
-            "GET", "/metrics", None, {"Accept": "text/plain"}
+        url = f"{self.base_url}/metrics"
+        connection, prefix = self._connection()
+        status, raw = _exchange(
+            connection, url, "GET", prefix + "/metrics", None,
+            {"Accept": "text/plain"}, repeatable=True,
         )
         body = raw.decode("utf-8", "replace")
         if status != 200:
@@ -269,7 +270,8 @@ class CoordinatorClient:
 
     def trace(self, trace_id: str) -> List[Dict[str, Any]]:
         """Every event the coordinator holds for one trace id."""
-        body = self._call(f"/trace/{trace_id}", expect=(200, 404))
+        body = self._call(f"/trace/{trace_id}", expect=(200, 404),
+                          repeatable=True)
         if not isinstance(body, dict):
             return []
         return list(body.get("events", []))
@@ -279,7 +281,8 @@ class CoordinatorClient:
         self, payloads: Sequence[Dict[str, Any]]
     ) -> List[SubmitReceipt]:
         body = self._call(
-            "/jobs", method="POST", payload={"jobs": list(payloads)}
+            "/jobs", method="POST", payload={"jobs": list(payloads)},
+            repeatable=True,  # the coordinator deduplicates by digest
         )
         return [
             SubmitReceipt(digest=row["digest"], state=row["state"],
@@ -297,6 +300,8 @@ class CoordinatorClient:
         params = {"max": max_jobs, "worker": worker_id}
         if visibility_timeout is not None:
             params["visibility"] = visibility_timeout
+        # not repeatable: a second lease would strand the first batch
+        # until its visibility timeout
         body = self._call(
             "/jobs/lease?" + urllib.parse.urlencode(params)
         )
@@ -353,7 +358,8 @@ class CoordinatorClient:
         }
         if metrics is not None:
             payload["metrics"] = metrics
-        body = self._call("/heartbeat", method="POST", payload=payload)
+        body = self._call("/heartbeat", method="POST", payload=payload,
+                          repeatable=True)
         return [bool(flag) for flag in body["accepted"]]
 
     def heartbeat(self, job_id: int, token: str) -> bool:
@@ -366,7 +372,8 @@ class CoordinatorClient:
         Results answered by the coordinator's *cache* (rather than a
         fresh worker solve) come back tagged ``cache_hit="remote"``.
         """
-        body = self._call(f"/results/{digest}", expect=(200, 404))
+        body = self._call(f"/results/{digest}", expect=(200, 404),
+                          repeatable=True)
         return self._tag(body)
 
     def results_fetch(
@@ -375,7 +382,7 @@ class CoordinatorClient:
         """Batched :meth:`result` — one round trip for a whole poll."""
         body = self._call(
             "/results/fetch", method="POST",
-            payload={"digests": list(digests)},
+            payload={"digests": list(digests)}, repeatable=True,
         )
         return {
             digest: self._tag(row)
@@ -392,14 +399,14 @@ class CoordinatorClient:
         return outcome
 
     def close(self) -> None:
-        """Close every thread's kept connection.
+        """Close the calling thread's kept connection.
 
-        The client stays usable: a later call connects afresh.
+        Another thread's connection closes when that thread ends. The
+        client stays usable: a later call connects afresh.
         """
-        with self._connections_lock:
-            connections = list(self._connections)
-        for connection in connections:
-            connection.close()
+        kept = getattr(self._local, "kept", None)
+        if kept is not None:
+            kept[0].close()
 
     def __enter__(self) -> "CoordinatorClient":
         return self

@@ -376,6 +376,20 @@ class _Handler(BaseHTTPRequestHandler):
     disable_nagle_algorithm = True
 
     # -- plumbing --------------------------------------------------------
+    def parse_request(self) -> bool:
+        if not super().parse_request():
+            return False
+        if self.server.begin_request(self.connection):
+            return True
+        # the server is closing: drop the request before it is routed
+        self.close_connection = True
+        return False
+
+    def handle_one_request(self) -> None:
+        super().handle_one_request()
+        if self.server.end_request(self.connection):
+            self.close_connection = True
+
     def log_message(self, format: str, *args: Any) -> None:
         if self.server.verbose:  # pragma: no cover - log formatting
             super().log_message(format, *args)
@@ -551,12 +565,15 @@ class _HTTPServer(ThreadingHTTPServer):
     thread outlives any one request. Handler threads are daemons (an
     idle kept connection must not hold the interpreter open), and the
     stdlib joins no daemon thread on ``server_close``, so this server
-    tracks each connection with its thread: :meth:`close_connections`
-    shuts every socket down and joins every thread.
+    tracks each connection with its thread, and which connections are
+    mid-request: :meth:`close_connections` shuts the idle ones down,
+    lets each busy one close after its reply, and joins every thread.
     """
 
     def __init__(self, *args: Any, **kwargs: Any):
         self._live: Dict[Any, threading.Thread] = {}
+        self._busy: set = set()
+        self._closing = False
         self._live_lock = threading.Lock()
         super().__init__(*args, **kwargs)
 
@@ -579,11 +596,33 @@ class _HTTPServer(ThreadingHTTPServer):
             return  # the peer went away mid-exchange: routine, not a fault
         super().handle_error(request, client_address)
 
-    def close_connections(self) -> None:
-        """Shut every live connection down and join its handler thread."""
+    def begin_request(self, request: Any) -> bool:
+        """Mark a connection mid-request; ``False`` once closing."""
         with self._live_lock:
+            if self._closing:
+                return False
+            self._busy.add(request)
+            return True
+
+    def end_request(self, request: Any) -> bool:
+        """Mark a connection idle; ``True`` when it must close now."""
+        with self._live_lock:
+            self._busy.discard(request)
+            return self._closing
+
+    def close_connections(self) -> None:
+        """End every live connection and join its handler thread.
+
+        An idle connection is shut down at once; one mid-request closes
+        after its reply, so no request the coordinator has acted on
+        goes unanswered.
+        """
+        with self._live_lock:
+            self._closing = True
             live = list(self._live.items())
-        for request, _thread in live:
+            idle = [request for request, _thread in live
+                    if request not in self._busy]
+        for request in idle:
             try:
                 request.shutdown(socket.SHUT_RDWR)
             except OSError:  # already gone

@@ -9,6 +9,7 @@ from repro.utils.rational import (
     gcd_list,
     lcm_list,
     normalize_fractions,
+    normalize_pairs,
 )
 from repro.utils.timing import Stopwatch, TimeBudget
 
@@ -21,6 +22,7 @@ __all__ = [
     "gcd_list",
     "lcm_list",
     "normalize_fractions",
+    "normalize_pairs",
     "Stopwatch",
     "TimeBudget",
 ]

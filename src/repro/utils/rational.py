@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd
-from typing import Iterable, List, Sequence
+from typing import Iterable, List, Sequence, Tuple
 
 Frac = Fraction
 
@@ -60,21 +60,30 @@ def lcm_list(values: Iterable[int]) -> int:
     return result
 
 
-def normalize_fractions(values: Sequence[Fraction]) -> List[int]:
-    """Scale positive rationals to the smallest integer vector.
+def normalize_pairs(pairs: Sequence[Tuple[int, int]]) -> List[int]:
+    """Scale positive rationals, given as ``(num, den)`` pairs, to the
+    smallest integer vector.
 
     Used to turn the per-task firing rates obtained by balance-equation
     propagation into the minimal repetition vector: multiply by the lcm of
     denominators, then divide by the gcd of numerators.
+
+    >>> normalize_pairs([(1, 2), (1, 3), (2, 3)])
+    [3, 2, 4]
     """
-    if not values:
+    if not pairs:
         return []
-    denom_lcm = lcm_list(v.denominator for v in values)
-    scaled = [int(v * denom_lcm) for v in values]
+    denom_lcm = lcm_list(den for _num, den in pairs)
+    scaled = [num * (denom_lcm // den) for num, den in pairs]
     g = gcd_list(scaled)
     if g == 0:
         return scaled
     return [s // g for s in scaled]
+
+
+def normalize_fractions(values: Sequence[Fraction]) -> List[int]:
+    """:func:`normalize_pairs` over :class:`~fractions.Fraction` values."""
+    return normalize_pairs([(v.numerator, v.denominator) for v in values])
 
 
 def as_fraction(value) -> Fraction:

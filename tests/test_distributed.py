@@ -29,6 +29,7 @@ import sys
 import threading
 import time
 from fractions import Fraction
+from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 
 import pytest
@@ -1113,13 +1114,106 @@ def test_client_reaches_a_coordinator_restarted_on_the_same_port():
     first.shutdown()
     second = CoordinatorServer(port=port).start()
     try:
-        # the kept connection died with the first coordinator; the
-        # next call retries once on a fresh one and sees the new state
+        # the kept connection died with the first coordinator: the next
+        # call, even a lease (never resent), goes out on a fresh one
+        assert client.lease(1, worker_id="w") == []
         assert client.depth()["pending"] == 0
         assert client.healthz()["ok"] is True
     finally:
         client.close()
         second.shutdown()
+
+
+class _AnswerOncePerConnection(BaseHTTPRequestHandler):
+    """Answers the first request on each connection, then reads the next
+    one and drops the connection without a reply."""
+
+    protocol_version = "HTTP/1.1"
+
+    def log_message(self, format, *args):
+        pass
+
+    def do_GET(self):
+        self.server.paths.append(self.path)
+        if getattr(self, "answered", False):
+            self.close_connection = True
+            return
+        self.answered = True
+        body = json.dumps({"ok": True, "jobs": []}).encode("utf-8")
+        self.send_response(200)
+        self.send_header("Content-Type", "application/json")
+        self.send_header("Content-Length", str(len(body)))
+        self.end_headers()
+        self.wfile.write(body)
+
+
+@pytest.fixture
+def dropping_server():
+    server = ThreadingHTTPServer(("127.0.0.1", 0), _AnswerOncePerConnection)
+    server.daemon_threads = True
+    server.paths = []
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    yield server
+    server.shutdown()
+    server.server_close()
+    thread.join(timeout=5)
+
+
+def test_a_lease_broken_mid_request_on_a_kept_connection_is_not_resent(
+        dropping_server):
+    from repro.distributed.client import CoordinatorError
+
+    client = CoordinatorClient(
+        f"http://127.0.0.1:{dropping_server.server_port}", timeout=5.0)
+    assert client.healthz()["ok"] is True  # the connection is now kept
+    with pytest.raises(CoordinatorError):
+        client.lease(1, worker_id="w")
+    # the coordinator may have leased the jobs before the connection
+    # broke: a second lease would strand them until the timeout
+    assert [path.partition("?")[0] for path in dropping_server.paths] == [
+        "/healthz", "/jobs/lease"]
+    client.close()
+
+
+def test_a_read_broken_mid_request_on_a_kept_connection_is_resent_once(
+        dropping_server):
+    client = CoordinatorClient(
+        f"http://127.0.0.1:{dropping_server.server_port}", timeout=5.0)
+    assert client.healthz()["ok"] is True
+    assert client.healthz()["ok"] is True  # dropped, resent on a fresh one
+    assert dropping_server.paths == ["/healthz"] * 3
+    client.close()
+
+
+def test_shutdown_answers_a_request_already_in_flight():
+    server = CoordinatorServer().start()
+    client = CoordinatorClient(server.url, timeout=10.0)
+    client.submit_many([_payload(1)])
+    entered, release = threading.Event(), threading.Event()
+    lease = server.coordinator.lease
+
+    def slow_lease(*args, **kwargs):
+        entered.set()
+        release.wait(5)
+        return lease(*args, **kwargs)
+
+    server.coordinator.lease = slow_lease
+    leased = []
+    caller = threading.Thread(
+        target=lambda: leased.append(client.lease(1, worker_id="w")))
+    caller.start()
+    assert entered.wait(5)
+    stopper = threading.Thread(target=server.shutdown)
+    stopper.start()
+    deadline = time.monotonic() + 5
+    while not server._http._closing and time.monotonic() < deadline:
+        time.sleep(0.005)
+    release.set()  # the coordinator acts on the lease mid-shutdown ...
+    caller.join(timeout=10)
+    stopper.join(timeout=10)
+    # ... and its reply still reaches the worker
+    assert [job.digest for job in leased[0]] == [_digest(1)]
 
 
 def _handler_threads():

@@ -14,6 +14,7 @@ from repro.utils import (
     gcd_list,
     lcm_list,
     normalize_fractions,
+    normalize_pairs,
 )
 from repro.utils.rational import as_fraction, ceil_div, floor_div
 
@@ -55,6 +56,13 @@ class TestNormalizeFractions:
 
     def test_empty(self):
         assert normalize_fractions([]) == []
+
+    def test_pairs_match_fractions(self):
+        big = 2**89 - 1
+        values = [Fraction(big, 3), Fraction(5, big), Fraction(7, 6)]
+        pairs = [(v.numerator, v.denominator) for v in values]
+        assert normalize_pairs(pairs) == normalize_fractions(values)
+        assert normalize_pairs([]) == []
 
 
 class TestAsFraction:
